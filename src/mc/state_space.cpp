@@ -1,7 +1,6 @@
 #include "mc/state_space.hpp"
 
 #include "aig/compact.hpp"
-#include "cnf/tseitin.hpp"
 
 namespace itpseq::mc {
 
@@ -31,24 +30,29 @@ aig::Lit StateSpace::init_pred(const std::vector<bool>& visible) {
   return sets_.make_and_many(conj);
 }
 
-Implication StateSpace::implies(aig::Lit a, aig::Lit b, double time_limit_sec,
-                                const std::atomic<bool>* cancel) {
-  // Constant short-circuits (also avoids encoding constants).
-  if (a == aig::kFalse || b == aig::kTrue || a == b) return Implication::kHolds;
+StateSpace::Checker::Checker(const aig::Aig& sets)
+    : enc(sets, solver, [this](aig::Var) { return sat::mk_lit(solver.new_var()); }) {
+  solver.set_inprocess(false);
+}
+
+sat::Status StateSpace::solve(std::initializer_list<aig::Lit> conj,
+                              double time_limit_sec,
+                              const std::atomic<bool>* cancel) {
   ++sat_calls_;
-  sat::Solver solver;
-  std::vector<sat::Lit> leaf_vars(sets_.num_vars(), sat::kNoLit);
-  cnf::TseitinEncoder enc(sets_, solver, [&](aig::Var v) {
-    if (leaf_vars[v] == sat::kNoLit) leaf_vars[v] = sat::mk_lit(solver.new_var());
-    return leaf_vars[v];
-  });
-  // a AND NOT b satisfiable?
-  if (a != aig::kTrue) solver.add_clause({enc.encode(a, 0)}, 0);
-  if (b != aig::kFalse) solver.add_clause({sat::neg(enc.encode(b, 0))}, 0);
+  if (!checker_) checker_.emplace(sets_);
+  std::vector<sat::Lit> assumptions;
+  for (aig::Lit l : conj) assumptions.push_back(checker_->enc.encode(l, 0));
   sat::Budget budget;
   budget.seconds = time_limit_sec;
   budget.cancel = cancel;
-  switch (solver.solve(budget)) {
+  return checker_->solver.solve_assuming(assumptions, budget);
+}
+
+Implication StateSpace::implies(aig::Lit a, aig::Lit b, double time_limit_sec,
+                                const std::atomic<bool>* cancel) {
+  // Trivial cases need no SAT call.
+  if (a == aig::kFalse || b == aig::kTrue || a == b) return Implication::kHolds;
+  switch (solve({a, aig::lit_not(b)}, time_limit_sec, cancel)) {
     case sat::Status::kUnsat:
       return Implication::kHolds;
     case sat::Status::kSat:
@@ -60,6 +64,7 @@ Implication StateSpace::implies(aig::Lit a, aig::Lit b, double time_limit_sec,
 }
 
 void StateSpace::compact(std::vector<aig::Lit*> roots) {
+  checker_.reset();
   std::vector<aig::Lit> root_lits;
   root_lits.reserve(roots.size());
   for (aig::Lit* r : roots) root_lits.push_back(*r);
@@ -72,18 +77,7 @@ Implication StateSpace::satisfiable(aig::Lit a, double time_limit_sec,
                                     const std::atomic<bool>* cancel) {
   if (a == aig::kTrue) return Implication::kHolds;
   if (a == aig::kFalse) return Implication::kFails;
-  ++sat_calls_;
-  sat::Solver solver;
-  std::vector<sat::Lit> leaf_vars(sets_.num_vars(), sat::kNoLit);
-  cnf::TseitinEncoder enc(sets_, solver, [&](aig::Var v) {
-    if (leaf_vars[v] == sat::kNoLit) leaf_vars[v] = sat::mk_lit(solver.new_var());
-    return leaf_vars[v];
-  });
-  solver.add_clause({enc.encode(a, 0)}, 0);
-  sat::Budget budget;
-  budget.seconds = time_limit_sec;
-  budget.cancel = cancel;
-  switch (solver.solve(budget)) {
+  switch (solve({a}, time_limit_sec, cancel)) {
     case sat::Status::kSat:
       return Implication::kHolds;
     case sat::Status::kUnsat:

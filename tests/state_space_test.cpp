@@ -1,12 +1,24 @@
 // state_space_test.cpp — unit tests for the symbolic state-set manager and
-// its SAT containment checks.
+// its SAT containment checks, including a differential test of the
+// persistent checker against a fresh solver per query.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <random>
+#include <type_traits>
+
 #include "bench_circuits/generators.hpp"
+#include "cnf/tseitin.hpp"
 #include "mc/state_space.hpp"
 
 namespace itpseq::mc {
 namespace {
+
+// The checker's encoder refers to the graph of the StateSpace it belongs to.
+static_assert(!std::is_copy_constructible_v<StateSpace> &&
+              !std::is_move_constructible_v<StateSpace> &&
+              !std::is_copy_assignable_v<StateSpace> &&
+              !std::is_move_assignable_v<StateSpace>);
 
 TEST(StateSpace, InputsMirrorLatches) {
   aig::Aig g = bench::counter(4, 11, 7);
@@ -93,6 +105,157 @@ TEST(StateSpace, CompactRemapsRoots) {
   v[aig::lit_var(s.graph().input(1))] = true;
   v[aig::lit_var(s.graph().input(2))] = true;
   EXPECT_TRUE(s.graph().evaluate(keep, v));
+}
+
+// --- Differential test: persistent checker vs. a fresh solver per query ---
+
+// Reference oracle: is the conjunction of `conj` satisfiable?  A brand-new
+// solver and encoder per call, the facts asserted as unit clauses.
+sat::Status fresh_solve(const aig::Aig& g, std::initializer_list<aig::Lit> conj) {
+  sat::Solver solver;
+  cnf::TseitinEncoder enc(g, solver,
+                          [&](aig::Var) { return sat::mk_lit(solver.new_var()); });
+  for (aig::Lit l : conj) solver.add_clause({enc.encode(l, 0)}, 0);
+  return solver.solve();
+}
+
+Implication oracle_implies(const aig::Aig& g, aig::Lit a, aig::Lit b) {
+  return fresh_solve(g, {a, aig::lit_not(b)}) == sat::Status::kUnsat
+             ? Implication::kHolds
+             : Implication::kFails;
+}
+
+Implication oracle_satisfiable(const aig::Aig& g, aig::Lit a) {
+  return fresh_solve(g, {a}) == sat::Status::kSat ? Implication::kHolds
+                                                  : Implication::kFails;
+}
+
+// Random predicates over the latch inputs of a StateSpace, grown on demand.
+class RandomSets {
+ public:
+  RandomSets(StateSpace& s, unsigned seed) : s_(s), rng_(seed) {
+    for (std::size_t i = 0; i < s.model().num_latches(); ++i)
+      pool_.push_back(s.latch_input(i));
+  }
+
+  /// Add `n` random gates, each over two pool literals.
+  void grow(int n) {
+    aig::Aig& G = s_.graph();
+    for (int i = 0; i < n; ++i) {
+      aig::Lit x = pick();
+      aig::Lit y = pick();
+      switch (rng_() % 3) {
+        case 0: pool_.push_back(G.make_and(x, y)); break;
+        case 1: pool_.push_back(G.make_or(x, y)); break;
+        default: pool_.push_back(G.make_xor(x, y)); break;
+      }
+    }
+  }
+
+  /// A random pair (a, b).  One pair in three is built so that the
+  /// implication holds (a = b AND x, or b = a OR x).
+  std::pair<aig::Lit, aig::Lit> pair() {
+    aig::Aig& G = s_.graph();
+    aig::Lit a = pick();
+    aig::Lit b = pick();
+    switch (rng_() % 6) {
+      case 0: a = G.make_and(b, pick()); break;
+      case 1: b = G.make_or(a, pick()); break;
+      default: break;
+    }
+    return {a, b};
+  }
+
+  /// Compact the graph keeping a random half of the pool.
+  void compact() {
+    std::vector<aig::Lit> keep;
+    for (aig::Lit l : pool_)
+      if (rng_() % 2 == 0) keep.push_back(l);
+    std::vector<aig::Lit*> roots;
+    for (aig::Lit& l : keep) roots.push_back(&l);
+    s_.compact(std::move(roots));
+    pool_.clear();
+    for (std::size_t i = 0; i < s_.model().num_latches(); ++i)
+      pool_.push_back(s_.latch_input(i));
+    pool_.insert(pool_.end(), keep.begin(), keep.end());
+  }
+
+ private:
+  aig::Lit pick() {
+    aig::Lit l = pool_[rng_() % pool_.size()];
+    return rng_() % 2 ? aig::lit_not(l) : l;
+  }
+
+  StateSpace& s_;
+  std::mt19937 rng_;
+  std::vector<aig::Lit> pool_;
+};
+
+aig::Aig latch_model(int latches) {
+  aig::Aig m;
+  for (int i = 0; i < latches; ++i) (void)m.add_latch(aig::LatchInit::kZero);
+  for (int i = 0; i < latches; ++i) m.set_latch_next(m.latch(i), m.latch(i));
+  return m;
+}
+
+constexpr int kRounds = 60;
+constexpr int kPerRound = 8;
+constexpr int kQueries = kRounds * kPerRound;
+
+// Runs kRounds rounds of: grow the graph, then query kPerRound random pairs
+// against the oracle.  `between_rounds` runs after each round.  Returns the number
+// of holding implications seen (the caller checks both outcomes occurred).
+template <typename Between>
+int differential(StateSpace& s, RandomSets& sets, Between between_rounds) {
+  int holds = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    sets.grow(6);
+    for (int q = 0; q < kPerRound; ++q) {
+      auto [a, b] = sets.pair();
+      Implication want = oracle_implies(s.graph(), a, b);
+      EXPECT_EQ(s.implies(a, b, -1.0), want) << "round " << round << " query " << q;
+      EXPECT_EQ(s.satisfiable(a, -1.0), oracle_satisfiable(s.graph(), a));
+      holds += want == Implication::kHolds;
+    }
+    between_rounds(round);
+  }
+  return holds;
+}
+
+TEST(StateSpaceDifferential, GraphGrowsBetweenQueries) {
+  aig::Aig m = latch_model(7);
+  StateSpace s(m);
+  RandomSets sets(s, 1);
+  int holds = differential(s, sets, [](int) {});
+  EXPECT_GT(holds, kQueries / 10);
+  EXPECT_LT(holds, kQueries - kQueries / 10);
+}
+
+TEST(StateSpaceDifferential, QueriesInterleavedWithCompact) {
+  aig::Aig m = latch_model(7);
+  StateSpace s(m);
+  RandomSets sets(s, 2);
+  int holds = differential(s, sets, [&](int round) {
+    if (round % 5 == 4) sets.compact();
+  });
+  EXPECT_GT(holds, kQueries / 10);
+  EXPECT_LT(holds, kQueries - kQueries / 10);
+}
+
+TEST(StateSpaceDifferential, CancelledQueryLeavesCheckerSound) {
+  aig::Aig m = latch_model(7);
+  StateSpace s(m);
+  RandomSets sets(s, 3);
+  const std::atomic<bool> cancelled{true};
+  int holds = differential(s, sets, [&](int) {
+    // A query that needs the solver: a ∧ ¬b and a both satisfiable.
+    aig::Aig& G = s.graph();
+    aig::Lit a = G.make_and(s.latch_input(0), s.latch_input(1));
+    aig::Lit b = G.make_and(s.latch_input(2), s.latch_input(3));
+    EXPECT_EQ(s.implies(a, b, -1.0, &cancelled), Implication::kUnknown);
+    EXPECT_EQ(s.satisfiable(a, -1.0, &cancelled), Implication::kUnknown);
+  });
+  EXPECT_GT(holds, kQueries / 10);
 }
 
 }  // namespace
