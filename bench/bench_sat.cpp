@@ -28,7 +28,6 @@
 #include "cnf/unroller.hpp"
 #include "json_writer.hpp"
 #include "obs/trace.hpp"
-#include "sat/preprocess.hpp"
 #include "sat/solver.hpp"
 #include "sat_workloads.hpp"
 
@@ -122,31 +121,6 @@ double incremental_gc(sat::Solver& s, unsigned rep) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// Preprocessor front-end: the standalone CNF-level sat::Preprocessor
-// squeezes the formula once up front, a fresh solver (inprocessing off —
-// the simplification already happened) solves the residue, and a SAT model
-// is extended back over the eliminated variables.  This is the proof-free
-// one-shot pipeline described in sat/preprocess.hpp; compare against the
-// plain `random3sat` rows to see what up-front BVE buys.
-double preproc3sat(sat::Solver& s, unsigned rep) {
-  const unsigned nvars = 120;
-  auto t0 = Clock::now();
-  sat::Preprocessor pre(nvars);
-  bench::gen_random3sat(nvars, 4.26, 9000 + rep, [&](std::vector<sat::Lit> l) {
-    pre.add_clause(std::move(l));
-  });
-  pre.run();
-  for (unsigned v = 0; v < nvars; ++v) s.new_var();
-  if (!pre.unsat()) {
-    for (const auto& cl : pre.clauses()) s.add_clause(cl);
-    if (s.solve() == sat::Status::kSat) {
-      std::vector<sat::LBool> model = s.model();
-      pre.extend_model(model);
-    }
-  }
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
 // Seconds-scale variants for the `quick` (perf-smoke) mode.
 double pigeonhole_quick(sat::Solver& s, unsigned) {
   bench::build_pigeonhole(s, 7);
@@ -178,15 +152,12 @@ int main(int argc, char** argv) {
   std::vector<WorkloadResult> results;
   // The `*_noinpr` rows rerun a workload with the solver's inprocessing
   // switched off — the in-tree ablation for the simplification pipeline.
-  // `preproc3sat` instead runs the standalone Preprocessor front-end over
-  // the same formulas as `random3sat`.
   if (quick) {
     results.push_back(run_workload("bmc_unroll", 1, bmc_unroll));
     results.push_back(run_workload("pigeonhole7", 1, pigeonhole_quick));
     results.push_back(
         run_workload("pigeonhole7_noinpr", 1, pigeonhole_quick, false));
     results.push_back(run_workload("random3sat", 2, random3sat));
-    results.push_back(run_workload("preproc3sat", 2, preproc3sat, false));
     results.push_back(run_workload("binary_net", 1, binary_net_quick));
     results.push_back(run_workload("incremental_gc", 1, incremental_gc_quick));
   } else {
@@ -200,9 +171,12 @@ int main(int argc, char** argv) {
     results.push_back(run_workload("random3sat", 16 * scale, random3sat));
     results.push_back(
         run_workload("random3sat_noinpr", 16 * scale, random3sat, false));
-    results.push_back(run_workload("preproc3sat", 16 * scale, preproc3sat, false));
     results.push_back(run_workload("big3sat", 1 * scale, big3sat));
+    results.push_back(
+        run_workload("big3sat_noinpr", 1 * scale, big3sat, false));
     results.push_back(run_workload("binary_net", 1 * scale, binary_net));
+    results.push_back(
+        run_workload("binary_net_noinpr", 1 * scale, binary_net, false));
     results.push_back(run_workload("incremental_gc", 1 * scale, incremental_gc));
   }
 

@@ -31,12 +31,10 @@ inline void build_pigeonhole(sat::Solver& s, int n) {
         s.add_clause({sat::mk_lit(p[i][h], true), sat::mk_lit(p[j][h], true)}, 2);
 }
 
-/// Random 3-SAT clause stream at the given clause/var ratio (4.26 ~
-/// threshold); calls `emit` once per clause.  Shared by the solver driver
-/// and the Preprocessor front-end driver so both see identical formulas.
-template <typename Emit>
-inline void gen_random3sat(unsigned nvars, double ratio, unsigned seed,
-                           Emit emit) {
+/// Random 3-SAT at the given clause/var ratio (4.26 ~ threshold).
+inline void build_random3sat(sat::Solver& s, unsigned nvars, double ratio,
+                             unsigned seed) {
+  for (unsigned i = 0; i < nvars; ++i) s.new_var();
   std::mt19937 rng(seed);
   const unsigned ncl = static_cast<unsigned>(nvars * ratio);
   for (unsigned cl = 0; cl < ncl; ++cl) {
@@ -48,16 +46,8 @@ inline void gen_random3sat(unsigned nvars, double ratio, unsigned seed,
         if (sat::var(x) == sat::var(l)) dup = true;
       if (!dup) lits.push_back(l);
     }
-    emit(std::move(lits));
+    s.add_clause(lits);
   }
-}
-
-/// Random 3-SAT at the given clause/var ratio (4.26 ~ threshold).
-inline void build_random3sat(sat::Solver& s, unsigned nvars, double ratio,
-                             unsigned seed) {
-  for (unsigned i = 0; i < nvars; ++i) s.new_var();
-  gen_random3sat(nvars, ratio, seed,
-                 [&](std::vector<sat::Lit> lits) { s.add_clause(lits); });
 }
 
 /// Pure binary implication network (ring + random chords): propagation is

@@ -1,10 +1,8 @@
-// sat_solve.cpp — standalone DIMACS SAT solver with optional interpolation
-// and preprocessing.
+// sat_solve.cpp — standalone DIMACS SAT solver with optional interpolation.
 //
-// Usage: sat_solve <file.cnf> [cut|-p|--drat FILE]
+// Usage: sat_solve <file.cnf> [cut|--drat FILE]
 //   cut         on UNSAT with "c part <n>" labels, extract + validate the
 //               Craig interpolant at that cut;
-//   -p          run SatELite-style preprocessing first (disables proof/ITP);
 //   --drat FILE on UNSAT, export a DRAT proof and re-verify it with the
 //               independent forward RUP checker.
 //
@@ -20,7 +18,6 @@
 
 #include "sat/dimacs.hpp"
 #include "sat/drat.hpp"
-#include "sat/preprocess.hpp"
 #include "sat/proof_check.hpp"
 #include "sat/solver.hpp"
 
@@ -28,7 +25,7 @@ using namespace itpseq;
 
 int main(int argc, char** argv) {
   if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <file.cnf> [cut|-p]\n", argv[0]);
+    std::fprintf(stderr, "usage: %s <file.cnf> [cut|--drat FILE]\n", argv[0]);
     return 2;
   }
   sat::DimacsProblem p;
@@ -39,37 +36,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::printf("c %u vars, %zu clauses\n", p.num_vars, p.clauses.size());
-  bool preprocess = argc > 2 && std::strcmp(argv[2], "-p") == 0;
-
-  if (preprocess) {
-    sat::Preprocessor pre(p.num_vars);
-    for (const auto& cl : p.clauses) pre.add_clause(cl);
-    pre.run(/*grow=*/4);
-    std::printf("c preprocess: %u subsumed, %u strengthened, %u vars "
-                "eliminated, %u -> %u clauses\n",
-                pre.stats().subsumed, pre.stats().strengthened,
-                pre.stats().vars_eliminated, pre.stats().clauses_in,
-                pre.stats().clauses_out);
-    if (pre.unsat()) {
-      std::printf("s UNSATISFIABLE\n");
-      return 20;
-    }
-    sat::Solver solver;
-    while (solver.num_vars() < p.num_vars) solver.new_var();
-    for (auto& cl : pre.clauses()) solver.add_clause(cl);
-    sat::Status st = solver.solve();
-    if (st == sat::Status::kSat) {
-      std::vector<sat::LBool> model = solver.model();
-      pre.extend_model(model);
-      std::printf("s SATISFIABLE\nv ");
-      for (unsigned v = 0; v < p.num_vars; ++v)
-        std::printf("%s%u ", model[v] == sat::LBool::kTrue ? "" : "-", v + 1);
-      std::printf("0\n");
-      return 10;
-    }
-    std::printf("s UNSATISFIABLE\n");
-    return 20;
-  }
 
   sat::Solver solver;
   solver.enable_proof();

@@ -163,7 +163,7 @@ def _scan_body(sf, fn, root, recv, blo, bhi, mut, out, seen):
                         f"'{root}.{toks[j + 1].text}(...)' inside a range-for "
                         f"over '{root}': the loop reference is invalidated "
                         f"mid-iteration; snapshot the list first "
-                        f"(src/sat/preprocess.cpp idiom)"))
+                        f"(src/sat/inprocess.cpp idiom)"))
             continue
         # transitive mutation through a call: an unqualified (or this->)
         # call can reach the members of the enclosing object; a call through

@@ -7,18 +7,17 @@
 #                   bytes, GC activity, learned-clause tiers, inprocessing
 #                   counters, wall-clock.  Selected workloads appear twice —
 #                   plain and `*_noinpr` (solver inprocessing off) — as the
-#                   in-tree ablation for the simplification pipeline, plus a
-#                   `preproc3sat` row driving the standalone Preprocessor
-#                   front-end over the same formulas as `random3sat`.
+#                   in-tree ablation for the simplification pipeline.
 #   BENCH_pdr.json  PDR engine over the circuit suite: per-instance verdict,
 #                   queries, frames and the solver-side counters
 #
 # Each file is a *trajectory*: {"trajectory": [entry, entry, ...]}, one
-# entry appended per run, stamped with the git commit, date and host that
-# produced it — so the files diff as a history, not a single point.  Legacy
-# single-object files are migrated into a one-entry trajectory on the next
-# run.  The ctest label `perf-smoke` runs a seconds-scale slice of the same
-# drivers as a sanity check (ctest -L perf-smoke).
+# entry appended per run, stamped with the git commit (`<sha>-dirty` when the
+# tree has uncommitted changes), date and host that produced it — so the
+# files diff as a history, not a single point.  Legacy single-object files
+# are migrated into a one-entry trajectory on the next run.  The ctest label
+# `perf-smoke` runs a seconds-scale slice of the same drivers as a sanity
+# check (ctest -L perf-smoke).
 #
 # Usage: scripts/run_bench.sh [build_dir] [sat_scale] [pdr_seconds]
 set -euo pipefail
@@ -32,6 +31,13 @@ cmake -B "$build" -S "$root" > /dev/null
 cmake --build "$build" -j "$(nproc)" --target bench_sat bench_pdr > /dev/null
 
 commit="$(git -C "$root" rev-parse --short HEAD 2>/dev/null || echo unknown)"
+# Measuring uncommitted changes: say so in the stamp (git describe's
+# `-dirty` convention) rather than credit them to HEAD.  The trajectory files
+# themselves are left out, so a second run on a clean commit stays clean.
+if [ "$commit" != unknown ] &&
+   ! git -C "$root" diff --quiet HEAD -- . ':!BENCH_*.json' 2>/dev/null; then
+  commit="$commit-dirty"
+fi
 date_utc="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 host="$(hostname 2>/dev/null || echo unknown)"
 

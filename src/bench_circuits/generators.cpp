@@ -61,11 +61,18 @@ struct Rng {
   std::uint32_t below(std::uint32_t n) { return next() % n; }
 };
 
+/// `prefix` followed by the decimal `n`.  Built by appending: GCC 12 at -O3
+/// reports a spurious -Wrestrict on `"p" + std::to_string(n)`.
+std::string numbered(const char* prefix, std::uint64_t n) {
+  std::string s(prefix);
+  s += std::to_string(n);
+  return s;
+}
+
 std::vector<Lit> make_latches(Aig& g, unsigned n, const char* prefix) {
   std::vector<Lit> ls;
   for (unsigned i = 0; i < n; ++i)
-    ls.push_back(g.add_latch(aig::LatchInit::kZero,
-                             std::string(prefix) + std::to_string(i)));
+    ls.push_back(g.add_latch(aig::LatchInit::kZero, numbered(prefix, i)));
   return ls;
 }
 
@@ -95,7 +102,7 @@ Aig token_ring(unsigned n, bool fail_reach) {
   std::vector<Lit> s;
   s.push_back(g.add_latch(aig::LatchInit::kOne, "tok0"));
   for (unsigned i = 1; i < n; ++i)
-    s.push_back(g.add_latch(aig::LatchInit::kZero, "tok" + std::to_string(i)));
+    s.push_back(g.add_latch(aig::LatchInit::kZero, numbered("tok", i)));
   for (unsigned i = 0; i < n; ++i)
     g.set_latch_next(s[i], s[(i + n - 1) % n]);  // token rotates forward
   if (fail_reach)
@@ -109,11 +116,11 @@ Aig arbiter(unsigned n, bool broken) {
   if (n < 2) throw std::invalid_argument("arbiter: n >= 2");
   Aig g;
   std::vector<Lit> req;
-  for (unsigned i = 0; i < n; ++i) req.push_back(g.add_input("req" + std::to_string(i)));
+  for (unsigned i = 0; i < n; ++i) req.push_back(g.add_input(numbered("req", i)));
   std::vector<Lit> ptr;
   ptr.push_back(g.add_latch(aig::LatchInit::kOne, "ptr0"));
   for (unsigned i = 1; i < n; ++i)
-    ptr.push_back(g.add_latch(aig::LatchInit::kZero, "ptr" + std::to_string(i)));
+    ptr.push_back(g.add_latch(aig::LatchInit::kZero, numbered("ptr", i)));
   for (unsigned i = 0; i < n; ++i)
     g.set_latch_next(ptr[i], ptr[(i + n - 1) % n]);
   std::vector<Lit> grant(n);
@@ -211,7 +218,7 @@ Aig lfsr(unsigned width, std::uint64_t fail_value) {
   std::vector<Lit> s;
   s.push_back(g.add_latch(aig::LatchInit::kOne, "lfsr0"));
   for (unsigned i = 1; i < width; ++i)
-    s.push_back(g.add_latch(aig::LatchInit::kZero, "lfsr" + std::to_string(i)));
+    s.push_back(g.add_latch(aig::LatchInit::kZero, numbered("lfsr", i)));
   Lit feedback = g.make_xor(s[width - 1], s[width - 2]);
   if (width >= 6) feedback = g.make_xor(feedback, s[0]);
   g.set_latch_next(s[0], feedback);
@@ -269,13 +276,13 @@ Aig industrial(unsigned width, unsigned stages, unsigned variant,
   Rng rng(seed);
   std::vector<Lit> ins;
   for (unsigned i = 0; i < width / 2; ++i)
-    ins.push_back(g.add_input("pi" + std::to_string(i)));
+    ins.push_back(g.add_input(numbered("pi", i)));
 
   // Pipeline substrate: stages x width registers with random clouds.
   std::vector<Lit> prev = ins;
   std::vector<std::vector<Lit>> regs(stages);
   for (unsigned st = 0; st < stages; ++st) {
-    regs[st] = make_latches(g, width, ("p" + std::to_string(st) + "_").c_str());
+    regs[st] = make_latches(g, width, (numbered("p", st) + "_").c_str());
     // Random cloud from prev + this stage's registers.
     std::vector<Lit> pool = prev;
     for (Lit l : regs[st]) pool.push_back(l);
@@ -321,7 +328,7 @@ Aig industrial(unsigned width, unsigned stages, unsigned variant,
     Lit pattern = g.make_and(ins[0], ins.size() > 1 ? ins[1] : aig::kTrue);
     Lit prev_m = aig::kTrue;
     for (unsigned i = 0; i < d; ++i) {
-      Lit mreg = g.add_latch(aig::LatchInit::kZero, "match" + std::to_string(i));
+      Lit mreg = g.add_latch(aig::LatchInit::kZero, numbered("match", i));
       g.set_latch_next(mreg, g.make_and(prev_m, pattern));
       prev_m = mreg;
     }
@@ -337,12 +344,12 @@ Aig combination_lock(unsigned length, unsigned bits, std::uint32_t seed,
   Aig g;
   Rng rng(seed);
   std::vector<Lit> in;
-  for (unsigned b = 0; b < bits; ++b) in.push_back(g.add_input("key" + std::to_string(b)));
+  for (unsigned b = 0; b < bits; ++b) in.push_back(g.add_input(numbered("key", b)));
   // One-hot stage registers s_0..s_length (s_length = open).
   std::vector<Lit> stage;
   stage.push_back(g.add_latch(aig::LatchInit::kOne, "s0"));
   for (unsigned i = 1; i <= length; ++i)
-    stage.push_back(g.add_latch(aig::LatchInit::kZero, "s" + std::to_string(i)));
+    stage.push_back(g.add_latch(aig::LatchInit::kZero, numbered("s", i)));
   // Per-stage key match.
   std::vector<Lit> match(length);
   for (unsigned i = 0; i < length; ++i) {
@@ -429,7 +436,7 @@ Aig sticky_detector(unsigned m, bool resettable) {
   Lit pattern = g.make_and(a, b);
   Lit chain = aig::kTrue;
   for (unsigned i = 0; i < m; ++i) {
-    Lit reg = g.add_latch(aig::LatchInit::kZero, "st" + std::to_string(i));
+    Lit reg = g.add_latch(aig::LatchInit::kZero, numbered("st", i));
     Lit advance = g.make_and(chain, pattern);
     g.set_latch_next(reg, g.make_and(advance, aig::lit_not(clr)));
     chain = reg;

@@ -235,7 +235,9 @@ class BlifParser {
 std::string var_name(const aig::Aig& g, aig::Var v) {
   const std::string& n = g.name(v);
   if (!n.empty()) return n;
-  return "n" + std::to_string(v);
+  std::string s = "n";  // appended, not `"n" + ...`: GCC 12 -Wrestrict at -O3
+  s += std::to_string(v);
+  return s;
 }
 
 std::string lit_expr(const aig::Aig& g, aig::Lit l,

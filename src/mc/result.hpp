@@ -159,7 +159,13 @@ struct EngineOptions {
   /// Inprocessing (subsumption / bounded variable elimination /
   /// vivification / failed-literal probing inside every SAT solver the
   /// engine creates; see sat::Solver::set_inprocess).  Proof-logging safe:
-  /// never affects verdicts, ITP extraction, or tracecheck export.
+  /// every rewrite is a logged resolution, so verdicts stay sound and
+  /// proofs, interpolants and tracecheck export stay valid.  A round does
+  /// change the search, though, so proofs, interpolants and the bound an
+  /// interpolation engine converges at can differ.  Rounds must be paid for
+  /// by reuse or by search (sat/solver.hpp), so one-shot solvers (a BMC
+  /// bound, a certificate check) run one only after a long search, and
+  /// long-lived ones (PDR, incremental BMC) run them routinely.
   bool sat_inprocess = true;
   /// Learned-clause cap override for every SAT solver the engine creates
   /// (sat::Solver::set_reduce_base); 0 keeps the solver default.  The

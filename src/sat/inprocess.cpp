@@ -1,12 +1,12 @@
 // inprocess.cpp — in-solver simplification between searches.
 //
-// A round (Solver::inprocess) runs at solve entry and at level-0 restarts,
-// amortized by inprocess_interval_ conflicts.  Phases, in order:
+// A round (Solver::inprocess) runs at solve entry or at a level-0 restart
+// when Solver::maybe_inprocess finds it paid for (the rule is in the
+// solver.hpp header).  Phases, in order:
 //
 //   1. level-0 propagation to fixpoint + satisfied-clause removal;
-//   2. subsumption + self-subsuming resolution over a transient occurrence
-//      index (signature-accelerated, the preprocess.cpp machinery rebuilt
-//      over the clause arena);
+//   2. subsumption + self-subsuming resolution over a transient,
+//      signature-accelerated occurrence index over the clause arena;
 //   3. bounded variable elimination (BVE) with model reconstruction: a var
 //      is eliminated when its non-tautological input resolvents do not
 //      outnumber the clauses they replace; the replaced clauses are
@@ -32,8 +32,8 @@
 // going stale (integrations may enqueue units that satisfy indexed
 // clauses): subsumption and resolution are set-level arguments, independent
 // of the current assignment.  Candidate occurrence lists are snapshotted
-// before mutation loops (the stale-index lesson of
-// Preprocessor::subsumption_pass); dead entries are filtered lazily.
+// before mutation loops (iterating a list the loop body mutates reads a
+// stale index); dead entries are filtered lazily.
 #include <algorithm>
 #include <cassert>
 #include <vector>
@@ -311,13 +311,18 @@ void Solver::extend_model_over_eliminated(std::vector<LBool>& model) const {
   }
 }
 
-bool Solver::maybe_inprocess() {
+bool Solver::maybe_inprocess(bool at_entry) {
   if (!ok_) return false;
   if (!inprocess_on_ || arena_.empty()) return true;
   assert(trail_lim_.empty());
-  if (inprocessed_once_ &&
-      stats_.conflicts - last_inprocess_conflicts_ < inprocess_interval_)
-    return true;
+  // A round is paid for by reuse (the first round, at the second solve's
+  // entry) or by search (interval conflicts since the last round, counted
+  // from creation before the first).
+  const bool by_reuse =
+      at_entry && stats_.inprocess_rounds == 0 && solve_calls_ >= 2;
+  const bool by_search =
+      stats_.conflicts - last_inprocess_conflicts_ >= inprocess_interval_;
+  if (!by_reuse && !by_search) return true;
   {
     // Under memory pressure an inprocessing round is the wrong move: the
     // occurrence index is the solver's largest transient allocation.  Skip
@@ -337,7 +342,6 @@ bool Solver::maybe_inprocess() {
 bool Solver::inprocess() {
   ITPSEQ_FAULT_POINT("sat.inprocess");
   assert(trail_lim_.empty());
-  inprocessed_once_ = true;
   last_inprocess_conflicts_ = stats_.conflicts;
   ++stats_.inprocess_rounds;
   const SolverStats before = stats_;

@@ -768,6 +768,7 @@ Status Solver::solve_assuming(const std::vector<Lit>& assumptions,
                               const Budget& budget) {
   if (proof_ && !assumptions.empty())
     throw std::logic_error("assumptions are incompatible with proof logging");
+  ++solve_calls_;
   assumptions_ = assumptions;
   failed_.clear();
   backtrack(0);  // a previous kUnknown may have left the search mid-tree
@@ -876,9 +877,9 @@ Status Solver::solve_assuming(const std::vector<Lit>& assumptions,
   // maybe compact the arena.  Amortized against propagation work because
   // the sweep is O(arena).
   maybe_simplify();
-  // Inprocessing round (subsumption/BVE/vivification/probing), amortized by
-  // conflicts since the last round; may refute the formula outright.
-  if (!maybe_inprocess()) return Status::kUnsat;
+  // Inprocessing round (subsumption/BVE/vivification/probing) if one is paid
+  // for by reuse or by search; may refute the formula outright.
+  if (!maybe_inprocess(/*at_entry=*/true)) return Status::kUnsat;
 
   while (true) {
     CRef conflict = propagate();
@@ -992,7 +993,7 @@ Status Solver::solve_assuming(const std::vector<Lit>& assumptions,
         glue_fast = glue_slow;
         backtrack(0);
         maybe_simplify();
-        if (!maybe_inprocess()) return Status::kUnsat;
+        if (!maybe_inprocess(/*at_entry=*/false)) return Status::kUnsat;
         continue;
       }
       // Rung 1 of the memory-degradation ladder (see util/mem_budget.hpp):

@@ -67,9 +67,14 @@
 // --- Inprocessing ----------------------------------------------------------
 //
 // When enabled (the default), the solver simplifies its own clause database
-// *between* searches: a round runs at solve entry and at level-0 restarts,
-// amortized so at most one round per inprocess-interval conflicts
-// (set_inprocess_interval; the first solve always gets one).  A round is,
+// *between* searches: a round runs at solve entry or at a level-0 restart,
+// but only once it is paid for.  A solver's first round is paid for by
+// reuse: it runs at the entry of its second solve call, so a solver that is
+// solved once (one BMC bound, one certificate check) only gets rounds that a
+// long search pays for.  Every other round is paid for by search: it needs
+// inprocess-interval conflicts since the previous round, or since the solver
+// was created if none has run yet (set_inprocess_interval; 0 forces a round
+// at every entry and restart, the first entry included).  A round is,
 // in order: level-0 propagation to fixpoint, satisfied-clause removal,
 // signature-accelerated subsumption + self-subsuming resolution, bounded
 // variable elimination (BVE) with model reconstruction, clause vivification,
@@ -279,8 +284,10 @@ class Solver {
   /// what a round does and the proof-safety/freeze contracts.
   void set_inprocess(bool on) { inprocess_on_ = on; }
   bool inprocess_enabled() const { return inprocess_on_; }
-  /// Minimum conflicts between inprocessing rounds (default 4000).  Testing
-  /// knob: 0 forces a round at every solve entry and level-0 restart.
+  /// Conflicts that pay for an inprocessing round (default 4000): since the
+  /// previous round, or since creation before the first.  Testing knob: 0
+  /// forces a round at every solve entry (the first included) and level-0
+  /// restart.
   void set_inprocess_interval(std::uint64_t conflicts) {
     inprocess_interval_ = conflicts;
   }
@@ -442,7 +449,10 @@ class Solver {
   /// only for the subsumption/BVE phase of one round (see inprocess.cpp).
   struct OccIndex;
 
-  bool maybe_inprocess();  // false iff the round refuted the formula
+  /// Run a round if one is paid for (see the header comment); `at_entry`
+  /// marks the solve-entry call site.  False iff the round refuted the
+  /// formula.
+  bool maybe_inprocess(bool at_entry);
   bool inprocess();        // one full round; false iff refuted
   bool inprocess_subsume_eliminate();
   bool inprocess_vivify();
@@ -538,8 +548,8 @@ class Solver {
   // inprocessing state -------------------------------------------------------
   bool inprocess_on_ = true;
   std::uint64_t inprocess_interval_ = 4000;  // conflicts between rounds
-  bool inprocessed_once_ = false;
-  std::uint64_t last_inprocess_conflicts_ = 0;
+  std::uint64_t solve_calls_ = 0;             // solve_assuming entries so far
+  std::uint64_t last_inprocess_conflicts_ = 0;  // conflicts at the last round
   std::vector<std::uint8_t> frozen_;         // per var: never eliminate
   std::vector<std::uint8_t> eliminated_;     // per var: currently BVE'd away
   std::vector<ElimRecord> elim_trail_;       // elimination order (for models)

@@ -1,0 +1,94 @@
+// engine_inprocess_test.cpp — the paper's engines build one-shot
+// proof-logging solvers (one per bound, serial step and refinement), and an
+// inprocessing round must be paid for by reuse or by search.  So on small,
+// bound-capped runs their work with inprocessing on is exactly the work with
+// it off: same verdict, k_fp, j_fp, SAT calls, conflicts, propagations and
+// proof clauses, and no round at all.  PDR, which reuses one solver for
+// every query, still runs its rounds.
+#include <gtest/gtest.h>
+
+#include <functional>
+#include <string>
+
+#include "bench_circuits/suite.hpp"
+#include "mc/engine.hpp"
+
+namespace itpseq::mc {
+namespace {
+
+using Check = std::function<EngineResult(const aig::Aig&, const EngineOptions&)>;
+
+struct NamedEngine {
+  const char* name;
+  Check check;
+};
+
+const std::vector<NamedEngine>& one_shot_engines() {
+  static const std::vector<NamedEngine> e = {
+      {"itp", [](const aig::Aig& m, const EngineOptions& o) { return check_itp(m, 0, o); }},
+      {"itpseq",
+       [](const aig::Aig& m, const EngineOptions& o) { return check_itpseq(m, 0, o); }},
+      {"sitpseq",
+       [](const aig::Aig& m, const EngineOptions& o) { return check_sitpseq(m, 0, o); }},
+      {"cba",
+       [](const aig::Aig& m, const EngineOptions& o) { return check_itpseq_cba(m, 0, o); }},
+      {"pba",
+       [](const aig::Aig& m, const EngineOptions& o) { return check_itpseq_pba(m, 0, o); }},
+  };
+  return e;
+}
+
+// PASS, FAIL and bound-exhausted instances from several families, each
+// cheap at the bound below.
+const char* const kInstances[] = {"cnten4pass", "cnt4fail",  "ring8safe",
+                                  "queue8ovf",  "vend6grd",  "lock8open",
+                                  "industrialH2"};
+
+EngineOptions capped(bool inprocess) {
+  EngineOptions o;
+  o.max_bound = 8;            // the work cap: outcomes never depend on speed
+  o.time_limit_sec = 600.0;   // a safety net, never reached
+  o.sat_inprocess = inprocess;
+  return o;
+}
+
+std::vector<bench::Instance> selected() {
+  std::vector<bench::Instance> out;
+  for (auto& inst : bench::make_suite())
+    for (const char* n : kInstances)
+      if (inst.name == n) out.push_back(std::move(inst));
+  return out;
+}
+
+TEST(EngineInprocess, OneShotEnginesMatchInprocessingOffExactly) {
+  const auto insts = selected();
+  ASSERT_EQ(insts.size(), std::size(kInstances));
+  for (const auto& inst : insts) {
+    for (const auto& e : one_shot_engines()) {
+      SCOPED_TRACE(inst.name + " / " + e.name);
+      const EngineResult on = e.check(inst.model, capped(true));
+      const EngineResult off = e.check(inst.model, capped(false));
+      ASSERT_NE(on.verdict, Verdict::kError);
+      EXPECT_EQ(on.verdict, off.verdict);
+      EXPECT_EQ(on.k_fp, off.k_fp);
+      EXPECT_EQ(on.j_fp, off.j_fp);
+      EXPECT_EQ(on.stats.sat_calls, off.stats.sat_calls);
+      EXPECT_EQ(on.stats.sat_conflicts, off.stats.sat_conflicts);
+      EXPECT_EQ(on.stats.sat_propagations, off.stats.sat_propagations);
+      EXPECT_EQ(on.stats.proof_clauses, off.stats.proof_clauses);
+      EXPECT_EQ(on.stats.sat_inprocess_rounds, 0u);
+    }
+  }
+}
+
+TEST(EngineInprocess, PdrStillRunsRounds) {
+  for (const auto& inst : selected()) {
+    SCOPED_TRACE(inst.name);
+    const EngineResult r = check_pdr(inst.model, 0, capped(true));
+    ASSERT_NE(r.verdict, Verdict::kError);
+    EXPECT_GE(r.stats.sat_inprocess_rounds, 1u);
+  }
+}
+
+}  // namespace
+}  // namespace itpseq::mc

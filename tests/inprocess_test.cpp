@@ -1,10 +1,12 @@
 // inprocess_test.cpp — in-solver simplification (subsumption, BVE,
 // vivification, probing) under proof logging: verdict crosschecks against
 // untouched solvers, model extension over eliminated variables, proof
-// replay + DRAT/tracecheck export on UNSAT, and the freeze/restore
-// contract for assumptions and late add_clause.
+// replay + DRAT/tracecheck export on UNSAT, the freeze/restore contract for
+// assumptions and late add_clause, and the rule that schedules rounds (paid
+// for by reuse or by search).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <random>
 #include <sstream>
@@ -52,9 +54,10 @@ bool model_satisfies(const std::vector<LBool>& model,
 /// Crosscheck harness: solve `cls` with inprocessing forced on every entry
 /// and with it disabled; verdicts must agree, SAT models (extended over
 /// eliminated vars) must satisfy the ORIGINAL clauses, and UNSAT proofs
-/// must replay, DRAT-check and export to tracecheck.
+/// must replay, DRAT-check and export to tracecheck.  `on_stats`, if given,
+/// receives the inprocessing solver's counters.
 void crosscheck(const std::vector<std::vector<Lit>>& cls, unsigned nvars,
-                RestartMode mode) {
+                RestartMode mode, SolverStats* on_stats = nullptr) {
   Solver on, off;
   on.set_restart_mode(mode);
   off.set_restart_mode(mode);
@@ -71,6 +74,7 @@ void crosscheck(const std::vector<std::vector<Lit>>& cls, unsigned nvars,
     off.add_clause(c);
   }
   Status son = on.solve(), soff = off.solve();
+  if (on_stats != nullptr) *on_stats = on.stats();
   ASSERT_NE(son, Status::kUnknown);
   ASSERT_EQ(son, soff) << "inprocessing changed the verdict";
   if (son == Status::kSat) {
@@ -124,6 +128,75 @@ TEST(Inprocess, UnsatDerivedDuringElimination) {
   write_tracecheck(s.proof(), tc);
   EXPECT_FALSE(tc.str().empty());
 }
+
+TEST(Inprocess, XorChainRefutedByElimination) {
+  // XOR-style binaries: no clause subsumes or self-subsumes another, so the
+  // contradiction only surfaces once variable elimination starts resolving.
+  // Eliminating v leaves (a|~b) and (b|~a); eliminating a then yields the
+  // units (b) and (~b).
+  Solver s;
+  s.set_inprocess_interval(0);
+  s.enable_proof();
+  const Var v = s.new_var(), a = s.new_var(), b = s.new_var();
+  s.add_clause({pos(v), pos(a)});
+  s.add_clause({pos(v), pos(b)});
+  s.add_clause({negl(v), negl(a)});
+  s.add_clause({negl(v), negl(b)});
+  s.add_clause({pos(a), pos(b)});
+  s.add_clause({negl(a), negl(b)});
+  EXPECT_EQ(s.solve(), Status::kUnsat);
+  EXPECT_EQ(s.stats().subsumed + s.stats().strengthened, 0u);
+  EXPECT_GE(s.stats().vars_eliminated, 1u);
+  auto pc = check_proof(s.proof());
+  EXPECT_TRUE(pc.ok) << pc.error;
+}
+
+class InprocessSubsumeStressTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(InprocessSubsumeStressTest, RemovalDuringIterationStaysSound) {
+  // Engineered for dense subsumption: every base clause gets random
+  // supersets (subsumption deletes them mid-sweep) and a one-flipped-literal
+  // variant (self-subsumption strengthens it), so the round keeps deleting
+  // and rewriting clauses — and the occurrence lists it iterates — while it
+  // sweeps.
+  std::mt19937 rng(7100 + GetParam());
+  const unsigned nvars = 6 + rng() % 5;
+  auto rnd_lit = [&] { return mk_lit(rng() % nvars, rng() % 2); };
+  std::vector<std::vector<Lit>> cls;
+  const unsigned nbase = 4 + rng() % 5;
+  for (unsigned bi = 0; bi < nbase; ++bi) {
+    // No units and no repeated variable: level-0 propagation must not
+    // satisfy the supersets before the subsumption sweep sees them.
+    std::vector<Lit> base;
+    unsigned len = 2 + rng() % 2;
+    while (base.size() < len) {
+      Lit l = rnd_lit();
+      if (std::none_of(base.begin(), base.end(),
+                       [&](Lit x) { return var(x) == var(l); }))
+        base.push_back(l);
+    }
+    cls.push_back(base);
+    for (unsigned sup = 0; sup < 2 + rng() % 3; ++sup) {
+      std::vector<Lit> d = base;
+      for (unsigned k = 0; k < 1 + rng() % 3; ++k) d.push_back(rnd_lit());
+      cls.push_back(d);
+    }
+    std::vector<Lit> f = base;
+    std::size_t fi = rng() % f.size();
+    f[fi] = neg(f[fi]);
+    f.push_back(rnd_lit());
+    cls.push_back(f);
+  }
+  std::shuffle(cls.begin(), cls.end(), rng);
+  SolverStats st;
+  crosscheck(cls, nvars,
+             GetParam() % 2 ? RestartMode::kEma : RestartMode::kLuby, &st);
+  // The supersets guarantee the sweep actually removed during iteration.
+  EXPECT_GT(st.subsumed + st.strengthened, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(DenseSubsumption, InprocessSubsumeStressTest,
+                         ::testing::Range(0, 40));
 
 TEST(Inprocess, SubsumptionAndStrengtheningCounted) {
   // Freeze everything so BVE cannot erase the evidence: (a|b) subsumes
@@ -345,6 +418,93 @@ TEST(Inprocess, CancellationDuringInprocessingSolveIsClean) {
   killer.join();
   EXPECT_NE(st, Status::kSat);
   EXPECT_EQ(s.solve(), Status::kUnsat);  // state intact after cancellation
+}
+
+// --- scheduling: a round must be paid for, by reuse or by search -----------
+
+/// A satisfiable formula far below the default interval, with a subsumed
+/// clause so that a round has something to do.
+void add_easy_sat(Solver& s) {
+  const unsigned n = 12;
+  for (unsigned i = 0; i < n; ++i) s.new_var();
+  for (unsigned i = 0; i + 2 < n; ++i)
+    s.add_clause({pos(i), pos(i + 1), negl(i + 2)});
+  s.add_clause({pos(0), pos(1)});
+  s.add_clause({pos(0), pos(1), pos(2)});
+}
+
+/// PHP(n+1, n): UNSAT, and thousands of conflicts in one solve for n = 7.
+void add_pigeonhole(Solver& s, int n) {
+  std::vector<std::vector<Var>> p(n + 1, std::vector<Var>(n));
+  for (auto& row : p)
+    for (auto& v : row) v = s.new_var();
+  for (int i = 0; i <= n; ++i) {
+    std::vector<Lit> cl;
+    for (int h = 0; h < n; ++h) cl.push_back(pos(p[i][h]));
+    s.add_clause(cl);
+  }
+  for (int h = 0; h < n; ++h)
+    for (int i = 0; i <= n; ++i)
+      for (int j = i + 1; j <= n; ++j)
+        s.add_clause({negl(p[i][h]), negl(p[j][h])});
+}
+
+TEST(InprocessSchedule, OneShotSolveBelowIntervalRunsNoRound) {
+  Solver s;
+  add_easy_sat(s);
+  EXPECT_EQ(s.solve(), Status::kSat);
+  EXPECT_LT(s.stats().conflicts, 4000u);
+  EXPECT_EQ(s.stats().inprocess_rounds, 0u);
+}
+
+TEST(InprocessSchedule, ReSolvedSolverRunsFirstRoundAtSecondEntry) {
+  Solver s;
+  add_easy_sat(s);
+  EXPECT_EQ(s.solve(), Status::kSat);
+  EXPECT_EQ(s.stats().inprocess_rounds, 0u);
+  EXPECT_EQ(s.solve_assuming({pos(3)}), Status::kSat);
+  EXPECT_EQ(s.stats().inprocess_rounds, 1u);
+  EXPECT_GE(s.stats().subsumed, 1u);
+  // Later rounds are paid for by search only; these solves are too easy.
+  EXPECT_EQ(s.solve(), Status::kSat);
+  EXPECT_EQ(s.solve(), Status::kSat);
+  EXPECT_EQ(s.stats().inprocess_rounds, 1u);
+  EXPECT_TRUE(s.verify_model());
+}
+
+TEST(InprocessSchedule, IntervalZeroRunsRoundAtFirstEntry) {
+  Solver s;
+  s.set_inprocess_interval(0);
+  add_easy_sat(s);
+  EXPECT_EQ(s.solve(), Status::kSat);
+  EXPECT_GE(s.stats().inprocess_rounds, 1u);
+}
+
+TEST(InprocessSchedule, DisabledNeverRunsARound) {
+  Solver s;
+  s.set_inprocess(false);
+  s.set_inprocess_interval(0);
+  add_easy_sat(s);
+  EXPECT_EQ(s.solve(), Status::kSat);
+  EXPECT_EQ(s.solve(), Status::kSat);
+  EXPECT_EQ(s.stats().inprocess_rounds, 0u);
+}
+
+TEST(InprocessSchedule, LongSingleSolveGetsInSearchRound) {
+  // One solve, no reuse: every round is paid for by search, counted from
+  // the solver's creation, so rounds * interval never exceeds conflicts.
+  const std::uint64_t interval = 1000;
+  Solver s;
+  s.set_inprocess_interval(interval);
+  s.enable_proof();
+  add_pigeonhole(s, 7);
+  EXPECT_EQ(s.solve(), Status::kUnsat);
+  const SolverStats& st = s.stats();
+  EXPECT_GE(st.conflicts, 2 * interval);
+  EXPECT_GE(st.inprocess_rounds, 1u);
+  EXPECT_LE(st.inprocess_rounds * interval, st.conflicts);
+  auto pc = check_proof(s.proof());
+  EXPECT_TRUE(pc.ok) << pc.error;
 }
 
 }  // namespace

@@ -70,12 +70,24 @@ aig::Aig fresh_universe(unsigned nvars) {
   return g;
 }
 
-void verify_sequence(const PartitionedCnf& f, unsigned max_label) {
-  sat::Solver s;
+/// Solve `f` once with proof logging.  `forced` sets inprocessing interval 0,
+/// so the solve starts with a round whose rewrites (subsumption, BVE,
+/// vivification, probing) are logged as proof resolutions; without it a
+/// one-shot solve this small runs no round.
+sat::Status solve_partitioned(const PartitionedCnf& f, bool forced,
+                              sat::Solver& s) {
   s.enable_proof();
+  if (forced) s.set_inprocess_interval(0);
   for (unsigned i = 0; i < f.nvars; ++i) s.new_var();
   for (const auto& [lits, label] : f.clauses) s.add_clause(lits, label);
-  sat::Status st = s.solve();
+  return s.solve();
+}
+
+void verify_sequence_once(const PartitionedCnf& f, unsigned max_label,
+                          bool forced) {
+  SCOPED_TRACE(forced ? "forced inprocessing round" : "default schedule");
+  sat::Solver s;
+  sat::Status st = solve_partitioned(f, forced, s);
   ASSERT_NE(st, sat::Status::kUnknown);
   if (st == sat::Status::kSat) {
     EXPECT_TRUE(s.verify_model());
@@ -113,6 +125,13 @@ void verify_sequence(const PartitionedCnf& f, unsigned max_label) {
   }
 }
 
+/// Check the sequence over both proof shapes: the plain refutation a
+/// one-shot solve produces, and one that includes inprocessing steps.
+void verify_sequence(const PartitionedCnf& f, unsigned max_label) {
+  verify_sequence_once(f, max_label, /*forced=*/false);
+  verify_sequence_once(f, max_label, /*forced=*/true);
+}
+
 class ItpRandomTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ItpRandomTest, RandomPartitionedCnf) {
@@ -132,6 +151,64 @@ TEST_P(ItpRandomTest, RandomPartitionedCnf) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomCnf, ItpRandomTest, ::testing::Range(0, 80));
+
+/// Random 3-CNF just above the satisfiability threshold, with no unit
+/// clauses: unlike the short formulas above (refuted while their clauses are
+/// added), these reach the solve's entry, so a forced round rewrites them and
+/// the search then learns from the rewritten clauses.
+PartitionedCnf random_partitioned_3cnf(int seed, unsigned& max_label) {
+  std::mt19937 rng(seed);
+  PartitionedCnf f;
+  f.nvars = 40 + rng() % 10;
+  max_label = 2 + rng() % 4;  // partitions 1..max_label
+  const unsigned nclauses = static_cast<unsigned>(f.nvars * 4.6);
+  for (unsigned c = 0; c < nclauses; ++c) {
+    std::vector<sat::Lit> cl;
+    while (cl.size() < 3) {
+      sat::Var v = rng() % f.nvars;
+      bool fresh = true;
+      for (sat::Lit l : cl) fresh = fresh && sat::var(l) != v;
+      if (fresh) cl.push_back(sat::mk_lit(v, rng() % 2));
+    }
+    f.clauses.push_back({cl, 1 + rng() % max_label});
+  }
+  return f;
+}
+
+class ItpInprocessedProofTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ItpInprocessedProofTest, Random3Cnf) {
+  unsigned max_label = 0;
+  PartitionedCnf f = random_partitioned_3cnf(GetParam(), max_label);
+  verify_sequence(f, max_label);
+}
+
+INSTANTIATE_TEST_SUITE_P(Random3Cnf, ItpInprocessedProofTest,
+                         ::testing::Range(0, 20));
+
+TEST(Itp, ForcedRoundsShapeRandom3CnfRefutations) {
+  // Guards ItpInprocessedProofTest: with a forced round its refutations must
+  // contain inprocessing rewrites, and some must contain search conflicts
+  // after them, or its forced half would re-check a single proof shape.
+  unsigned unsat = 0, rewritten = 0, searched = 0;
+  for (int seed = 0; seed < 20; ++seed) {
+    unsigned max_label = 0;
+    PartitionedCnf f = random_partitioned_3cnf(seed, max_label);
+    sat::Solver s;
+    if (solve_partitioned(f, /*forced=*/true, s) != sat::Status::kUnsat)
+      continue;
+    ++unsat;
+    const sat::SolverStats& st = s.stats();
+    EXPECT_GE(st.inprocess_rounds, 1u) << "seed " << seed;
+    if (st.subsumed + st.strengthened + st.vars_eliminated + st.vivified +
+            st.failed_literals > 0)
+      ++rewritten;
+    if (st.conflicts > 0) ++searched;
+  }
+  EXPECT_GE(unsat, 10u);
+  EXPECT_GE(2 * rewritten, unsat);
+  EXPECT_GT(searched, 0u);
+}
 
 TEST(Itp, HandCraftedTwoPartition) {
   // A: (a)(~a | b)    B: (~b)

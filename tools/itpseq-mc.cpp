@@ -85,7 +85,10 @@ void usage(const char* argv0) {
                "                    in-solver inprocessing (subsumption, var\n"
                "                    elimination, vivification, probing) for\n"
                "                    every engine's SAT solvers (default on;\n"
-               "                    proof-logging safe)\n"
+               "                    proof-logging safe).  A round runs once a\n"
+               "                    solver is re-solved or has searched 4000\n"
+               "                    conflicts, so it mostly helps long-lived\n"
+               "                    solvers (pdr, incremental bmc)\n"
                "      --incremental[=on|off]\n"
       "                    incremental BMC solver (bmc engine only;\n"
       "                    default on, off = monolithic re-encoding\n"
