@@ -3,7 +3,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bdd/reach.hpp"
-#include "bdd/reorder.hpp"
 #include "bench_circuits/generators.hpp"
 
 using namespace itpseq;
@@ -55,39 +54,6 @@ void BM_BddXorChain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BddXorChain)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_BddSiftComparator(benchmark::State& state) {
-  // Sifting must discover the interleaved order of the n-pair comparator
-  // starting from the (exponential) blocked order.
-  const unsigned n = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    bdd::BddManager m(2 * n);
-    bdd::BddRef f = m.bdd_true();
-    for (unsigned i = 0; i < n; ++i)
-      f = m.apply_and(f, m.apply_equiv(m.var(i), m.var(n + i)));
-    bdd::ReorderResult r = bdd::sift_order(m, {f});
-    benchmark::DoNotOptimize(r);
-    state.counters["before"] = static_cast<double>(bdd::shared_size(m, {f}));
-    state.counters["after"] = static_cast<double>(r.dag_size);
-  }
-}
-BENCHMARK(BM_BddSiftComparator)->Arg(4)->Arg(6)->Arg(8);
-
-void BM_BddReorderIdentity(benchmark::State& state) {
-  // Pure rebuild cost (identity order) on the interleaved comparator.
-  const unsigned n = static_cast<unsigned>(state.range(0));
-  bdd::BddManager m(2 * n);
-  bdd::BddRef f = m.bdd_true();
-  for (unsigned i = 0; i < n; ++i)
-    f = m.apply_and(f, m.apply_equiv(m.var(2 * i), m.var(2 * i + 1)));
-  bdd::VarOrder id;
-  for (unsigned i = 0; i < 2 * n; ++i) id.push_back(i);
-  for (auto _ : state) {
-    bdd::ReorderResult r = bdd::reorder(m, {f}, id);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_BddReorderIdentity)->Arg(8)->Arg(16)->Arg(32);
 
 }  // namespace
 

@@ -2,11 +2,11 @@
 //
 // For each instance of a mixed PASS/FAIL circuit set: wall-clock of each
 // single member engine, of the threaded portfolio (with lemma exchange) and
-// of the sequential round-robin portfolio.  The number to watch is the
-// "vs best" column — the threaded portfolio should track the best single
-// member per instance (small scheduling overhead aside) instead of paying
-// the round-robin tax, while the exchange columns count the lemmas that
-// crossed engine boundaries.
+// of the jobs=1 portfolio (one worker, members in list order).  The number
+// to watch is the "vs best" column — the threaded portfolio should track
+// the best single member per instance (small scheduling overhead aside)
+// instead of paying for running members one after another, while the
+// exchange columns count the lemmas that crossed engine boundaries.
 //
 // Usage: bench_portfolio [per_instance_seconds] [family_filter]
 #include <algorithm>
@@ -34,9 +34,9 @@ int main(int argc, char** argv) {
 
   std::printf("%-18s %-4s | %9s %9s %9s %9s | %9s %8s %9s | %6s %6s %-10s\n",
               "instance", "exp", "sim", "bmc", "sitpseq", "pdr", "threaded",
-              "vs best", "seqrobin", "pub", "cons", "winner");
+              "vs best", "jobs=1", "pub", "cons", "winner");
 
-  double total_threaded = 0.0, total_best = 0.0, total_seq = 0.0;
+  double total_threaded = 0.0, total_best = 0.0, total_one = 0.0;
   unsigned instances = 0, threaded_decided = 0, regressions = 0;
   std::uint64_t total_pub = 0, total_cons = 0;
 
@@ -54,9 +54,6 @@ int main(int argc, char** argv) {
       po.jobs = 1;
       po.exchange = false;
       po.time_limit_sec = limit;
-      // One slice covering the whole budget: the baseline member must run
-      // contiguously, not be restarted by the doubling-slice scheduler.
-      po.slice_seconds = limit;
       mc::EngineResult r = mc::check_portfolio(inst.model, 0, po);
       singles[i] = r.seconds;
       if (r.verdict != mc::Verdict::kUnknown &&
@@ -70,9 +67,9 @@ int main(int argc, char** argv) {
     po.time_limit_sec = limit;
     mc::EngineResult threaded = mc::check_portfolio(inst.model, 0, po);
 
-    mc::PortfolioOptions seq = po;
-    seq.jobs = 1;
-    mc::EngineResult robin = mc::check_portfolio(inst.model, 0, seq);
+    mc::PortfolioOptions one = po;
+    one.jobs = 1;
+    mc::EngineResult single = mc::check_portfolio(inst.model, 0, one);
 
     // Allowance: 25% scheduling overhead on top of the best single member,
     // scaled by core contention — with fewer cores than members the racing
@@ -92,7 +89,7 @@ int main(int argc, char** argv) {
         inst.name.c_str(),
         inst.expected == bench::Expected::kPass ? "PASS" : "FAIL", singles[0],
         singles[1], singles[2], singles[3], threaded.seconds,
-        threaded.seconds / (best > 1e-9 ? best : 1e-9), robin.seconds,
+        threaded.seconds / (best > 1e-9 ? best : 1e-9), single.seconds,
         static_cast<unsigned long long>(threaded.stats.lemmas_published),
         static_cast<unsigned long long>(threaded.stats.lemmas_consumed),
         winner, regress ? "  <-- slower than best member" : "");
@@ -100,7 +97,7 @@ int main(int argc, char** argv) {
     ++instances;
     total_threaded += threaded.seconds;
     total_best += best;
-    total_seq += robin.seconds;
+    total_one += single.seconds;
     total_pub += threaded.stats.lemmas_published;
     total_cons += threaded.stats.lemmas_consumed;
     if (threaded.verdict != mc::Verdict::kUnknown) ++threaded_decided;
@@ -108,10 +105,10 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\n%u instances | threaded %.2fs vs best-member %.2fs vs round-robin "
+      "\n%u instances | threaded %.2fs vs best-member %.2fs vs jobs=1 "
       "%.2fs | decided %u | lemmas published %llu consumed %llu | "
       "regressions %u\n",
-      instances, total_threaded, total_best, total_seq, threaded_decided,
+      instances, total_threaded, total_best, total_one, threaded_decided,
       static_cast<unsigned long long>(total_pub),
       static_cast<unsigned long long>(total_cons), regressions);
   return 0;

@@ -118,8 +118,8 @@ std::vector<Lemma> LemmaExchange::fetch(std::size_t& cursor,
     if (self != 0 && lemmas_[cursor].source == self) continue;
     out.push_back(lemmas_[cursor]);
     // Count each lemma's *first* delivery to a foreign subscriber only —
-    // more subscribers or restarted sequential members re-reading the
-    // store must not inflate the figure.
+    // more subscribers or relaunched members re-reading the store must
+    // not inflate the figure.
     if (!delivered_[cursor]) {
       delivered_[cursor] = 1;
       ++stats_.fetched;

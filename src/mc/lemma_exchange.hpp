@@ -75,9 +75,8 @@ struct LemmaExchangeStats {
   std::uint64_t published = 0;  ///< lemmas accepted into the store
   std::uint64_t rejected = 0;   ///< duplicates / tautologies / over capacity
   /// Distinct lemmas delivered to at least one *foreign* subscriber —
-  /// re-deliveries to more subscribers, restarted sequential members
-  /// re-reading the store, and publishers skipping their own lemmas do
-  /// not inflate it.
+  /// re-deliveries to more subscribers, relaunched members re-reading
+  /// the store, and publishers skipping their own lemmas do not inflate it.
   std::uint64_t fetched = 0;
 };
 

@@ -1,6 +1,7 @@
-// portfolio.cpp — threaded portfolio scheduler with cooperative
-// cancellation and cross-engine lemma exchange (see portfolio.hpp for the
-// scheduler/cancellation/exchange contracts).
+// portfolio.cpp — the portfolio in three parts: a member runner (run,
+// contain, relaunch after OOM), one scheduler (a worker pool; jobs = 1 is a
+// pool of one) and a checkpoint observer.  See portfolio.hpp for the
+// scheduler/cancellation/exchange contracts.
 #include "mc/portfolio.hpp"
 
 #include <algorithm>
@@ -42,26 +43,16 @@ const char* to_string(PortfolioMember m) {
   return "?";
 }
 
-void degrade_for_retry(EngineOptions& eo, ErrorKind kind) {
-  switch (kind) {
-    case ErrorKind::kOutOfMemory:
-      // Shed the allocation-heavy machinery: the inprocessing occurrence
-      // index is the largest transient allocation, the learnt-clause arena
-      // the largest persistent one, and the state-set AIG grows unboundedly
-      // without compaction.
-      eo.sat_inprocess = false;
-      eo.sat_reduce_base = eo.sat_reduce_base > 0.0
-                               ? std::min(eo.sat_reduce_base, 500.0)
-                               : 500.0;
-      if (eo.compact_threshold == 0 || eo.compact_threshold > 50000)
-        eo.compact_threshold = 50000;
-      break;
-    case ErrorKind::kNone:
-    case ErrorKind::kSolverLimit:  // the scheduler halves the leash instead
-    case ErrorKind::kInternal:     // transient faults: plain retry
-    case ErrorKind::kIoError:
-      break;
-  }
+void degrade_for_retry(EngineOptions& eo) {
+  // Shed the allocation-heavy machinery: the inprocessing occurrence index
+  // is the largest transient allocation, the learnt-clause arena the
+  // largest persistent one, and the state-set AIG grows unboundedly without
+  // compaction.
+  eo.sat_inprocess = false;
+  eo.sat_reduce_base =
+      eo.sat_reduce_base > 0.0 ? std::min(eo.sat_reduce_base, 500.0) : 500.0;
+  if (eo.compact_threshold == 0 || eo.compact_threshold > 50000)
+    eo.compact_threshold = 50000;
 }
 
 namespace {
@@ -74,18 +65,14 @@ std::uint64_t next_word(std::uint64_t& state) {
   return state;
 }
 
-/// Base rounds of the random-simulation sweep, shared by both schedulers
-/// so the explored trace enumeration never depends on wall-clock or thread
-/// interleaving.  Sequential rounds *extend* the sweep (kSimSweepRounds <<
-/// round); since a longer sweep explores the identical prefix first, the
-/// first counterexample found is still a pure function of the seed —
-/// budget/cancellation can truncate (degrading FAIL to UNKNOWN) but never
-/// change which witness is reported.
+/// Rounds of the random-simulation sweep.  Fixed, so the explored trace
+/// enumeration never depends on wall-clock, thread interleaving or `jobs`:
+/// budget/cancellation can truncate the sweep (degrading FAIL to UNKNOWN)
+/// but never change which witness is reported.
 constexpr unsigned kSimSweepRounds = 4096;
 
 /// Run one member to completion under `eo` (budget, cancellation token and
-/// exchange hub are all inside).  `sim_rounds` sizes the random-simulation
-/// sweep and must be derived deterministically by the caller.
+/// exchange hub are all inside).
 ///
 /// Containment boundary: a member that throws (engine construction, the
 /// self-scheduled random-sim sweep — Engine::run() has its own boundary for
@@ -93,11 +80,11 @@ constexpr unsigned kSimSweepRounds = 4096;
 /// keeps racing the survivors instead of std::terminate taking the process.
 EngineResult run_member(const aig::Aig& model, std::size_t prop,
                         PortfolioMember m, const EngineOptions& eo,
-                        std::uint64_t sim_seed, unsigned sim_rounds) {
+                        std::uint64_t sim_seed) {
   try {
     switch (m) {
       case PortfolioMember::kRandomSim:
-        return check_random_sim(model, prop, /*depth=*/64, sim_rounds,
+        return check_random_sim(model, prop, /*depth=*/64, kSimSweepRounds,
                                 sim_seed, eo.cancel, eo.time_limit_sec);
       case PortfolioMember::kBmc:
         return check_bmc(model, prop, eo);
@@ -258,77 +245,154 @@ EngineResult check_random_sim(const aig::Aig& model, std::size_t prop,
   return out;
 }
 
-EngineResult check_portfolio(const aig::Aig& model, std::size_t prop,
-                             const PortfolioOptions& opts) {
-  auto t0 = std::chrono::steady_clock::now();
-  auto elapsed = [&] {
+namespace {
+
+/// State one portfolio run shares between its workers, the guard thread
+/// and the caller.  `mu` guards the roster and the result slots below it;
+/// once schedule() has joined every thread they belong to the caller.
+struct Run {
+  Run(const aig::Aig& g, std::size_t p, const PortfolioOptions& o)
+      : model(g), prop(p), opts(o), hub(g.num_latches()),
+        exchange(o.exchange ? &hub : nullptr), pub_slot(o.members.size()) {}
+
+  double elapsed() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
         .count();
-  };
-  EngineResult last;
-  last.engine = "portfolio";
-  last.verdict = Verdict::kUnknown;
-  if (opts.members.empty()) return last;
+  }
 
-  LemmaExchange hub(model.num_latches());
-  LemmaExchange* hubp = opts.exchange ? &hub : nullptr;
-  // Seed the hub from a restored snapshot.  The demotion to kCandidate
-  // happens HERE, unconditionally — callers cannot opt out — so restored
-  // lemmas only ever re-enter proofs through consumers' own soundness
-  // checks (PDR's relative-induction query), exactly like any other
-  // candidate.  A forged snapshot can waste work, never flip a verdict.
-  std::uint64_t restored = 0;
-  if (hubp != nullptr && !opts.seed_lemmas.empty()) {
-    for (const Lemma& l : opts.seed_lemmas) {
-      Lemma c;
-      c.clause = l.clause;
-      c.grade = LemmaGrade::kCandidate;
-      if (hub.publish(std::move(c))) ++restored;
-    }
+  const aig::Aig& model;
+  const std::size_t prop;
+  const PortfolioOptions& opts;
+  const std::chrono::steady_clock::time_point t0 =
+      std::chrono::steady_clock::now();
+  LemmaExchange hub;
+  LemmaExchange* const exchange;  ///< &hub, or null with exchange off
+  std::atomic<bool> cancel{false};
+  /// Publisher slots for relaunched members, past the initial assignment:
+  /// a relaunch gets a *fresh* slot so the hub treats its previous
+  /// publications as foreign — re-reading them is exactly the warm start.
+  std::atomic<std::size_t> pub_slot;
+  bool watchdog_fired = false;  ///< written by the guard thread only
+
+  std::mutex mu;
+  std::vector<MemberOutcome> outcomes;  ///< every member's fate
+  int winner = -1;
+  EngineResult win;
+  EngineResult last;  ///< no-winner fallback
+  bool have_unknown = false;
+};
+
+/// Member runner: run queue entry `slot` with `budget` seconds, contained by
+/// run_member, and relaunch it after an out-of-memory death (see
+/// "Self-healing" in portfolio.hpp).  `o` receives the member's fate; the
+/// final attempt's result is returned.
+EngineResult run_and_relaunch(Run& run, std::size_t slot, double budget,
+                              MemberOutcome& o) {
+  const PortfolioOptions& opts = run.opts;
+  const PortfolioMember m = opts.members[slot];
+  o.member = to_string(m);
+  EngineOptions base = opts.engine_defaults;
+  EngineResult r;
+  for (unsigned attempt = 0;; ++attempt) {
+    std::size_t pub =
+        attempt == 0 ? slot
+                     : run.pub_slot.fetch_add(1, std::memory_order_relaxed);
+    EngineOptions eo = base;
+    eo.time_limit_sec = budget;
+    eo.cancel = &run.cancel;
+    eo.exchange = run.exchange;
+    eo.exchange_source = static_cast<std::uint8_t>((pub % 250) + 1);
+    if (opts.active_probe != nullptr) opts.active_probe->fetch_add(1);
     if (obs::enabled()) {
-      obs::emit("snapshot_restore",
-                {{"lemmas", opts.seed_lemmas.size()}, {"accepted", restored}});
+      obs::emit("worker_start", {{"member", to_string(m)},
+                                 {"slot", slot},
+                                 {"attempt", attempt},
+                                 {"budget_sec", budget}});
+    }
+    r = run_member(run.model, run.prop, m, eo, opts.sim_seed);
+    if (opts.active_probe != nullptr) opts.active_probe->fetch_sub(1);
+    if (obs::enabled()) {
+      obs::emit("worker_done", {{"member", to_string(m)},
+                                {"slot", slot},
+                                {"verdict", to_string(r.verdict)},
+                                {"seconds", r.seconds}});
+    }
+    o.seconds += r.seconds;
+    if (r.verdict != Verdict::kError ||
+        r.error.kind != ErrorKind::kOutOfMemory ||
+        attempt >= util::kMaxRelaunches ||
+        run.cancel.load(std::memory_order_relaxed))
+      break;
+    double delay = util::backoff_delay_sec(
+        attempt, opts.sim_seed ^ (0x9e3779b97f4a7c15ull * (slot + 1)));
+    if (opts.time_limit_sec - run.elapsed() <= delay) break;
+    if (!util::interruptible_sleep(delay, &run.cancel)) break;
+    budget = std::min(budget, opts.time_limit_sec - run.elapsed());
+    if (budget <= 0) break;
+    degrade_for_retry(base);
+    o.restarts = attempt + 1;
+    o.last_error = r.error;
+    if (obs::enabled()) {
+      obs::emit("member_restart", {{"member", to_string(m)},
+                                   {"attempt", o.restarts},
+                                   {"error", to_string(r.error.kind)},
+                                   {"delay_sec", delay}});
     }
   }
-  // Per-member fates (winners, losers and crashes alike) — attached to
-  // every returned result so run_report can list them.  `mu` guards them
-  // against the threaded workers and the checkpoint writer.
-  std::mutex mu;
-  std::vector<MemberOutcome> outcomes;
-  auto record_outcome = [&outcomes](PortfolioMember m, const EngineResult& r) {
-    MemberOutcome o;
-    o.member = to_string(m);
-    o.verdict = r.verdict;
-    o.seconds = r.seconds;
-    o.k_fp = r.k_fp;
-    o.error = r.error;
-    outcomes.push_back(std::move(o));
-  };
-  // Lemma checkpointing (see portfolio.hpp).  Failure containment:
-  // checkpointing is an observer — an injected or real I/O failure here is
-  // counted and dropped, never surfaced into the verdict path.
-  const bool ckpt_on = !opts.checkpoint_path.empty() && hubp != nullptr;
-  const std::uint64_t dhash = ckpt_on ? design_hash(model) : 0;
-  double last_ckpt = 0.0;  // touched only by the scheduler driving thread
-  // Serializes snapshot writes: the guard thread's periodic write can race
-  // finalize()'s final one, and both use the same temp file.
-  std::mutex ckpt_mu;
-  auto write_checkpoint = [&](const char* reason) {
-    if (!ckpt_on) return;
-    std::lock_guard<std::mutex> ckpt_lock(ckpt_mu);
+  o.verdict = r.verdict;
+  o.k_fp = r.k_fp;
+  o.error = r.error;
+  return r;
+}
+
+/// Checkpoint observer: snapshots the hub plus the member roster to
+/// opts.checkpoint_path — from the guard thread every
+/// checkpoint_interval_sec, on memory-budget escalation (while the
+/// allocator still can) and on watchdog escalation, then once by the caller
+/// at the end of the run, after the guard is joined.  So writes never
+/// overlap.  Checkpointing only observes: an injected or real I/O failure
+/// is reported by the `checkpoint` event and dropped, never surfaced into
+/// the verdict path.
+class CheckpointObserver {
+ public:
+  explicit CheckpointObserver(Run& run)
+      : run_(run),
+        on_(!run.opts.checkpoint_path.empty() && run.exchange != nullptr),
+        design_(on_ ? design_hash(run.model) : 0) {}
+  CheckpointObserver(const CheckpointObserver&) = delete;
+  CheckpointObserver& operator=(const CheckpointObserver&) = delete;
+
+  bool on() const { return on_; }
+
+  /// The guard thread's periodic duty.
+  void poll() {
+    if (!on_) return;
+    util::MemoryBudget& mb = util::MemoryBudget::instance();
+    if (mb.limited()) mb.poll();
+    if (mb.soft() && !mem_done_) {
+      mem_done_ = true;
+      write("mem-budget");
+    } else if (run_.elapsed() - last_ >= run_.opts.checkpoint_interval_sec) {
+      write("interval");
+    }
+  }
+
+  void write(const char* reason) {
+    if (!on_) return;
+    last_ = run_.elapsed();
     try {
       LemmaSnapshot snap;
-      snap.design = dhash;
-      snap.num_latches = model.num_latches();
+      snap.design = design_;
+      snap.num_latches = run_.model.num_latches();
       {
-        std::lock_guard<std::mutex> lock(mu);
-        snap.progress.reserve(outcomes.size());
-        for (const MemberOutcome& o : outcomes)
+        std::lock_guard<std::mutex> lock(run_.mu);
+        snap.progress.reserve(run_.outcomes.size());
+        for (const MemberOutcome& o : run_.outcomes)
           snap.progress.push_back({o.member, o.k_fp});
       }
-      snap.lemmas = hub.export_lemmas();
+      snap.lemmas = run_.hub.export_lemmas();
       std::string werr;
-      bool ok = write_snapshot_file(opts.checkpoint_path, snap, &werr);
+      bool ok = write_snapshot_file(run_.opts.checkpoint_path, snap, &werr);
       if (obs::enabled()) {
         obs::emit("checkpoint", {{"reason", reason},
                                  {"lemmas", snap.lemmas.size()},
@@ -337,303 +401,114 @@ EngineResult check_portfolio(const aig::Aig& model, std::size_t prop,
     } catch (...) {
       if (obs::enabled()) obs::emit("checkpoint", {{"reason", reason}, {"ok", 0u}});
     }
-  };
-  auto finalize = [&](EngineResult r) {
-    r.seconds = elapsed();
-    // Final checkpoint before `outcomes` is moved out: even a run shorter
-    // than the interval leaves a complete snapshot behind.
-    write_checkpoint("final");
-    r.members = std::move(outcomes);
-    if (hubp != nullptr) {
-      LemmaExchangeStats hs = hub.stats();
-      r.stats.lemmas_published = hs.published;
-      r.stats.lemmas_consumed = hs.fetched;
-      r.stats.lemmas_restored = restored;
-    }
-    return r;
-  };
-  auto member_options = [&](const EngineOptions& base, std::size_t slot,
-                            double budget) {
-    EngineOptions eo = base;
-    eo.time_limit_sec = budget;
-    eo.exchange = hubp;
-    eo.exchange_source = static_cast<std::uint8_t>((slot % 250) + 1);
-    return eo;
-  };
-  std::atomic<bool>* external = opts.engine_defaults.cancel;
-
-  unsigned jobs = opts.jobs;
-  if (jobs == 0) {
-    // One thread per member by default.  Members are pure CPU burners, so
-    // even on fewer cores racing + early cancellation beats time slicing
-    // (the OS preempts; the fastest member still finishes early and cancels
-    // the rest) — only very long member lists are capped to the hardware.
-    unsigned hw = std::thread::hardware_concurrency();
-    jobs = static_cast<unsigned>(
-        std::min<std::size_t>(opts.members.size(), std::max(hw, 8u)));
-  }
-  jobs = static_cast<unsigned>(
-      std::min<std::size_t>(jobs, opts.members.size()));
-
-  if (jobs <= 1) {
-    // Sequential round-robin scheduler (deterministic cross-check mode).
-    // Lemmas survive the slice boundaries through the hub, so later slices
-    // restart engines with everything earlier slices learned.  Each slice
-    // gets a fresh publisher slot: a restarted member must see its own
-    // previous slice's lemmas as foreign, or it could never re-seed itself.
-    double slice = opts.slice_seconds;
-    std::size_t slot = 0;
-    unsigned round = 0;
-    while (elapsed() < opts.time_limit_sec) {
-      std::size_t round_errors = 0;
-      EngineResult err;
-      for (std::size_t i = 0; i < opts.members.size(); ++i) {
-        if (external != nullptr && external->load(std::memory_order_relaxed)) {
-          last.engine = "portfolio";  // no winner: don't leak a member name
-          return finalize(std::move(last));
-        }
-        double budget = std::min(slice, opts.time_limit_sec - elapsed());
-        if (budget <= 0) break;
-        // Later rounds re-run the sweep *extended* (same prefix first), so
-        // random-sim coverage still grows with the budget deterministically.
-        unsigned sim_rounds = kSimSweepRounds << std::min(round, 10u);
-        if (obs::enabled()) {
-          obs::emit("member_start", {{"member", to_string(opts.members[i])},
-                                     {"round", round},
-                                     {"budget_sec", budget}});
-        }
-        EngineResult r =
-            run_member(model, prop, opts.members[i],
-                       member_options(opts.engine_defaults, slot++, budget),
-                       opts.sim_seed, sim_rounds);
-        if (obs::enabled()) {
-          obs::emit("member_done", {{"member", to_string(opts.members[i])},
-                                    {"verdict", to_string(r.verdict)},
-                                    {"seconds", r.seconds}});
-        }
-        record_outcome(opts.members[i], r);
-        // Slice boundaries are the sequential scheduler's checkpoint
-        // cadence (no guard thread to drive the interval).
-        if (ckpt_on && elapsed() - last_ckpt >= opts.checkpoint_interval_sec) {
-          write_checkpoint("interval");
-          last_ckpt = elapsed();
-        }
-        if (r.verdict == Verdict::kPass || r.verdict == Verdict::kFail) {
-          r.engine = std::string("portfolio/") + to_string(opts.members[i]);
-          return finalize(std::move(r));
-        }
-        if (r.verdict == Verdict::kError) {
-          ++round_errors;
-          err = std::move(r);
-        } else {
-          last = std::move(r);
-        }
-      }
-      // A whole round of failures means no member can make progress —
-      // surface the error instead of burning the rest of the budget.
-      if (round_errors == opts.members.size()) {
-        err.engine = "portfolio";
-        return finalize(std::move(err));
-      }
-      slice *= 2.0;
-      ++round;
-    }
-    last.engine = "portfolio";
-    return finalize(std::move(last));
   }
 
-  // Threaded scheduler: a pool of `jobs` workers drains the member queue;
-  // the first definite verdict (kPass/kFail) flips the shared cancellation
-  // token and every peer winds down cooperatively.  All threads are joined
-  // before returning (engines never detach work — see engine.hpp).
-  std::atomic<bool> cancel{false};
-  std::atomic<bool> watchdog_fired{false};
+ private:
+  Run& run_;
+  const bool on_;
+  const std::uint64_t design_;
+  double last_ = 0.0;
+  bool mem_done_ = false;
+};
+
+/// Scheduler: a pool of `jobs` workers drains the member queue in list
+/// order; the first definite verdict (kPass/kFail) flips the cancellation
+/// token and every peer winds down cooperatively.  Each member is capped at
+/// its fair share of the pool's remaining capacity, remaining * jobs /
+/// members still queued, so the queue behind it still gets its turn.  A
+/// guard thread relays external cancellation, runs the watchdog and drives
+/// the checkpoint observer.  Every thread, the guard included, is joined
+/// before returning (engines never detach work — see engine.hpp).
+void schedule(Run& run, unsigned jobs, CheckpointObserver& ckpt) {
+  const PortfolioOptions& opts = run.opts;
   std::atomic<std::size_t> next{0};
-  // Publisher slots for relaunched members, past the initial assignment:
-  // a relaunch gets a *fresh* slot so the hub treats its previous
-  // publications as foreign — re-reading them is exactly the warm start.
-  std::atomic<std::size_t> pub_slot{opts.members.size()};
-  int winner = -1;
-  EngineResult win;
-  bool have_unknown = false;  // guarded by mu; `last` holds a healthy result
   auto worker = [&] {
     try {
-      while (!cancel.load(std::memory_order_relaxed)) {
+      while (!run.cancel.load(std::memory_order_relaxed)) {
         std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= opts.members.size()) break;
-        double remaining = opts.time_limit_sec - elapsed();
+        double remaining = opts.time_limit_sec - run.elapsed();
         if (remaining <= 0) break;
-        // Fair share when the pool is narrower than the member list: the
-        // queue behind this member must still get its turn, so cap the
-        // budget at this member's share of the pool's remaining capacity.
-        // With jobs >= members the share is >= remaining (no cap) — every
-        // member simply runs with the full remaining budget.
         std::size_t queued = opts.members.size() - i;
         double budget =
             std::min(remaining, remaining * jobs / static_cast<double>(queued));
-        PortfolioMember m = opts.members[i];
-        // The degraded option base survives across relaunches of this
-        // slot, so ladder steps accumulate (an OOM clamp stays on even if
-        // a later attempt dies of something else).
-        EngineOptions base = opts.engine_defaults;
         MemberOutcome o;
-        o.member = to_string(m);
-        EngineResult r;
-        unsigned attempt = 0;
-        for (;;) {
-          EngineOptions eo = member_options(
-              base,
-              attempt == 0 ? i
-                           : pub_slot.fetch_add(1, std::memory_order_relaxed),
-              budget);
-          eo.cancel = &cancel;
-          if (opts.active_probe != nullptr) opts.active_probe->fetch_add(1);
-          if (obs::enabled()) {
-            obs::emit("worker_start", {{"member", to_string(m)},
-                                       {"slot", i},
-                                       {"attempt", attempt},
-                                       {"budget_sec", budget}});
-          }
-          r = run_member(model, prop, m, eo, opts.sim_seed, kSimSweepRounds);
-          if (opts.active_probe != nullptr) opts.active_probe->fetch_sub(1);
-          if (obs::enabled()) {
-            obs::emit("worker_done", {{"member", to_string(m)},
-                                      {"slot", i},
-                                      {"verdict", to_string(r.verdict)},
-                                      {"seconds", r.seconds}});
-          }
-          o.seconds += r.seconds;
-          if (r.verdict != Verdict::kError) break;
-          o.last_error = r.error;
-          // Self-healing: relaunch the errored slot under the
-          // RestartPolicy — bounded retries, exponential backoff with
-          // deterministic jitter, degradation ladder — warm-started from
-          // the current exchange (fresh publisher slot above).
-          if (attempt >= opts.restart.max_retries) break;
-          if (cancel.load(std::memory_order_relaxed)) break;
-          double delay = util::backoff_delay_sec(
-              opts.restart, attempt,
-              opts.sim_seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
-          if (opts.time_limit_sec - elapsed() <= delay) break;
-          if (!util::interruptible_sleep(delay, &cancel)) break;
-          degrade_for_retry(base, r.error.kind);
-          // kSolverLimit relaunches with half the leash: the member
-          // already proved it cannot finish in a full share, so leave the
-          // reclaimed time to healthier peers.
-          double leash =
-              r.error.kind == ErrorKind::kSolverLimit ? 0.5 : 1.0;
-          budget = std::min(budget, opts.time_limit_sec - elapsed()) * leash;
-          if (budget <= 0) break;
-          ++attempt;
-          o.restarts = attempt;
-          if (obs::enabled()) {
-            obs::emit("member_restart",
-                      {{"member", to_string(m)},
-                       {"attempt", attempt},
-                       {"error", to_string(o.last_error.kind)},
-                       {"delay_sec", delay}});
-          }
-        }
-        o.verdict = r.verdict;
-        o.k_fp = r.k_fp;
-        o.error = r.error;
-        std::lock_guard<std::mutex> lock(mu);
-        outcomes.push_back(std::move(o));
+        EngineResult r = run_and_relaunch(run, i, budget, o);
+        std::lock_guard<std::mutex> lock(run.mu);
+        run.outcomes.push_back(std::move(o));
         if (r.verdict == Verdict::kPass || r.verdict == Verdict::kFail) {
-          if (winner < 0) {
-            winner = static_cast<int>(i);
-            win = std::move(r);
-            cancel.store(true, std::memory_order_relaxed);
+          if (run.winner < 0) {
+            run.winner = static_cast<int>(i);
+            run.win = std::move(r);
+            run.cancel.store(true, std::memory_order_relaxed);
             // The winning verdict propagates cancellation to every peer.
             if (obs::enabled()) {
               obs::emit("cancel", {{"winner", to_string(opts.members[i])},
-                                   {"verdict", to_string(win.verdict)}});
+                                   {"verdict", to_string(run.win.verdict)}});
             }
           }
-        } else if (r.verdict == Verdict::kUnknown || !have_unknown) {
+        } else if (r.verdict == Verdict::kUnknown || !run.have_unknown) {
           // Prefer a healthy kUnknown over a crashed member's kError for
           // the no-winner return; a kError only sticks while nothing
           // healthy has reported.
-          if (r.verdict == Verdict::kUnknown) have_unknown = true;
-          last = std::move(r);
+          if (r.verdict == Verdict::kUnknown) run.have_unknown = true;
+          run.last = std::move(r);
         }
       }
     } catch (const std::exception& e) {
       // run_member contains engine exceptions; this boundary covers the
       // scheduler bookkeeping itself (option copies, obs emission) so a
       // worker can never take down the process or skip its join.
-      std::lock_guard<std::mutex> lock(mu);
+      std::lock_guard<std::mutex> lock(run.mu);
       MemberOutcome o;
       o.member = "portfolio-worker";
       o.verdict = Verdict::kError;
       o.error = classify_exception(e);
-      outcomes.push_back(std::move(o));
+      run.outcomes.push_back(std::move(o));
     } catch (...) {
-      std::lock_guard<std::mutex> lock(mu);
+      std::lock_guard<std::mutex> lock(run.mu);
       MemberOutcome o;
       o.member = "portfolio-worker";
       o.verdict = Verdict::kError;
       o.error = {ErrorKind::kInternal, "unknown exception"};
-      outcomes.push_back(std::move(o));
+      run.outcomes.push_back(std::move(o));
     }
   };
 
-  // One guard thread serves three duties on a shared condition-variable
-  // wait: relaying an external cancellation token into the pool's internal
-  // one; the watchdog — if cooperative cancellation misses the deadline
-  // (an engine stalled outside its poll loop), force internal cancellation
-  // after a grace period and mark the escalation; and driving the periodic
-  // lemma checkpoint (plus an extra snapshot on watchdog or memory-budget
-  // escalation — the moments a crash becomes likely).  The CV (unlike the
-  // former busy-poll) lets the exit path wake it immediately.
+  // The guard sleeps on a condition variable, so the exit path wakes it
+  // immediately.  The watchdog: if cooperative cancellation misses the
+  // deadline (an engine stalled outside its poll loop), force cancellation
+  // after the grace period and mark the escalation.
   struct Relay {
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;
   };
   Relay relay;
+  std::atomic<bool>* external = opts.engine_defaults.cancel;
   const bool watchdog_on =
       opts.watchdog_grace_sec > 0 && opts.time_limit_sec >= 0;
   std::thread guard;
-  if (external != nullptr || watchdog_on || ckpt_on) {
+  if (external != nullptr || watchdog_on || ckpt.on()) {
     guard = std::thread([&] {
       try {
-        const double deadline =
-            opts.time_limit_sec + std::max(0.0, opts.watchdog_grace_sec);
-        bool mem_ckpt_done = false;
+        const double deadline = opts.time_limit_sec + opts.watchdog_grace_sec;
         std::unique_lock<std::mutex> lock(relay.mu);
-        while (!relay.done) {
-          relay.cv.wait_for(lock, std::chrono::milliseconds(2));
-          if (relay.done) break;
+        while (!relay.cv.wait_for(lock, std::chrono::milliseconds(2),
+                                  [&] { return relay.done; })) {
           if (external != nullptr &&
               external->load(std::memory_order_relaxed)) {
-            cancel.store(true, std::memory_order_relaxed);
+            run.cancel.store(true, std::memory_order_relaxed);
           }
-          if (ckpt_on) {
-            util::MemoryBudget& mb = util::MemoryBudget::instance();
-            if (mb.limited()) mb.poll();
-            if (mb.soft() && !mem_ckpt_done) {
-              // Memory pressure escalated: snapshot now, while the
-              // allocator still can — the ladder's next rung is bailing
-              // out, and past it the OOM killer.
-              mem_ckpt_done = true;
-              write_checkpoint("mem-budget");
-              last_ckpt = elapsed();
-            } else if (elapsed() - last_ckpt >=
-                       opts.checkpoint_interval_sec) {
-              write_checkpoint("interval");
-              last_ckpt = elapsed();
-            }
-          }
-          if (watchdog_on && elapsed() >= deadline &&
-              !watchdog_fired.load(std::memory_order_relaxed)) {
-            watchdog_fired.store(true, std::memory_order_relaxed);
-            cancel.store(true, std::memory_order_relaxed);
-            write_checkpoint("watchdog");
+          ckpt.poll();
+          if (watchdog_on && !run.watchdog_fired &&
+              run.elapsed() >= deadline) {
+            run.watchdog_fired = true;
+            run.cancel.store(true, std::memory_order_relaxed);
+            ckpt.write("watchdog");
             if (obs::enabled()) {
-              obs::emit("watchdog",
-                        {{"grace_sec", opts.watchdog_grace_sec},
-                         {"elapsed_sec", elapsed()}});
+              obs::emit("watchdog", {{"grace_sec", opts.watchdog_grace_sec},
+                                     {"elapsed_sec", run.elapsed()}});
             }
           }
         }
@@ -644,7 +519,7 @@ EngineResult check_portfolio(const aig::Aig& model, std::size_t prop,
     });
   }
   // Exception-safe teardown, in reverse declaration order: workers are
-  // joined first (GuardPool below), then the guard is woken and joined —
+  // joined first (PoolJoin below), then the guard is woken and joined —
   // on *every* exit path, including a throwing spawn loop.
   struct GuardJoin {
     Relay& relay;
@@ -677,30 +552,87 @@ EngineResult check_portfolio(const aig::Aig& model, std::size_t prop,
     // part of the pool did start instead of dying.
   }
   if (pool.empty()) worker();  // last resort: run the queue inline
-  for (std::thread& t : pool) t.join();
+}
 
-  if (winner >= 0) {
-    win.engine = std::string("portfolio/") +
-                 to_string(opts.members[static_cast<std::size_t>(winner)]);
-    return finalize(std::move(win));
+}  // namespace
+
+EngineResult check_portfolio(const aig::Aig& model, std::size_t prop,
+                             const PortfolioOptions& opts) {
+  if (opts.members.empty()) {
+    EngineResult none;
+    none.engine = "portfolio";
+    return none;
   }
-  // No winner.  Every member failing is a portfolio-level error; a mix of
-  // kUnknown and crashes stays kUnknown (the healthy members simply ran
-  // out of budget) with the crashes listed in `members`.
-  bool all_error = !outcomes.empty();
-  for (const MemberOutcome& o : outcomes)
-    if (o.verdict != Verdict::kError) all_error = false;
-  if (all_error) {
-    last.verdict = Verdict::kError;
-    last.error = outcomes.front().error;
-  } else if (watchdog_fired.load(std::memory_order_relaxed) &&
-             last.verdict == Verdict::kUnknown &&
-             last.error.kind == ErrorKind::kNone) {
-    last.error = {ErrorKind::kSolverLimit,
-                  "watchdog: deadline passed without cooperative cancellation"};
+  Run run(model, prop, opts);
+  // Seed the hub from a restored snapshot.  The demotion to kCandidate
+  // happens HERE, unconditionally — callers cannot opt out — so restored
+  // lemmas only ever re-enter proofs through consumers' own soundness
+  // checks (PDR's relative-induction query), exactly like any other
+  // candidate.  A forged snapshot can waste work, never flip a verdict.
+  std::uint64_t restored = 0;
+  if (run.exchange != nullptr && !opts.seed_lemmas.empty()) {
+    for (const Lemma& l : opts.seed_lemmas) {
+      Lemma c;
+      c.clause = l.clause;
+      c.grade = LemmaGrade::kCandidate;
+      if (run.hub.publish(std::move(c))) ++restored;
+    }
+    if (obs::enabled()) {
+      obs::emit("snapshot_restore",
+                {{"lemmas", opts.seed_lemmas.size()}, {"accepted", restored}});
+    }
   }
-  last.engine = "portfolio";
-  return finalize(std::move(last));
+
+  unsigned jobs = opts.jobs;
+  if (jobs == 0) {
+    // One thread per member by default.  Members are pure CPU burners, so
+    // even on fewer cores racing + early cancellation beats time slicing
+    // (the OS preempts; the fastest member still finishes early and cancels
+    // the rest) — only very long member lists are capped to the hardware.
+    unsigned hw = std::thread::hardware_concurrency();
+    jobs = static_cast<unsigned>(
+        std::min<std::size_t>(opts.members.size(), std::max(hw, 8u)));
+  }
+  jobs = static_cast<unsigned>(
+      std::min<std::size_t>(jobs, opts.members.size()));
+  CheckpointObserver ckpt(run);
+  schedule(run, jobs, ckpt);
+
+  // Every thread is joined: the roster and result slots are ours alone.
+  EngineResult r;
+  if (run.winner >= 0) {
+    r = std::move(run.win);
+    r.engine = std::string("portfolio/") +
+               to_string(opts.members[static_cast<std::size_t>(run.winner)]);
+  } else {
+    // No winner.  Every member failing is a portfolio-level error; a mix of
+    // kUnknown and crashes stays kUnknown (the healthy members simply ran
+    // out of budget) with the crashes listed in `members`.
+    r = std::move(run.last);
+    r.engine = "portfolio";
+    bool all_error = !run.outcomes.empty();
+    for (const MemberOutcome& o : run.outcomes)
+      if (o.verdict != Verdict::kError) all_error = false;
+    if (all_error) {
+      r.verdict = Verdict::kError;
+      r.error = run.outcomes.front().error;
+    } else if (run.watchdog_fired && r.verdict == Verdict::kUnknown &&
+               r.error.kind == ErrorKind::kNone) {
+      r.error = {ErrorKind::kSolverLimit,
+                 "watchdog: deadline passed without cooperative cancellation"};
+    }
+  }
+  r.seconds = run.elapsed();
+  // Even a run shorter than the interval leaves a complete snapshot behind.
+  ckpt.write("final");
+  r.members = std::move(run.outcomes);
+  if (run.exchange != nullptr) {
+    LemmaExchangeStats hs = run.hub.stats();
+    r.stats.lemmas_published = hs.published;
+    r.stats.lemmas_consumed = hs.fetched;
+    r.stats.lemmas_restored = restored;
+  }
+  return r;
 }
 
 }  // namespace itpseq::mc

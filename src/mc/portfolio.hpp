@@ -2,22 +2,20 @@
 //
 // The paper positions ITPSEQ as "an additional engine within a potential
 // portfolio of available MC techniques" (Section IV).  This engine realizes
-// that with a *threaded* scheduler: member engines run concurrently on
-// std::threads, the first definite verdict wins, and all peers are torn
-// down through cooperative cancellation.
+// that with a worker pool: member engines run concurrently on std::threads,
+// the first definite verdict wins, and all peers are torn down through
+// cooperative cancellation.
 //
-// Scheduler.  With jobs > 1 (default: one per member; lists longer than
-// max(8, hardware concurrency) are capped there), members are pulled from
-// a work queue by a pool of worker threads.  With jobs >= members each
-// member runs once with the full remaining wall-clock budget; with a
-// narrower pool each member is capped at its fair share of the pool's
-// remaining capacity (remaining * jobs / members still queued), so queued
-// members cannot be starved.  Deliberate oversubscription by default:
-// members are pure CPU burners, so even with fewer cores than members
-// racing + early cancellation beats time slicing.  With jobs == 1 the legacy single-threaded round-robin scheduler
-// is used: every member gets `slice_seconds`, doubled each round, until the
-// budget is exhausted — useful as a deterministic cross-check and on
-// single-core hosts.
+// Scheduler.  A pool of `jobs` workers (default: one per member; lists
+// longer than max(8, hardware concurrency) are capped there) pulls members
+// from the queue in list order.  Each member is capped at its fair share of
+// the pool's remaining capacity (remaining * jobs / members still queued),
+// so queued members cannot be starved: with jobs >= members every member
+// runs once with the full remaining budget, and jobs = 1 is a pool of one
+// that runs the members one at a time in list order — a deterministic
+// cross-check, and the mode for single-core hosts.  Deliberate
+// oversubscription by default: members are pure CPU burners, so even with
+// fewer cores than members racing + early cancellation beats time slicing.
 //
 // Cancellation contract.  The portfolio owns one std::atomic<bool> token
 // handed to every member via EngineOptions::cancel.  Engines must *poll*
@@ -46,31 +44,29 @@
 // poll loop — by forcing cancellation after watchdog_grace_sec past the
 // budget and annotating the kUnknown result with ErrorKind::kSolverLimit.
 //
-// Self-healing (threaded mode).  On top of containment, an errored member
-// slot is *relaunched* under PortfolioOptions::restart: bounded retries,
-// exponential backoff with deterministic jitter (util::RestartPolicy), and
-// a per-error degradation ladder (degrade_for_retry — e.g. kOutOfMemory
-// relaunches with inprocessing off and a clamped learnt cap, kSolverLimit
-// with half the leash).  The relaunch gets a fresh publisher slot, so it
-// warm-starts by re-reading the whole exchange — its own prior
-// publications included — instead of re-deriving everything.  Retry
-// history (restarts / last_error) is preserved per member in
-// EngineResult::members; each relaunch emits a member_restart obs event.
-// The sequential scheduler's round-robin already is a retry loop, so the
-// policy applies to the threaded scheduler only.
+// Self-healing.  Only a member that died of kOutOfMemory is relaunched:
+// that cause can pass (a peer's allocation spike), and degrade_for_retry
+// changes the configuration for it.  A deterministic engine relaunched
+// after kInternal/kIoError would replay the same failure, so those stay
+// the member's outcome.  At most util::kMaxRelaunches relaunches, each
+// after a jittered exponential backoff (util/retry.hpp) and under a fresh
+// publisher slot, so it warm-starts by re-reading the whole exchange — its
+// own prior publications included.  Retry history (restarts / last_error)
+// is kept per member in EngineResult::members; each relaunch emits a
+// member_restart obs event.
 //
 // Checkpointing.  With checkpoint_path set, the hub (plus per-member
 // progress) is snapshotted to a versioned, checksummed file via atomic
 // temp+rename — periodically (checkpoint_interval_sec, from the guard
-// thread in threaded mode and between slices in sequential mode), on
-// watchdog or memory-budget escalation, and once at the end of the run.
-// seed_lemmas feeds a restored snapshot back in; every seeded lemma is
-// demoted to kCandidate first (mc/lemma_store.hpp's trust model), so a
-// corrupt or forged snapshot can never change a verdict.  Checkpoint I/O
-// failures are contained: they are counted, never propagated.
+// thread), on watchdog or memory-budget escalation, and once at the end of
+// the run, after the guard thread is joined.  seed_lemmas feeds a restored
+// snapshot back in; every seeded lemma is demoted to kCandidate first
+// (mc/lemma_store.hpp's trust model), so a corrupt or forged snapshot can
+// never change a verdict.  Checkpoint I/O failures are contained: they are
+// counted, never propagated.
 //
 // Determinism.  For a fixed sim_seed the random-simulation member explores
-// one fixed trace enumeration of a fixed size under *both* schedulers
+// one fixed trace enumeration of a fixed size for every `jobs` value
 // (independent of wall-clock and thread interleaving), and every SAT
 // member is deterministic in isolation, so the portfolio *verdict* is
 // independent of `jobs` whenever the budget suffices; budget truncation
@@ -85,7 +81,6 @@
 
 #include "mc/engine.hpp"
 #include "mc/lemma_exchange.hpp"
-#include "util/retry.hpp"
 
 namespace itpseq::mc {
 
@@ -112,31 +107,24 @@ struct PortfolioOptions {
             PortfolioMember::kPdr, PortfolioMember::kSItpSeq,
             PortfolioMember::kItpSeqCba};
   }
-  /// Member list.  Threaded mode starts them in order as worker slots free
-  /// up; sequential mode time-slices them round-robin in order.
+  /// Member list, started in order as workers free up.
   std::vector<PortfolioMember> members = default_members();
   /// Worker threads: 0 = one per member (lists longer than max(8, hardware
-  /// concurrency) are capped there), 1 = sequential round-robin scheduler,
-  /// N = pool of N threads.
+  /// concurrency) are capped there), N = pool of N threads; 1 runs the
+  /// members one at a time in list order.
   unsigned jobs = 0;
   /// Cross-engine lemma exchange between members (see header comment).
   bool exchange = true;
   /// Seed of the random-simulation member; fixes its trace enumeration so
   /// verdicts are reproducible regardless of jobs/interleaving.
   std::uint64_t sim_seed = 1;
-  /// Sequential mode only: first-round slice, doubled each round.
-  double slice_seconds = 1.0;
   double time_limit_sec = 60.0;
-  /// Threaded mode: grace period past time_limit_sec before the watchdog
-  /// escalates (forces internal cancellation and tags the result with
+  /// Grace period past time_limit_sec before the watchdog escalates
+  /// (forces internal cancellation and tags the result with
   /// ErrorKind::kSolverLimit).  Engines are cooperative, so this only
   /// fires when a member misses its own deadline polls.  <= 0 disables.
   double watchdog_grace_sec = 5.0;
   EngineOptions engine_defaults;
-  /// Self-healing relaunch policy for errored members (threaded mode; see
-  /// header comment).  restart.max_retries = 0 disables relaunching — the
-  /// first kError then sticks as that slot's outcome, as before.
-  util::RestartPolicy restart;
   /// Lemma checkpointing: snapshot the exchange hub to this path ("" =
   /// off) every checkpoint_interval_sec, on watchdog/mem-budget
   /// escalation, and at the end of the run.  Written atomically
@@ -155,12 +143,10 @@ struct PortfolioOptions {
   std::atomic<int>* active_probe = nullptr;
 };
 
-/// The degradation ladder: mutate `eo` so a relaunch avoids the failure
-/// mode behind `kind` — kOutOfMemory sheds the allocation-heavy machinery
-/// (inprocessing off, learnt cap clamped, earlier state-set compaction);
-/// other kinds retry unchanged (the relaunch budget, which shrinks for
-/// kSolverLimit, is the scheduler's side of the ladder).
-void degrade_for_retry(EngineOptions& eo, ErrorKind kind);
+/// Mutate `eo` so an out-of-memory relaunch sheds the allocation-heavy
+/// machinery: inprocessing off, learnt cap clamped, earlier state-set
+/// compaction.  Caller-chosen tighter caps are kept.
+void degrade_for_retry(EngineOptions& eo);
 
 /// Run the portfolio; the winning member's name is recorded in
 /// EngineResult::engine (prefixed with "portfolio/").

@@ -66,19 +66,19 @@ struct ErrorInfo {
 ErrorInfo classify_exception(const std::exception& e);
 
 /// One portfolio member's fate, reported even when another member won.
-/// With self-healing enabled (PortfolioOptions::restart) a member slot may
-/// span several attempts: `verdict`/`error` describe the final attempt,
-/// `seconds` accumulates across all of them, and the retry history is in
-/// `restarts`/`last_error`.
+/// A member that died of kOutOfMemory is relaunched (see portfolio.hpp),
+/// so one entry may span several attempts: `verdict`/`error` describe the
+/// final attempt, `seconds` accumulates across all of them, and the retry
+/// history is in `restarts`/`last_error`.
 struct MemberOutcome {
   std::string member;                  ///< engine name (to_string form)
   Verdict verdict = Verdict::kUnknown;
   double seconds = 0.0;                ///< summed over all attempts
   unsigned k_fp = 0;                   ///< final attempt's bound reached
   ErrorInfo error;                     ///< kind != kNone iff verdict == kError
-  /// Times this slot was relaunched after an errored attempt (0 = first
-  /// attempt stood).  A healthy final verdict with restarts > 0 means the
-  /// self-healing path recovered the member.
+  /// Times this member was relaunched after an out-of-memory death (0 =
+  /// first attempt stood).  A healthy final verdict with restarts > 0
+  /// means the self-healing path recovered the member.
   unsigned restarts = 0;
   /// The error that triggered the most recent relaunch — preserved even
   /// when the relaunched attempt finished healthy (error.kind would then

@@ -20,17 +20,13 @@ std::uint64_t splitmix64(std::uint64_t x) {
 
 }  // namespace
 
-double backoff_delay_sec(const RestartPolicy& p, unsigned attempt,
-                         std::uint64_t seed) {
-  double d = p.backoff_base_sec;
-  for (unsigned a = 0; a < attempt; ++a) d *= p.backoff_factor;
-  if (p.jitter_frac > 0.0) {
-    // 53 high bits -> uniform double in [0, 1), mapped to [-1, 1).
-    std::uint64_t r = splitmix64(seed ^ (0x100000001ull * (attempt + 1)));
-    double u = static_cast<double>(r >> 11) * (1.0 / 9007199254740992.0);
-    d *= 1.0 + p.jitter_frac * (2.0 * u - 1.0);
-  }
-  return std::max(d, 0.0);
+double backoff_delay_sec(unsigned attempt, std::uint64_t seed) {
+  double d = kBackoffBaseSec;
+  for (unsigned a = 0; a < attempt; ++a) d *= 2.0;
+  // 53 high bits -> uniform double in [0, 1), mapped to [-1, 1).
+  std::uint64_t r = splitmix64(seed ^ (0x100000001ull * (attempt + 1)));
+  double u = static_cast<double>(r >> 11) * (1.0 / 9007199254740992.0);
+  return d * (1.0 + kBackoffJitter * (2.0 * u - 1.0));
 }
 
 bool interruptible_sleep(double seconds, const std::atomic<bool>* cancel) {

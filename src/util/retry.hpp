@@ -1,15 +1,14 @@
-// retry.hpp — bounded-retry / exponential-backoff policy for relaunching
-// failed work (the portfolio's self-healing member restarts).
+// retry.hpp — the fixed relaunch schedule for the portfolio's out-of-memory
+// member restarts.
 //
-// A member whose run *errored* (Verdict::kError — a contained crash, not a
-// healthy out-of-budget kUnknown) may be worth relaunching: the failure can
-// be transient (a memory spike while a peer allocated its arena) or
-// avoidable under a degraded configuration (see mc::degrade_for_retry).
-// The policy bounds how often and how eagerly that happens: at most
-// `max_retries` relaunches, each preceded by an exponentially growing
-// backoff so a persistently failing member cannot busy-loop, with
-// deterministic jitter so members that died together (e.g. all from one
-// memory spike) do not relaunch in lockstep and spike again.
+// A member that died of kOutOfMemory may be worth relaunching: the spike
+// can have been a peer's allocation, and the relaunch runs under a degraded
+// configuration (see mc::degrade_for_retry).  The schedule bounds how often
+// and how eagerly that happens: at most kMaxRelaunches relaunches, each
+// preceded by an exponentially growing backoff so a persistently failing
+// member cannot busy-loop, with deterministic jitter so members that died
+// together (e.g. all from one memory spike) do not relaunch in lockstep and
+// spike again.
 //
 // Jitter is derived from a seed via splitmix64 — never from wall-clock or
 // rand() (lint rule L5) — so a run's relaunch schedule is reproducible.
@@ -20,21 +19,16 @@
 
 namespace itpseq::util {
 
-struct RestartPolicy {
-  /// Relaunches allowed per member after an errored run (0 disables
-  /// self-healing entirely; the first error then sticks as the outcome).
-  unsigned max_retries = 2;
-  double backoff_base_sec = 0.25;  ///< delay before the first relaunch
-  double backoff_factor = 2.0;     ///< delay growth per further relaunch
-  /// +/- fraction of jitter applied to each delay (0 = none, 0.25 =
-  /// uniform in [0.75x, 1.25x]).
-  double jitter_frac = 0.25;
-};
+/// Relaunches allowed per member after an out-of-memory death.
+inline constexpr unsigned kMaxRelaunches = 2;
+/// Delay before the first relaunch; each further one doubles it.
+inline constexpr double kBackoffBaseSec = 0.25;
+/// +/- fraction of jitter on each delay: uniform in [0.75x, 1.25x].
+inline constexpr double kBackoffJitter = 0.25;
 
-/// Delay before relaunch number `attempt` (0-based): base * factor^attempt,
-/// jittered deterministically from (seed, attempt).
-double backoff_delay_sec(const RestartPolicy& p, unsigned attempt,
-                         std::uint64_t seed);
+/// Delay before relaunch number `attempt` (0-based): kBackoffBaseSec *
+/// 2^attempt, jittered deterministically from (seed, attempt).
+double backoff_delay_sec(unsigned attempt, std::uint64_t seed);
 
 /// Sleep for `seconds`, polling `cancel` roughly every 10 ms so a portfolio
 /// winner never has to wait out a loser's backoff.  Null cancel = plain

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "aig/aiger_io.hpp"
 #include "bench_circuits/generators.hpp"
@@ -241,18 +242,35 @@ TEST_F(Containment, WatchdogEscalatesAMissedDeadline) {
   // allocation blocks 700 ms) blows straight through a 100 ms budget plus
   // 50 ms grace; the watchdog must force cancellation and annotate the
   // salvaged kUnknown so the caller can tell it from a healthy timeout.
-  // Two members: the watchdog lives on the threaded scheduler's guard
-  // thread, and a single-member list degrades to the sequential one.
-  util::fault::configure("sat.arena:1:1:stall700");
-  mc::PortfolioOptions po;
-  po.time_limit_sec = 0.1;
-  po.watchdog_grace_sec = 0.05;
-  po.members = {mc::PortfolioMember::kBmc, mc::PortfolioMember::kRandomSim};
-  mc::EngineResult r = mc::check_portfolio(bench::token_ring(6, false), 0, po);
-  EXPECT_EQ(r.verdict, mc::Verdict::kUnknown);
-  EXPECT_EQ(r.error.kind, mc::ErrorKind::kSolverLimit);
-  EXPECT_NE(r.error.message.find("watchdog"), std::string::npos)
-      << r.error.message;
+  // One scheduler serves every configuration, so the watchdog covers a
+  // two-member race, a single-member list and a one-worker pool alike.
+  struct Cfg {
+    const char* name;
+    std::vector<mc::PortfolioMember> members;
+    unsigned jobs;
+  };
+  const std::vector<mc::PortfolioMember> two = {
+      mc::PortfolioMember::kBmc, mc::PortfolioMember::kRandomSim};
+  const Cfg cfgs[] = {
+      {"race", two, 0},
+      {"single member", {mc::PortfolioMember::kBmc}, 0},
+      {"jobs=1", two, 1},
+  };
+  for (const Cfg& cfg : cfgs) {
+    util::fault::configure("sat.arena:1:1:stall700");
+    mc::PortfolioOptions po;
+    po.time_limit_sec = 0.1;
+    po.watchdog_grace_sec = 0.05;
+    po.members = cfg.members;
+    po.jobs = cfg.jobs;
+    mc::EngineResult r =
+        mc::check_portfolio(bench::token_ring(6, false), 0, po);
+    util::fault::clear();
+    EXPECT_EQ(r.verdict, mc::Verdict::kUnknown) << cfg.name;
+    EXPECT_EQ(r.error.kind, mc::ErrorKind::kSolverLimit) << cfg.name;
+    EXPECT_NE(r.error.message.find("watchdog"), std::string::npos)
+        << cfg.name << ": " << r.error.message;
+  }
 }
 
 TEST_F(Containment, SnapshotWriteFaultNeverPoisonsTheVerdict) {

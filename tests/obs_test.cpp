@@ -439,41 +439,44 @@ TEST(ObsTest, StatsJsonRoundTripsEngineStats) {
 }
 
 TEST(ObsTest, PortfolioProducesNoTornLinesAndAnExchangeMatrix) {
-  std::string path = temp_path("portfolio.jsonl");
   aig::Aig pass = bench::token_ring(8, false);
-  obs::TraceSink::Summary sum;
-  {
-    obs::TraceConfig cfg;
-    cfg.path = path;
-    cfg.sample_interval_sec = 0.002;  // sampler drains while workers emit
-    obs::TraceSink sink(cfg);
-    mc::PortfolioOptions po;
-    po.jobs = 4;
-    po.time_limit_sec = 30.0;
-    mc::EngineResult r = mc::check_portfolio(pass, 0, po);
-    EXPECT_EQ(r.verdict, mc::Verdict::kPass);
-    sink.finish();
-    sum = sink.summary();
-  }
-  bool all_ok = false;
-  std::vector<Json> events = parse_jsonl(path, &all_ok);
-  EXPECT_TRUE(all_ok) << "cancelled workers must never tear an output line";
-  EXPECT_EQ(sum.events, events.size());  // drained == written
-  // Worker lifecycle events flow through the main scheduler threads.
-  std::uint64_t starts = 0, dones = 0;
-  bool saw_publish = false;
-  for (const Json& e : events) {
-    if (e.at("kind").str == "worker_start") ++starts;
-    if (e.at("kind").str == "worker_done") ++dones;
-    if (e.at("kind").str == "lemma_publish") saw_publish = true;
-  }
-  EXPECT_GE(starts, 1u);
-  EXPECT_EQ(starts, dones);  // every started worker reported back
-  if (saw_publish) {
-    // The drainer folds publish/fetch events into the exchange matrix.
-    std::uint64_t published = 0;
-    for (const auto& [key, cell] : sum.exchange) published += cell.published;
-    EXPECT_GE(published, 1u);
+  // jobs=1 is a one-worker pool: the same scheduler, the same events.
+  for (unsigned jobs : {4u, 1u}) {
+    std::string path = temp_path("portfolio.jsonl");
+    obs::TraceSink::Summary sum;
+    {
+      obs::TraceConfig cfg;
+      cfg.path = path;
+      cfg.sample_interval_sec = 0.002;  // sampler drains while workers emit
+      obs::TraceSink sink(cfg);
+      mc::PortfolioOptions po;
+      po.jobs = jobs;
+      po.time_limit_sec = 30.0;
+      mc::EngineResult r = mc::check_portfolio(pass, 0, po);
+      EXPECT_EQ(r.verdict, mc::Verdict::kPass) << "jobs=" << jobs;
+      sink.finish();
+      sum = sink.summary();
+    }
+    bool all_ok = false;
+    std::vector<Json> events = parse_jsonl(path, &all_ok);
+    EXPECT_TRUE(all_ok) << "cancelled workers must never tear an output line";
+    EXPECT_EQ(sum.events, events.size());  // drained == written
+    // Worker lifecycle events flow through the main scheduler threads.
+    std::uint64_t starts = 0, dones = 0;
+    bool saw_publish = false;
+    for (const Json& e : events) {
+      if (e.at("kind").str == "worker_start") ++starts;
+      if (e.at("kind").str == "worker_done") ++dones;
+      if (e.at("kind").str == "lemma_publish") saw_publish = true;
+    }
+    EXPECT_GE(starts, 1u) << "jobs=" << jobs;
+    EXPECT_EQ(starts, dones) << "jobs=" << jobs;  // every start reported back
+    if (saw_publish) {
+      // The drainer folds publish/fetch events into the exchange matrix.
+      std::uint64_t published = 0;
+      for (const auto& [key, cell] : sum.exchange) published += cell.published;
+      EXPECT_GE(published, 1u) << "jobs=" << jobs;
+    }
   }
 }
 

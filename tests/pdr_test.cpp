@@ -296,7 +296,6 @@ TEST(Pdr, InitFreeModelPassesUnderConstraintsWithCheckedCertificate) {
 TEST(Pdr, RunsAsPortfolioMember) {
   PortfolioOptions po;
   po.members = {PortfolioMember::kPdr};
-  po.slice_seconds = 5.0;
   po.time_limit_sec = 25.0;
   aig::Aig pass_g = bench::token_ring(6, /*fail_reach=*/false);
   EngineResult r = check_portfolio(pass_g, 0, po);

@@ -1,17 +1,21 @@
-// portfolio_test.cpp — the threaded portfolio scheduler: sequential vs
-// threaded verdict agreement, winner attribution, the join-all cancellation
-// guarantee, exchange-on/off verdict crosschecks, and determinism of
-// verdict + trace under a fixed seed regardless of --jobs.  Runs under TSan
-// via the `concurrency` ctest label (ITPSEQ_SANITIZE=thread).
+// portfolio_test.cpp — the portfolio scheduler: jobs=1 vs wide-pool
+// verdict agreement, winner attribution, the join-all cancellation
+// guarantee, exchange-on/off verdict crosschecks, determinism of verdict +
+// trace under a fixed seed regardless of --jobs, one roster entry per
+// member, the out-of-memory-only relaunch rule, and the final checkpoint.
+// Runs under TSan via the `concurrency` ctest label
+// (ITPSEQ_SANITIZE=thread).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <thread>
 
 #include "bench_circuits/generators.hpp"
 #include "bench_circuits/suite.hpp"
 #include "mc/certify.hpp"
+#include "mc/lemma_store.hpp"
 #include "mc/portfolio.hpp"
 #include "mc/sim.hpp"
 #include "obs/trace.hpp"
@@ -228,30 +232,24 @@ TEST(Portfolio, RandomSimDeterministicUnderFixedSeed) {
 // --- self-healing: retry, backoff, degradation -----------------------------
 
 TEST(Portfolio, BackoffDelayIsDeterministicAndBounded) {
-  util::RestartPolicy p;  // base 0.25, factor 2, jitter 0.25
   for (unsigned attempt = 0; attempt < 4; ++attempt) {
-    double nominal = p.backoff_base_sec;
-    for (unsigned i = 0; i < attempt; ++i) nominal *= p.backoff_factor;
-    double d = util::backoff_delay_sec(p, attempt, /*seed=*/42);
-    // Reproducible: the same (policy, attempt, seed) always schedules the
-    // same relaunch — no wall clock, no rand() (L5).
-    EXPECT_EQ(d, util::backoff_delay_sec(p, attempt, 42)) << attempt;
-    EXPECT_GE(d, nominal * (1.0 - p.jitter_frac)) << attempt;
-    EXPECT_LE(d, nominal * (1.0 + p.jitter_frac)) << attempt;
+    double nominal = util::kBackoffBaseSec * static_cast<double>(1u << attempt);
+    double d = util::backoff_delay_sec(attempt, /*seed=*/42);
+    // Reproducible: the same (attempt, seed) always schedules the same
+    // relaunch — no wall clock, no rand() (L5).
+    EXPECT_EQ(d, util::backoff_delay_sec(attempt, 42)) << attempt;
+    EXPECT_GE(d, nominal * (1.0 - util::kBackoffJitter)) << attempt;
+    EXPECT_LE(d, nominal * (1.0 + util::kBackoffJitter)) << attempt;
   }
   // Jitter decorrelates members that died together: distinct seeds must
   // not produce an identical relaunch schedule.
-  EXPECT_NE(util::backoff_delay_sec(p, 1, 7), util::backoff_delay_sec(p, 1, 8));
-  // jitter 0 collapses to the exact exponential ladder.
-  p.jitter_frac = 0.0;
-  EXPECT_DOUBLE_EQ(util::backoff_delay_sec(p, 0, 7), 0.25);
-  EXPECT_DOUBLE_EQ(util::backoff_delay_sec(p, 2, 7), 1.0);
+  EXPECT_NE(util::backoff_delay_sec(1, 7), util::backoff_delay_sec(1, 8));
 }
 
 TEST(Portfolio, DegradationLadderShedsMemoryHungryMachinery) {
   EngineOptions eo;
   eo.sat_inprocess = true;
-  degrade_for_retry(eo, ErrorKind::kOutOfMemory);
+  degrade_for_retry(eo);
   EXPECT_FALSE(eo.sat_inprocess);
   EXPECT_GT(eo.sat_reduce_base, 0.0);
   EXPECT_LE(eo.sat_reduce_base, 500.0);
@@ -260,33 +258,24 @@ TEST(Portfolio, DegradationLadderShedsMemoryHungryMachinery) {
   // A tighter caller-chosen cap is respected, never loosened.
   eo.sat_reduce_base = 100.0;
   eo.compact_threshold = 1000;
-  degrade_for_retry(eo, ErrorKind::kOutOfMemory);
+  degrade_for_retry(eo);
   EXPECT_DOUBLE_EQ(eo.sat_reduce_base, 100.0);
   EXPECT_EQ(eo.compact_threshold, 1000u);
-  // Non-memory kinds do not touch the solver configuration (kSolverLimit
-  // is handled by the scheduler shortening the leash instead).
-  EngineOptions fresh;
-  bool inproc = fresh.sat_inprocess;
-  degrade_for_retry(fresh, ErrorKind::kInternal);
-  degrade_for_retry(fresh, ErrorKind::kSolverLimit);
-  EXPECT_EQ(fresh.sat_inprocess, inproc);
-  EXPECT_DOUBLE_EQ(fresh.sat_reduce_base, EngineOptions().sat_reduce_base);
 }
 
 TEST(Portfolio, FaultedMemberIsRelaunchedAndRecovers) {
-  // The first interpolant extraction anywhere in the process throws; the
-  // window then closes.  The ITP member's first attempt dies, the
-  // self-healing scheduler relaunches it after backoff, and the relaunch
-  // — with the fault gone — must still prove the instance.  RANDOM-SIM
-  // cannot prove PASS, so a PASS verdict *is* the recovery.
+  // The first interpolant extraction anywhere in the process runs out of
+  // memory; the window then closes.  The ITP member's first attempt dies,
+  // the scheduler relaunches it after backoff, and the relaunch — with the
+  // fault gone — must still prove the instance.  RANDOM-SIM cannot prove
+  // PASS, so a PASS verdict *is* the recovery.
   util::fault::clear();
-  util::fault::configure("itp.extract:1:1:error");
+  util::fault::configure("itp.extract:1:1:oom");
   obs::TraceConfig cfg;
   cfg.sample_interval_sec = 0;  // drain at finish only
   obs::TraceSink sink(cfg);
   PortfolioOptions po = quick(30.0);
   po.jobs = 2;
-  po.restart.backoff_base_sec = 0.02;  // keep the test fast
   po.members = {PortfolioMember::kItp, PortfolioMember::kRandomSim};
   EngineResult r = check_portfolio(bench::token_ring(6, false), 0, po);
   sink.finish();
@@ -301,7 +290,7 @@ TEST(Portfolio, FaultedMemberIsRelaunchedAndRecovers) {
   EXPECT_EQ(itp->verdict, Verdict::kPass);
   // The error that caused the relaunch stays on the record even though the
   // member finished healthy.
-  EXPECT_EQ(itp->last_error.kind, ErrorKind::kInternal);
+  EXPECT_EQ(itp->last_error.kind, ErrorKind::kOutOfMemory);
   EXPECT_EQ(itp->error.kind, ErrorKind::kNone);
   // The relaunch is observable: member_restart lands in the exchange
   // matrix as a (member, "restart") row.
@@ -312,42 +301,78 @@ TEST(Portfolio, FaultedMemberIsRelaunchedAndRecovers) {
 }
 
 TEST(Portfolio, ExhaustedRetriesReportTheLastError) {
-  // Every extraction throws: the ITP members burn through the full retry
-  // budget and the portfolio — with no survivor — reports the taxonomy.
+  // Every extraction runs out of memory: the ITP members burn through all
+  // relaunches and the portfolio — with no survivor — reports the taxonomy.
   util::fault::clear();
-  util::fault::configure("itp.extract:1:1000000:error");
+  util::fault::configure("itp.extract:1:1000000:oom");
   PortfolioOptions po = quick(30.0);
   po.jobs = 2;
-  po.restart.backoff_base_sec = 0.02;
   po.members = {PortfolioMember::kItp, PortfolioMember::kItp};
   EngineResult r = check_portfolio(bench::token_ring(6, false), 0, po);
   util::fault::clear();
   ASSERT_EQ(r.verdict, Verdict::kError);
-  EXPECT_EQ(r.error.kind, ErrorKind::kInternal);
+  EXPECT_EQ(r.error.kind, ErrorKind::kOutOfMemory);
   ASSERT_EQ(r.members.size(), 2u);
   for (const MemberOutcome& m : r.members) {
     EXPECT_EQ(m.verdict, Verdict::kError) << m.member;
-    EXPECT_EQ(m.restarts, po.restart.max_retries) << m.member;
-    EXPECT_EQ(m.last_error.kind, ErrorKind::kInternal) << m.member;
+    EXPECT_EQ(m.restarts, util::kMaxRelaunches) << m.member;
+    EXPECT_EQ(m.last_error.kind, ErrorKind::kOutOfMemory) << m.member;
   }
 }
 
-TEST(Portfolio, ZeroRetriesDisablesSelfHealing) {
-  util::fault::clear();
-  util::fault::configure("itp.extract:1:1000000:error");
-  PortfolioOptions po = quick(30.0);
-  po.jobs = 2;
-  po.restart.max_retries = 0;
-  po.members = {PortfolioMember::kItp, PortfolioMember::kItp};
-  EngineResult r = check_portfolio(bench::token_ring(6, false), 0, po);
-  util::fault::clear();
-  ASSERT_EQ(r.verdict, Verdict::kError);
-  for (const MemberOutcome& m : r.members)
-    EXPECT_EQ(m.restarts, 0u) << m.member;
+TEST(Portfolio, InternalErrorIsNotRelaunched) {
+  // A deterministic engine relaunched after kInternal would replay the
+  // same failure, so the error is the member's outcome and a peer wins.
+  // The two ITP members are claimed before BMC for either pool width, so
+  // both deaths are always on the roster.
+  for (unsigned jobs : {1u, 2u}) {
+    util::fault::clear();
+    util::fault::configure("itp.extract:1:1000000:error");
+    PortfolioOptions po = quick(30.0);
+    po.jobs = jobs;
+    po.members = {PortfolioMember::kItp, PortfolioMember::kItp,
+                  PortfolioMember::kBmc};
+    EngineResult r = check_portfolio(bench::counter(4, 12, 7), 0, po);
+    util::fault::clear();
+    ASSERT_EQ(r.verdict, Verdict::kFail) << "jobs=" << jobs;
+    EXPECT_EQ(r.engine, "portfolio/BMC") << "jobs=" << jobs;
+    unsigned dead = 0;
+    for (const MemberOutcome& m : r.members) {
+      EXPECT_EQ(m.restarts, 0u) << m.member << " jobs=" << jobs;
+      if (m.member == "ITP") {
+        EXPECT_EQ(m.error.kind, ErrorKind::kInternal) << "jobs=" << jobs;
+        ++dead;
+      }
+    }
+    EXPECT_EQ(dead, 2u) << "jobs=" << jobs;
+  }
 }
 
-TEST(Portfolio, SequentialSchedulerStillRespectsBudget) {
-  // Regression for the legacy mode: jobs=1 must terminate near the budget.
+TEST(Portfolio, RosterListsEachMemberOnceForEveryJobs) {
+  // Every member gives up at a small bound with kUnknown, long before the
+  // budget: one scheduler for every jobs value runs each member exactly
+  // once and records exactly one roster entry for it.
+  aig::Aig g = hard_instance();
+  for (unsigned jobs : {1u, 2u, 4u}) {
+    PortfolioOptions po = quick(20.0);
+    po.jobs = jobs;
+    po.members = {PortfolioMember::kBmc, PortfolioMember::kItp,
+                  PortfolioMember::kKInduction, PortfolioMember::kPdr};
+    po.engine_defaults.max_bound = 4;
+    EngineResult r = check_portfolio(g, 0, po);
+    EXPECT_EQ(r.verdict, Verdict::kUnknown) << "jobs=" << jobs;
+    ASSERT_EQ(r.members.size(), po.members.size()) << "jobs=" << jobs;
+    for (PortfolioMember m : po.members) {
+      std::size_t entries = 0;
+      for (const MemberOutcome& o : r.members)
+        if (o.member == to_string(m)) ++entries;
+      EXPECT_EQ(entries, 1u) << to_string(m) << " jobs=" << jobs;
+    }
+  }
+}
+
+TEST(Portfolio, OneWorkerPoolRespectsBudget) {
+  // jobs=1 must terminate near the budget like any other pool.
   aig::Aig g = hard_instance();
   PortfolioOptions po = quick(1.0);
   po.jobs = 1;
@@ -358,6 +383,38 @@ TEST(Portfolio, SequentialSchedulerStillRespectsBudget) {
           .count();
   EXPECT_EQ(r.verdict, Verdict::kUnknown);
   EXPECT_LT(secs, 10.0);
+}
+
+TEST(Portfolio, FinalCheckpointListsEveryMember) {
+  // Regression: the guard thread's periodic snapshot could land after the
+  // final one, reading a roster that had already been moved into the
+  // result, and leave a snapshot with no progress lines at the path.  A
+  // zero interval makes the guard write on every wake-up.
+  const std::string ck =
+      std::string(::testing::TempDir()) + "itpseq_final_ckpt.its";
+  aig::Aig g = bench::token_ring(6, /*fail_reach=*/false);
+  for (int run = 0; run < 100; ++run) {
+    PortfolioOptions po = quick(30.0);
+    po.jobs = 2;
+    po.members = {PortfolioMember::kPdr, PortfolioMember::kItp};
+    po.checkpoint_path = ck;
+    po.checkpoint_interval_sec = 0;
+    EngineResult r = check_portfolio(g, 0, po);
+    ASSERT_EQ(r.verdict, Verdict::kPass) << "run " << run;
+    // The snapshot left at the path is the final one: it lists every
+    // member on the returned roster (a member the winner cancelled before
+    // it was claimed never ran and is on neither).
+    LemmaSnapshot snap = read_snapshot_file(ck);
+    ASSERT_FALSE(r.members.empty()) << "run " << run;
+    ASSERT_EQ(snap.progress.size(), r.members.size()) << "run " << run;
+    for (const MemberOutcome& m : r.members) {
+      bool listed = false;
+      for (const EngineProgress& p : snap.progress)
+        if (p.engine == m.member) listed = true;
+      EXPECT_TRUE(listed) << m.member << " missing, run " << run;
+    }
+  }
+  std::remove(ck.c_str());
 }
 
 }  // namespace

@@ -101,7 +101,7 @@ void usage(const char* argv0) {
                "      --pdr-ctg-depth N\n"
                "                    max ctgDown recursion depth (default 1)\n"
                "  -j, --jobs N      portfolio worker threads (0 = auto,\n"
-               "                    1 = sequential round-robin scheduler)\n"
+               "                    1 = members one at a time, in order)\n"
                "      --no-exchange disable cross-engine lemma exchange\n"
                "                    (portfolio engine only)\n"
                "      --checkpoint F\n"
@@ -192,7 +192,7 @@ struct Args {
   bool certify = false;
   std::string invariant_file;
   bool quiet = false;
-  unsigned jobs = 0;        // portfolio: 0 = auto, 1 = sequential
+  unsigned jobs = 0;        // portfolio workers: 0 = auto
   bool exchange = true;     // portfolio: cross-engine lemma exchange
   std::string trace_out;
   obs::TraceConfig::Format trace_format = obs::TraceConfig::Format::kJsonl;
