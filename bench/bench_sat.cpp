@@ -258,7 +258,6 @@ int main(int argc, char** argv) {
     json.field("probed", r.stats.probed);
     json.field("failed_literals", r.stats.failed_literals);
     json.field("hyper_binaries", r.stats.hyper_binaries);
-    json.field("restarts_blocked", r.stats.restarts_blocked);
     json.field("learned_core", r.stats.learned_core);
     json.field("learned_mid", r.stats.learned_mid);
     json.field("learned_local", r.stats.learned_local);

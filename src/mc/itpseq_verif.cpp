@@ -11,6 +11,13 @@
 
 namespace itpseq::mc {
 
+namespace {
+/// Max CBA refinement iterations per bound before the run gives up.
+constexpr unsigned kCbaRefineLimit = 1000;
+/// Conflict budget per fraig equivalence check on extracted interpolants.
+constexpr std::int64_t kFraigConflicts = 200;
+}  // namespace
+
 const char* to_string(AbstractionMode m) {
   switch (m) {
     case AbstractionMode::kNone: return "none";
@@ -294,7 +301,7 @@ void ItpSeqEngine::execute(EngineResult& out) {
         bool refined = false;
         if (extend_or_refine(first, k, out, refined)) return;  // real FAIL
         if (!refined) break;  // concrete model, genuine SAT
-        if (out.stats.cba_refinements > opts_.cba_refine_limit ||
+        if (out.stats.cba_refinements > kCbaRefineLimit ||
             out_of_time()) {
           out.verdict = Verdict::kUnknown;
           return;
@@ -409,7 +416,7 @@ void ItpSeqEngine::execute(EngineResult& out) {
       // back into the (strashed) state-set graph.
       std::vector<aig::Lit> roots(terms.begin() + 1, terms.end());
       opt::FraigOptions fo;
-      fo.max_conflicts = opts_.fraig_conflicts;
+      fo.max_conflicts = kFraigConflicts;
       opt::FraigResult fr = opt::fraig(G, roots, fo);
       std::vector<aig::Lit> leaf_map(fr.graph.num_vars(), aig::kNullLit);
       for (std::size_t i = 0; i < fr.graph.num_inputs(); ++i)

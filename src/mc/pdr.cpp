@@ -32,6 +32,12 @@
 namespace itpseq::mc {
 namespace {
 
+/// ctgDown bounds: CTGs blocked per candidate cube before giving up on it,
+/// and maximum recursion depth (1 = the paper's setting; CTGs discovered
+/// while blocking a CTG are not themselves chased further).
+constexpr unsigned kMaxCtgs = 3;
+constexpr unsigned kCtgDepth = 1;
+
 /// A cube literal: latch_index << 1 | value.  Cubes are sorted vectors
 /// with at most one literal per latch, denoting a conjunction
 /// "latch_i = value_i"; the lemma learned from a blocked cube c is the
@@ -436,8 +442,8 @@ class PdrContext {
   /// unreachable, and blocking it both rescues this candidate and
   /// strengthens the trace.  Unblockable predecessors are *joined* into the
   /// candidate (literals m disagrees with are dropped), absorbing m into
-  /// the cube.  Bounded by opts_.pdr_max_ctgs per candidate and recursion
-  /// depth opts_.pdr_ctg_depth; every path keeps `g` init-disjoint.
+  /// the cube.  Bounded by kMaxCtgs per candidate and recursion depth
+  /// kCtgDepth; every path keeps `g` init-disjoint.
   bool ctg_down(Cube& g, unsigned lvl, unsigned depth) {
     unsigned ctgs = 0;
     while (true) {
@@ -453,8 +459,7 @@ class PdrContext {
         return true;
       }
       // m: a state of F_lvl outside g with a transition into g.
-      if (lvl > 0 && ctgs < opts_.pdr_max_ctgs &&
-          depth <= opts_.pdr_ctg_depth && !m.in_init &&
+      if (lvl > 0 && ctgs < kMaxCtgs && depth <= kCtgDepth && !m.in_init &&
           !intersects_init(m.cube)) {
         Cube ctg_core;
         sat::Status cst = consecution(lvl - 1, m.cube, &ctg_core, nullptr);

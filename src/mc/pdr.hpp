@@ -21,8 +21,8 @@
 //     induction (drop-literal search seeded with the SAT solver's
 //     failed-assumption core); with EngineOptions::pdr_ctg the search runs
 //     the FMCAD'13 ctgDown algorithm, which blocks counterexample-to-
-//     generalization states at their own frames (bounded by pdr_ctg_depth
-//     and pdr_max_ctgs) and joins with unblockable predecessors, yielding
+//     generalization states at their own frames (at most 3 per cube,
+//     recursion depth 1) and joins with unblockable predecessors, yielding
 //     markedly shorter lemmas on circuits with converging control.
 //
 // Generalized lemmas are pushed to the highest frame where they stay

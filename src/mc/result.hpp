@@ -120,8 +120,6 @@ struct EngineOptions {
   /// bound-k interpolant (Section III / partitioned ITPs of [8]).  The
   /// partition targets follow `scheme` (exact-k or assume-k).
   bool itp_partitioned = false;
-  /// Max refinement iterations per bound for the CBA engine.
-  unsigned cba_refine_limit = 1000;
   /// BMC engine: keep one incremental solver across bounds (single-instance
   /// formulation in the spirit of the paper's reference [13]) instead of
   /// re-encoding the unrolling at every k.  The monolithic re-encoding is
@@ -136,8 +134,6 @@ struct EngineOptions {
   /// interpolant circuits are highly redundant, so this trades SAT time
   /// for smaller state sets.
   bool fraig_interpolants = false;
-  /// Conflict budget per fraig equivalence check.
-  std::int64_t fraig_conflicts = 200;
   /// PDR: shrink predecessor/bad cubes by ternary-simulation lifting
   /// (Eén/Mishchenko/Brayton FMCAD'11) instead of the syntactic
   /// cone-of-influence lift alone.
@@ -147,15 +143,6 @@ struct EngineOptions {
   /// when dropping a literal fails because of a counterexample-to-
   /// generalization state, try to block that state at its own frame.
   bool pdr_ctg = true;
-  /// PDR: maximum ctgDown recursion depth (1 = the paper's setting; CTGs
-  /// discovered while blocking a CTG are not themselves chased further).
-  unsigned pdr_ctg_depth = 1;
-  /// PDR: CTGs blocked per candidate cube before giving up on it.
-  unsigned pdr_max_ctgs = 3;
-  /// Restart policy for every SAT solver the engine creates: Luby (the
-  /// robust default) or glue-EMA adaptive restarts (sat::RestartMode::kEma,
-  /// Glucose-style).  Never affects verdicts, only search order/speed.
-  sat::RestartMode sat_restarts = sat::RestartMode::kLuby;
   /// Inprocessing (subsumption / bounded variable elimination /
   /// vivification / failed-literal probing inside every SAT solver the
   /// engine creates; see sat::Solver::set_inprocess).  Proof-logging safe:
@@ -192,7 +179,6 @@ struct EngineOptions {
   /// setters, so a new knob (like the OOM ladder's sat_reduce_base)
   /// reaches every solver at once.
   void apply_sat_options(sat::Solver& s) const {
-    s.set_restart_mode(sat_restarts);
     s.set_inprocess(sat_inprocess);
     if (sat_reduce_base > 0.0) s.set_reduce_base(sat_reduce_base);
   }

@@ -18,20 +18,6 @@ constexpr double kClauseDecay = 0.999;
 constexpr double kRescaleLimit = 1e100;
 constexpr float kClauseRescaleLimit = 1e20f;
 constexpr std::uint32_t kRestartBase = 100;  // conflicts per Luby unit
-// EMA restart mode (Glucose-style, smoothed): restart when the short-term
-// glue average exceeds the long-term one by kEmaThreshold, but never more
-// often than every kEmaMinConflicts conflicts.
-constexpr double kEmaFastAlpha = 1.0 / 32.0;
-constexpr double kEmaSlowAlpha = 1.0 / 4096.0;
-constexpr double kEmaThreshold = 1.25;
-constexpr std::uint64_t kEmaMinConflicts = 50;
-// Trail-size blocking for kEma (Glucose): veto a glue-triggered restart when
-// the current trail exceeds the trail-size EMA by kTrailBlockFactor — the
-// search looks close to a satisfying assignment.  Armed only after
-// kTrailBlockWarmup conflicts so the EMA is meaningful.
-constexpr double kTrailAlpha = 1.0 / 4096.0;
-constexpr double kTrailBlockFactor = 1.4;
-constexpr std::uint64_t kTrailBlockWarmup = 100;
 }  // namespace
 
 Solver::Solver() { level_stamp_.push_back(0); }  // level 0 exists up front
@@ -850,19 +836,10 @@ Status Solver::solve_assuming(const std::vector<Lit>& assumptions,
   } obs_guard{obs_flush};
 
   std::int64_t conflict_limit = budget.conflicts;
-  std::uint64_t conflicts_this_solve = 0;
-  // Trail-size EMA for the kEma blocking heuristic: a trail far above the
-  // recent average means the search is close to completing an assignment —
-  // restarting would discard that progress (Glucose's blocking rule).
-  double trail_ema = 0.0;
   std::uint64_t restart_count = 0;
   std::uint64_t conflicts_until_restart =
       static_cast<std::uint64_t>(luby(restart_count) * kRestartBase);
   std::uint64_t conflicts_this_restart = 0;
-  // Glue EMAs for RestartMode::kEma, seeded from the first learned clause
-  // of this solve (no zero-bias warmup).
-  double glue_fast = 0.0, glue_slow = 0.0;
-  bool glue_seeded = false;
   max_learned_ =
       reduce_base_forced_
           ? reduce_base_
@@ -886,12 +863,6 @@ Status Solver::solve_assuming(const std::vector<Lit>& assumptions,
     if (conflict != kNoCRef) {
       ++stats_.conflicts;
       ++conflicts_this_restart;
-      ++conflicts_this_solve;
-      if (conflicts_this_solve == 1)
-        trail_ema = static_cast<double>(trail_.size());
-      else
-        trail_ema +=
-            kTrailAlpha * (static_cast<double>(trail_.size()) - trail_ema);
       if (trail_lim_.empty()) {
         analyze_final(conflict);
         ok_ = false;
@@ -915,13 +886,6 @@ Status Solver::solve_assuming(const std::vector<Lit>& assumptions,
         ++stats_.learned_mid;
       else
         ++stats_.learned_local;
-      if (!glue_seeded) {
-        glue_fast = glue_slow = static_cast<double>(lbd);
-        glue_seeded = true;
-      } else {
-        glue_fast += kEmaFastAlpha * (static_cast<double>(lbd) - glue_fast);
-        glue_slow += kEmaSlowAlpha * (static_cast<double>(lbd) - glue_slow);
-      }
 
       CRef cr = alloc_clause(learned, id, /*learned=*/true, lbd);
       if (learned.size() > 1) {
@@ -960,37 +924,16 @@ Status Solver::solve_assuming(const std::vector<Lit>& assumptions,
         obs_flush();
       }
     } else {
-      bool restart_now =
-          restart_mode_ == RestartMode::kLuby
-              ? conflicts_this_restart >= conflicts_until_restart
-              : conflicts_this_restart >= kEmaMinConflicts && glue_seeded &&
-                    glue_fast > kEmaThreshold * glue_slow;
-      if (restart_now && restart_mode_ == RestartMode::kEma &&
-          conflicts_this_solve >= kTrailBlockWarmup &&
-          static_cast<double>(trail_.size()) > kTrailBlockFactor * trail_ema) {
-        // Blocking: the current trail dwarfs the recent average, i.e. the
-        // search may be about to finish an assignment.  Veto this restart
-        // and re-arm the glue trigger so the next window decides afresh.
-        ++stats_.restarts_blocked;
-        conflicts_this_restart = 0;
-        glue_fast = glue_slow;
-        restart_now = false;
-      }
-      if (restart_now) {
+      if (conflicts_this_restart >= conflicts_until_restart) {
         ++stats_.restarts;
         if (obs::enabled()) {
           obs::counters().restarts.fetch_add(1, std::memory_order_relaxed);
-          obs::emit("sat_restart", {{"conflicts", stats_.conflicts},
-                                    {"glue_fast", glue_fast},
-                                    {"glue_slow", glue_slow}});
+          obs::emit("sat_restart", {{"conflicts", stats_.conflicts}});
         }
         ++restart_count;
         conflicts_this_restart = 0;
         conflicts_until_restart =
             static_cast<std::uint64_t>(luby(restart_count) * kRestartBase);
-        // Forget the short-term spike that triggered the restart so the
-        // next window measures the post-restart trajectory.
-        glue_fast = glue_slow;
         backtrack(0);
         maybe_simplify();
         if (!maybe_inprocess(/*at_entry=*/false)) return Status::kUnsat;

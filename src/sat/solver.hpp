@@ -2,7 +2,7 @@
 //
 // A MiniSat-lineage solver: two-watched-literal propagation, first-UIP
 // conflict analysis with chain-logged clause minimization, VSIDS decision
-// heuristic with phase saving, selectable Luby or glue-EMA restarts and
+// heuristic with phase saving, Luby restarts (a 100-conflict base unit) and
 // LBD-tiered learned clause database reduction.
 //
 // The distinctive feature is *proof logging*: when enabled, every learned
@@ -129,16 +129,6 @@ struct Budget {
   const std::atomic<bool>* cancel = nullptr;
 };
 
-/// Restart policy for solve().
-///   kLuby  reluctant-doubling (Luby) sequence scaled by a 100-conflict
-///          base unit — robust, the historical default.
-///   kEma   Glucose-style adaptivity: restart as soon as the short-term
-///          average glue (LBD) of learned clauses drifts 25% above the
-///          long-term average, i.e. the search has left the subspace where
-///          it was learning well.  Often stronger on UNSAT-heavy
-///          incremental loads (BMC/PDR consecution queries).
-enum class RestartMode : std::uint8_t { kLuby, kEma };
-
 /// Solver statistics, exposed for benchmarks and engine diagnostics.
 struct SolverStats {
   std::uint64_t decisions = 0;
@@ -171,7 +161,6 @@ struct SolverStats {
   std::uint64_t probed = 0;            // failed-literal probes attempted
   std::uint64_t failed_literals = 0;   // probes that yielded a unit
   std::uint64_t hyper_binaries = 0;    // binaries from hyper-binary resolution
-  std::uint64_t restarts_blocked = 0;  // EMA restarts vetoed by trail size
 
   /// Cross-solver aggregation for benchmark drivers: counters are summed,
   /// the arena high-water mark takes the maximum.  Keep this the single
@@ -204,7 +193,6 @@ struct SolverStats {
     probed += s.probed;
     failed_literals += s.failed_literals;
     hyper_binaries += s.hyper_binaries;
-    restarts_blocked += s.restarts_blocked;
     return *this;
   }
 };
@@ -274,11 +262,6 @@ class Solver {
     reduce_base_ = b;
     reduce_base_forced_ = true;
   }
-
-  /// Select the restart policy (default Luby).  May be changed between
-  /// solve() calls; it never affects verdicts, only search order.
-  void set_restart_mode(RestartMode m) { restart_mode_ = m; }
-  RestartMode restart_mode() const { return restart_mode_; }
 
   /// Enable/disable inprocessing (default on).  See the header comment for
   /// what a round does and the proof-safety/freeze contracts.
@@ -541,7 +524,6 @@ class Solver {
   double reduce_base_ = 1000.0;
   bool reduce_base_forced_ = false;
   bool mem_degraded_ = false;  // rung 1 of the memory ladder taken (one-shot)
-  RestartMode restart_mode_ = RestartMode::kLuby;
   std::size_t simplify_trail_ = 0;           // trail size at last remove_satisfied
   std::uint64_t simplify_props_ = 0;         // propagation count at last sweep
 

@@ -251,63 +251,6 @@ TEST_P(ArenaStressTest, InterleavedSessionAgreesWithFreshSolver) {
 
 INSTANTIATE_TEST_SUITE_P(Sessions, ArenaStressTest, ::testing::Range(0, 30));
 
-TEST(Arena, EmaRestartsFireOnRisingGlue) {
-  // Pigeonhole makes learned glue drift upward, which is exactly the
-  // EMA-mode trigger (short-term average 25% above long-term).
-  Solver s;
-  s.set_inprocess(false);  // BVE refutes PHP at the root; restarts need search
-  s.set_restart_mode(RestartMode::kEma);
-  const int n = 6;  // 7 pigeons, 6 holes: several hundred conflicts
-  std::vector<std::vector<Var>> p(n + 1, std::vector<Var>(n));
-  for (auto& row : p)
-    for (auto& v : row) v = s.new_var();
-  for (int i = 0; i <= n; ++i) {
-    std::vector<Lit> cl;
-    for (int h = 0; h < n; ++h) cl.push_back(pos(p[i][h]));
-    s.add_clause(cl);
-  }
-  for (int h = 0; h < n; ++h)
-    for (int i = 0; i <= n; ++i)
-      for (int j = i + 1; j <= n; ++j)
-        s.add_clause({negl(p[i][h]), negl(p[j][h])});
-  EXPECT_EQ(s.solve(), Status::kUnsat);
-  EXPECT_GT(s.stats().restarts, 0u);
-}
-
-TEST(Arena, EmaRestartsAgreeWithLuby) {
-  // The restart policy (--sat-restarts luby|ema) must never change
-  // verdicts: run both modes on the same instances, crosscheck the answer,
-  // and check proofs/models.
-  for (int seed = 0; seed < 12; ++seed) {
-    Solver luby, ema;
-    ema.set_restart_mode(RestartMode::kEma);
-    ASSERT_EQ(ema.restart_mode(), RestartMode::kEma);
-    luby.enable_proof();
-    ema.enable_proof();
-    const unsigned nvars = 30;
-    for (unsigned i = 0; i < nvars; ++i) {
-      luby.new_var();
-      ema.new_var();
-    }
-    std::mt19937 rng(4200 + seed);
-    for (const auto& cl : random_cnf(rng, nvars, 4.4)) {
-      luby.add_clause(cl);
-      ema.add_clause(cl);
-    }
-    Status sa = luby.solve();
-    Status sb = ema.solve();
-    ASSERT_NE(sa, Status::kUnknown);
-    ASSERT_NE(sb, Status::kUnknown);
-    EXPECT_EQ(sa, sb) << "restart mode changed the verdict, seed " << seed;
-    if (sb == Status::kUnsat) {
-      auto res = check_proof(ema.proof());
-      EXPECT_TRUE(res.ok) << res.error;
-    } else {
-      EXPECT_TRUE(ema.verify_model());
-    }
-  }
-}
-
 TEST(Arena, LearnedTierCountsMatchGlueHistogram) {
   Solver s;
   std::mt19937 rng(99);

@@ -79,15 +79,6 @@ TEST_F(CliTest, McFailExitCode1WithValidWitness) {
   EXPECT_NE(out.find("1\nb0\n"), std::string::npos) << out;  // witness header
 }
 
-TEST_F(CliTest, McSatRestartModesAgree) {
-  // Luby and EMA restarts must reach the same verdict (exit code).
-  for (const char* mode : {"luby", "ema"}) {
-    std::string cmd = tool("itpseq-mc") + " -q -t 30 -e pdr --sat-restarts " +
-                      std::string(mode) + " " + fail_aag_;
-    EXPECT_EQ(run(cmd), 1) << mode;
-  }
-}
-
 TEST_F(CliTest, McBmcIncrementalModesAgree) {
   // Incremental (default) and the monolithic cross-check mode must find
   // the same verdict through the CLI.
@@ -227,6 +218,14 @@ TEST_F(CliTest, McUsageErrors) {
   EXPECT_EQ(run(tool("itpseq-mc") + " -e nonsense " + pass_aag_), 2);
   EXPECT_EQ(run(tool("itpseq-mc") + " /nonexistent.aag"), 2);
   EXPECT_EQ(run(tool("itpseq-mc") + " -p 9 " + pass_aag_), 2);
+  // Numeric flags take plain unsigned decimals: a sign, trailing text or
+  // overflow is a usage error, never a silently wrapped or truncated value.
+  const std::string mc = tool("itpseq-mc") + " -q -t 30 ";
+  for (const char* flags :
+       {"-e bmc -k -1", "-e bmc -k 5x", "-e bmc -k +5", "-e bmc -k 4294967296",
+        "-p 0x", "-e portfolio -j -1", "-e portfolio -j 2x",
+        "-e bmc --mem-limit -5", "-e bmc --mem-limit 99999999999999999"})
+    EXPECT_EQ(run(mc + flags + " " + fail_aag_), 2) << flags;
 }
 
 TEST_F(CliTest, McResourceExhaustionIsExitCode3) {
@@ -369,6 +368,7 @@ TEST_F(CliTest, AigtoolStats) {
   std::string out;
   ASSERT_EQ(run(tool("aigtool") + " stats " + pass_aag_, &out), 0);
   EXPECT_NE(out.find("latches     6"), std::string::npos) << out;
+  EXPECT_NE(out.find("depth       5\n"), std::string::npos) << out;
 }
 
 TEST_F(CliTest, AigtoolConvertRoundTripsAllFormats) {
@@ -386,10 +386,21 @@ TEST_F(CliTest, AigtoolOptPreservesVerdicts) {
   std::string opt = temp_path("opt.aag");
   ASSERT_EQ(run(tool("aigtool") + " opt " + fail_aag_ + " " + opt), 0);
   EXPECT_EQ(run(tool("itpseq-mc") + " -q -t 30 " + opt), 1);
-  ASSERT_EQ(run(tool("aigtool") + " opt " + pass_aag_ + " " + opt +
-                " --fraig --balance"),
-            0);
+  ASSERT_EQ(run(tool("aigtool") + " opt " + pass_aag_ + " " + opt), 0);
   EXPECT_EQ(run(tool("itpseq-mc") + " -q -t 30 " + opt), 0);
+}
+
+TEST_F(CliTest, AigtoolUsageErrors) {
+  const std::string at = tool("aigtool");
+  EXPECT_EQ(run(at), 1);
+  EXPECT_EQ(run(at + " bogus " + pass_aag_), 1);
+  // opt takes exactly IN and OUT: an extra argument is a usage error.
+  EXPECT_EQ(run(at + " opt " + pass_aag_ + " " + temp_path("opt.aag") +
+                " --balance"),
+            1);
+  // sim's STEPS and SEED are plain unsigned decimals.
+  for (const char* args : {" -0", " +5", " 5x", " 10 -1", " 10 7x"})
+    EXPECT_EQ(run(at + " sim " + fail_aag_ + args), 1) << args;
 }
 
 TEST_F(CliTest, AigtoolSimFindsShallowFailure) {

@@ -57,10 +57,8 @@ bool model_satisfies(const std::vector<LBool>& model,
 /// must replay, DRAT-check and export to tracecheck.  `on_stats`, if given,
 /// receives the inprocessing solver's counters.
 void crosscheck(const std::vector<std::vector<Lit>>& cls, unsigned nvars,
-                RestartMode mode, SolverStats* on_stats = nullptr) {
+                SolverStats* on_stats = nullptr) {
   Solver on, off;
-  on.set_restart_mode(mode);
-  off.set_restart_mode(mode);
   on.set_inprocess_interval(0);  // a round at every entry and restart
   off.set_inprocess(false);
   on.enable_proof();
@@ -103,8 +101,7 @@ TEST_P(InprocessFuzzTest, VerdictModelAndProofAgree) {
   const unsigned nvars = 10 + rng() % 15;
   const double ratio = 2.5 + (rng() % 30) / 10.0;  // spans SAT and UNSAT
   auto cls = random_cnf(rng, nvars, ratio);
-  crosscheck(cls, nvars,
-             GetParam() % 2 ? RestartMode::kEma : RestartMode::kLuby);
+  crosscheck(cls, nvars);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomCnf, InprocessFuzzTest, ::testing::Range(0, 80));
@@ -189,8 +186,7 @@ TEST_P(InprocessSubsumeStressTest, RemovalDuringIterationStaysSound) {
   }
   std::shuffle(cls.begin(), cls.end(), rng);
   SolverStats st;
-  crosscheck(cls, nvars,
-             GetParam() % 2 ? RestartMode::kEma : RestartMode::kLuby, &st);
+  crosscheck(cls, nvars, &st);
   // The supersets guarantee the sweep actually removed during iteration.
   EXPECT_GT(st.subsumed + st.strengthened, 0u);
 }

@@ -1,9 +1,9 @@
-// opt_test.cpp — AIG optimization passes: bit-parallel simulation,
-// balancing, two-level rewriting and SAT sweeping (fraig).
+// opt_test.cpp — AIG compaction: bit-parallel simulation and SAT sweeping
+// (fraig).
 //
-// The common invariant across all passes is semantic preservation, checked
-// two independent ways: 64-way random co-simulation (evaluate64 on original
-// vs optimized) and exact SAT equivalence (opt::equivalent) on small cones.
+// The sweep must preserve semantics, checked two independent ways: 64-way
+// random co-simulation (evaluate64 on original vs swept) and exact SAT
+// equivalence (opt::equivalent) on small cones.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -11,9 +11,7 @@
 #include "aig/aig.hpp"
 #include "bench_circuits/generators.hpp"
 #include "mc/engine.hpp"
-#include "opt/balance.hpp"
 #include "opt/fraig.hpp"
-#include "opt/rewrite.hpp"
 #include "opt/simulate.hpp"
 
 namespace itpseq {
@@ -21,7 +19,7 @@ namespace {
 
 /// Random combinational cone over `leaves` inputs; returns (graph, root).
 /// Redundancy is injected deliberately (duplicate subtrees, re-derived
-/// functions) so the optimization passes have something to find.
+/// functions) so the sweep has something to find.
 std::pair<aig::Aig, aig::Lit> random_cone(std::uint32_t seed,
                                           unsigned leaves = 6,
                                           unsigned gates = 40) {
@@ -131,127 +129,6 @@ TEST_P(SimRandomTest, EverySignatureMatchesReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, SimRandomTest, ::testing::Range(0, 20));
-
-// --- balancing ---------------------------------------------------------------
-
-TEST(Balance, ChainBecomesLogDepth) {
-  aig::Aig g;
-  std::vector<aig::Lit> ins;
-  for (int i = 0; i < 32; ++i) ins.push_back(g.add_input());
-  aig::Lit chain = ins[0];
-  for (int i = 1; i < 32; ++i) chain = g.make_and(chain, ins[i]);
-  EXPECT_EQ(opt::cone_depth(g, chain), 31u);
-  aig::CompactResult r = opt::balance(g, {chain});
-  EXPECT_EQ(opt::cone_depth(r.graph, r.roots[0]), 5u);  // ceil(log2 32)
-  expect_cosim_equal(g, chain, r.graph, r.roots[0], 1, "balance chain");
-}
-
-TEST(Balance, SharedNodesStayShared) {
-  aig::Aig g;
-  aig::Lit a = g.add_input(), b = g.add_input(), c = g.add_input();
-  aig::Lit shared = g.make_and(a, b);
-  aig::Lit r1 = g.make_and(shared, c);
-  aig::Lit r2 = g.make_and(shared, aig::lit_not(c));
-  aig::CompactResult r = opt::balance(g, {r1, r2});
-  // The shared AND must not be duplicated: 3 ANDs total, not 4.
-  EXPECT_EQ(r.graph.num_ands(), 3u);
-  expect_cosim_equal(g, r1, r.graph, r.roots[0], 2, "balance r1");
-  expect_cosim_equal(g, r2, r.graph, r.roots[1], 3, "balance r2");
-}
-
-TEST(Balance, ComplementedEdgesAreBoundaries) {
-  aig::Aig g;
-  aig::Lit a = g.add_input(), b = g.add_input(), c = g.add_input();
-  aig::Lit x = g.make_and(a, b);
-  aig::Lit y = g.make_and(aig::lit_not(x), c);  // NOT edge blocks inlining
-  aig::CompactResult r = opt::balance(g, {y});
-  expect_cosim_equal(g, y, r.graph, r.roots[0], 4, "balance neg edge");
-  EXPECT_EQ(r.graph.num_ands(), 2u);
-}
-
-class BalanceRandomTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(BalanceRandomTest, PreservesSemanticsNeverDeepens) {
-  auto [g, root] = random_cone(2000 + GetParam());
-  aig::CompactResult r = opt::balance(g, {root});
-  expect_cosim_equal(g, root, r.graph, r.roots[0], GetParam(), "balance");
-  EXPECT_LE(opt::cone_depth(r.graph, r.roots[0]), opt::cone_depth(g, root));
-}
-
-INSTANTIATE_TEST_SUITE_P(Random, BalanceRandomTest, ::testing::Range(0, 40));
-
-// --- rewriting ---------------------------------------------------------------
-
-TEST(Rewrite, AbsorptionRule) {
-  aig::Aig g;
-  aig::Lit a = g.add_input(), b = g.add_input();
-  opt::RewriteBuilder rb(g);
-  aig::Lit ab = rb.make_and(a, b);
-  EXPECT_EQ(rb.make_and(a, ab), ab);       // x & (x&y) = x&y
-  EXPECT_EQ(rb.make_and(ab, b), ab);
-  EXPECT_EQ(rb.make_and(aig::lit_not(a), ab), aig::kFalse);
-}
-
-TEST(Rewrite, SubstitutionRule) {
-  aig::Aig g;
-  aig::Lit a = g.add_input(), b = g.add_input();
-  opt::RewriteBuilder rb(g);
-  aig::Lit ab = rb.make_and(a, b);
-  // x & !(x&y) = x & !y
-  EXPECT_EQ(rb.make_and(a, aig::lit_not(ab)),
-            rb.make_and(a, aig::lit_not(b)));
-  // x & !(x'&y) = x
-  aig::Lit nab = rb.make_and(aig::lit_not(a), b);
-  EXPECT_EQ(rb.make_and(a, aig::lit_not(nab)), a);
-}
-
-TEST(Rewrite, ResolutionRule) {
-  aig::Aig g;
-  aig::Lit a = g.add_input(), b = g.add_input();
-  opt::RewriteBuilder rb(g);
-  aig::Lit x = rb.make_and(a, b);
-  aig::Lit y = rb.make_and(a, aig::lit_not(b));
-  // !(a&b) & !(a&!b) = !a
-  EXPECT_EQ(rb.make_and(aig::lit_not(x), aig::lit_not(y)), aig::lit_not(a));
-}
-
-TEST(Rewrite, SharingAndContradiction) {
-  aig::Aig g;
-  aig::Lit a = g.add_input(), b = g.add_input(), c = g.add_input();
-  opt::RewriteBuilder rb(g);
-  aig::Lit ab = rb.make_and(a, b);
-  aig::Lit ac = rb.make_and(a, c);
-  aig::Lit nac = rb.make_and(aig::lit_not(a), c);
-  EXPECT_EQ(rb.make_and(ab, nac), aig::kFalse);  // contradiction on a
-  // Sharing: (a&b) & (a&c) has the function a&b&c.
-  aig::Lit shared = rb.make_and(ab, ac);
-  ASSERT_TRUE(opt::equivalent(g, shared, g.make_and(ab, c)).value());
-}
-
-TEST(Rewrite, PosNegContainment) {
-  aig::Aig g;
-  aig::Lit a = g.add_input(), b = g.add_input();
-  opt::RewriteBuilder rb(g);
-  aig::Lit ab = rb.make_and(a, b);
-  // (a&b) & !(a&b-as-pair) where the negative side's fanins are exactly
-  // {a, b}: contained, so FALSE.
-  EXPECT_EQ(rb.make_and(ab, aig::lit_not(ab)), aig::kFalse);
-  // Subsumption: (a&b) & !(a'&c) = a&b.
-  aig::Lit c = g.add_input();
-  aig::Lit nac = rb.make_and(aig::lit_not(a), c);
-  EXPECT_EQ(rb.make_and(ab, aig::lit_not(nac)), ab);
-}
-
-class RewriteRandomTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(RewriteRandomTest, PreservesSemanticsNeverGrows) {
-  auto [g, root] = random_cone(3000 + GetParam());
-  aig::CompactResult r = opt::rewrite(g, {root});
-  expect_cosim_equal(g, root, r.graph, r.roots[0], GetParam(), "rewrite");
-  EXPECT_LE(r.graph.cone_size(r.roots[0]), g.cone_size(root));
-}
-
-INSTANTIATE_TEST_SUITE_P(Random, RewriteRandomTest, ::testing::Range(0, 60));
 
 // --- fraig -------------------------------------------------------------------
 

@@ -3,29 +3,27 @@
 // Subcommands:
 //   stats FILE                    print size, depth and property statistics
 //   convert IN OUT                convert between .aag / .aig / .blif
-//   opt IN OUT [passes...]       optimize combinational logic; passes are
-//                                 any of --rewrite --balance --fraig, run
-//                                 in the order given (default: all three)
+//   opt IN OUT                    SAT-sweep (fraig) the combinational logic
 //   sim FILE [STEPS] [SEED]       64-way random simulation; reports the
-//                                 first depth at which a bad output fires
+//                                 first depth at which a bad output fires;
+//                                 STEPS and SEED are unsigned decimals
 //   diameter FILE [SECONDS]       exact BDD forward/backward diameters
 //
 // Exit code 0 on success, 1 on usage or input errors.
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "aig/aiger_io.hpp"
-#include "aig/compact.hpp"
 #include "bdd/reach.hpp"
 #include "io/blif.hpp"
 #include "mc/portfolio.hpp"
-#include "opt/balance.hpp"
 #include "opt/fraig.hpp"
-#include "opt/refactor.hpp"
-#include "opt/rewrite.hpp"
 
 using namespace itpseq;
 
@@ -34,6 +32,21 @@ namespace {
 bool has_suffix(const std::string& s, const char* suf) {
   std::size_t n = std::strlen(suf);
   return s.size() >= n && s.compare(s.size() - n, n, suf) == 0;
+}
+
+/// Strict unsigned decimal: digits only, no sign, no trailing text, no
+/// overflow of T.  Throws std::invalid_argument, which main() reports as a
+/// usage error.
+template <class T>
+T parse_uint(const char* what, const char* s) {
+  T v{};
+  const char* end = s + std::strlen(s);
+  auto [ptr, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc{} || ptr != end)
+    throw std::invalid_argument(std::string(what) +
+                                " must be an unsigned integer, got '" + s +
+                                "'");
+  return v;
 }
 
 aig::Aig load(const std::string& path) {
@@ -60,7 +73,7 @@ std::vector<aig::Lit> sequential_roots(const aig::Aig& g) {
   return roots;
 }
 
-/// Reassemble a sequential circuit from optimized roots (the inverse of
+/// Reassemble a sequential circuit from swept roots (the inverse of
 /// sequential_roots: leading roots are outputs, then latch nexts, then
 /// constraints).
 aig::Aig reassemble(const aig::Aig& original, aig::Aig&& graph,
@@ -84,12 +97,19 @@ int cmd_stats(const std::string& path) {
   std::printf("  ands        %zu\n", g.num_ands());
   std::printf("  outputs     %zu\n", g.num_outputs());
   std::printf("  constraints %zu\n", g.num_constraints());
+  // One topological walk over the whole cone yields the live AND count and
+  // every node's depth (longest AND path down to a leaf).
   std::vector<aig::Lit> roots = sequential_roots(g);
+  std::vector<std::size_t> level(g.num_vars(), 0);
   std::size_t depth = 0, live = 0;
-  for (aig::Lit r : roots)
-    depth = std::max(depth, opt::cone_depth(g, r));
-  for (aig::Var v : g.cone(roots))
-    if (g.is_and(v)) ++live;
+  for (aig::Var v : g.cone(roots)) {
+    const aig::Node& n = g.node(v);
+    if (n.type != aig::NodeType::kAnd) continue;
+    ++live;
+    level[v] = 1 + std::max(level[aig::lit_var(n.fanin0)],
+                            level[aig::lit_var(n.fanin1)]);
+  }
+  for (aig::Lit r : roots) depth = std::max(depth, level[aig::lit_var(r)]);
   std::printf("  depth       %zu\n", depth);
   std::printf("  live ands   %zu (%zu dead)\n", live, g.num_ands() - live);
   for (std::size_t i = 0; i < g.num_outputs(); ++i)
@@ -103,33 +123,12 @@ int cmd_convert(const std::string& in, const std::string& out) {
   return 0;
 }
 
-int cmd_opt(const std::string& in, const std::string& out,
-            const std::vector<std::string>& passes) {
+int cmd_opt(const std::string& in, const std::string& out) {
   aig::Aig g = load(in);
-  std::vector<std::string> order = passes;
-  if (order.empty()) order = {"--rewrite", "--refactor", "--balance", "--fraig"};
   std::printf("%s: %zu ands", in.c_str(), g.num_ands());
-  for (const std::string& p : order) {
-    std::vector<aig::Lit> roots = sequential_roots(g);
-    if (p == "--rewrite") {
-      aig::CompactResult r = opt::rewrite(g, roots);
-      g = reassemble(g, std::move(r.graph), r.roots);
-    } else if (p == "--balance") {
-      aig::CompactResult r = opt::balance(g, roots);
-      g = reassemble(g, std::move(r.graph), r.roots);
-    } else if (p == "--refactor") {
-      aig::CompactResult r = opt::refactor(g, roots);
-      g = reassemble(g, std::move(r.graph), r.roots);
-    } else if (p == "--fraig") {
-      opt::FraigResult r = opt::fraig(g, roots);
-      g = reassemble(g, std::move(r.graph), r.roots);
-    } else {
-      std::fprintf(stderr, "unknown pass '%s'\n", p.c_str());
-      return 1;
-    }
-    std::printf(" -> %s %zu", p.c_str() + 2, g.num_ands());
-  }
-  std::printf("\n");
+  opt::FraigResult r = opt::fraig(g, sequential_roots(g));
+  g = reassemble(g, std::move(r.graph), r.roots);
+  std::printf(" -> fraig %zu\n", g.num_ands());
   save(g, out);
   return 0;
 }
@@ -170,7 +169,7 @@ void usage() {
   std::fprintf(stderr,
                "usage: aigtool stats FILE\n"
                "       aigtool convert IN OUT\n"
-               "       aigtool opt IN OUT [--rewrite|--refactor|--balance|--fraig ...]\n"
+               "       aigtool opt IN OUT\n"
                "       aigtool sim FILE [STEPS] [SEED]\n"
                "       aigtool diameter FILE [SECONDS]\n");
 }
@@ -186,13 +185,12 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "stats") return cmd_stats(argv[2]);
     if (cmd == "convert" && argc >= 4) return cmd_convert(argv[2], argv[3]);
-    if (cmd == "opt" && argc >= 4) {
-      std::vector<std::string> passes(argv + 4, argv + argc);
-      return cmd_opt(argv[2], argv[3], passes);
-    }
+    if (cmd == "opt" && argc == 4) return cmd_opt(argv[2], argv[3]);
     if (cmd == "sim")
-      return cmd_sim(argv[2], argc > 3 ? std::stoul(argv[3]) : 100,
-                     argc > 4 ? std::stoull(argv[4]) : 1);
+      return cmd_sim(argv[2],
+                     argc > 3 ? parse_uint<unsigned>("STEPS", argv[3]) : 100,
+                     argc > 4 ? parse_uint<std::uint64_t>("SEED", argv[4])
+                              : 1);
     if (cmd == "diameter")
       return cmd_diameter(argv[2], argc > 3 ? std::stod(argv[3]) : 60.0);
   } catch (const std::exception& ex) {

@@ -15,12 +15,15 @@
 //       (UNKNOWN; partial stats are still reported)
 //    4  internal error: an engine failed (ERROR verdict), a witness or
 //       certificate failed validation, or a report could not be written
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "aig/aiger_io.hpp"
@@ -77,10 +80,6 @@ void usage(const char* argv0) {
                "      --alpha A     serial fraction for sitpseq (default 0.5)\n"
                "      --dynamic     dynamic serialization (overrides --alpha)\n"
                "      --fraig       SAT-sweep interpolants before storing them\n"
-               "      --sat-restarts M\n"
-               "                    luby | ema   restart policy for every\n"
-               "                    engine's SAT solvers (default luby;\n"
-               "                    ema = Glucose-style adaptive glue)\n"
                "      --sat-inprocess[=on|off]\n"
                "                    in-solver inprocessing (subsumption, var\n"
                "                    elimination, vivification, probing) for\n"
@@ -98,8 +97,6 @@ void usage(const char* argv0) {
                "                    (default on)\n"
                "      --pdr-ctg[=on|off]\n"
                "                    CTG-aware generalization in PDR (default on)\n"
-               "      --pdr-ctg-depth N\n"
-               "                    max ctgDown recursion depth (default 1)\n"
                "  -j, --jobs N      portfolio worker threads (0 = auto,\n"
                "                    1 = members one at a time, in order)\n"
                "      --no-exchange disable cross-engine lemma exchange\n"
@@ -174,6 +171,22 @@ void usage(const char* argv0) {
                argv0, argv0, argv0, argv0);
 }
 
+/// Strict unsigned decimal for numeric flags: digits only, no sign, no
+/// trailing text, at most `max`.  Throws std::invalid_argument, which main()
+/// reports as a usage error (exit 2).
+template <class T>
+T parse_uint(const char* flag, const char* s,
+             T max = std::numeric_limits<T>::max()) {
+  T v{};
+  const char* end = s + std::strlen(s);
+  auto [ptr, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc{} || ptr != end || v > max)
+    throw std::invalid_argument(std::string(flag) +
+                                " expects an unsigned integer up to " +
+                                std::to_string(max) + ", got '" + s + "'");
+  return v;
+}
+
 aig::Aig load(const std::string& path) {
   if (path.size() >= 5 && path.substr(path.size() - 5) == ".blif")
     return io::read_blif_file(path);
@@ -238,19 +251,21 @@ bool parse_args(int argc, char** argv, Args& a) {
       a.engine = v;
     } else if (s == "-p" || s == "--property") {
       if (!(v = need(i))) return false;
-      a.property = std::stoul(v);
+      a.property = parse_uint<std::size_t>(argv[i - 1], v);
     } else if (s == "-t" || s == "--timeout") {
       if (!(v = need(i))) return false;
       a.timeout = std::stod(v);
     } else if (s == "--mem-limit") {
       if (!(v = need(i))) return false;
-      a.mem_limit_mb = std::stoul(v);
+      // Capped so the byte count (MB << 20) cannot overflow.
+      a.mem_limit_mb = parse_uint<std::size_t>(
+          argv[i - 1], v, std::numeric_limits<std::size_t>::max() >> 20);
     } else if (s == "--inject-fault") {
       if (!(v = need(i))) return false;
       a.inject_fault = v;
     } else if (s == "-k" || s == "--max-bound") {
       if (!(v = need(i))) return false;
-      a.max_bound = static_cast<unsigned>(std::stoul(v));
+      a.max_bound = parse_uint<unsigned>(argv[i - 1], v);
     } else if (s == "--scheme") {
       if (!(v = need(i))) return false;
       if (!std::strcmp(v, "exact"))
@@ -288,19 +303,6 @@ bool parse_args(int argc, char** argv, Args& a) {
       a.opts.pdr_ctg = true;
     } else if (s == "--pdr-ctg=off" || s == "--no-pdr-ctg") {
       a.opts.pdr_ctg = false;
-    } else if (s == "--pdr-ctg-depth") {
-      if (!(v = need(i))) return false;
-      a.opts.pdr_ctg_depth = static_cast<unsigned>(std::stoul(v));
-    } else if (s == "--sat-restarts") {
-      if (!(v = need(i))) return false;
-      if (!std::strcmp(v, "luby"))
-        a.opts.sat_restarts = sat::RestartMode::kLuby;
-      else if (!std::strcmp(v, "ema"))
-        a.opts.sat_restarts = sat::RestartMode::kEma;
-      else {
-        std::fprintf(stderr, "unknown restart mode '%s'\n", v);
-        return false;
-      }
     } else if (s == "--sat-inprocess" || s == "--sat-inprocess=on") {
       a.opts.sat_inprocess = true;
     } else if (s == "--sat-inprocess=off" || s == "--no-sat-inprocess") {
@@ -311,7 +313,7 @@ bool parse_args(int argc, char** argv, Args& a) {
       a.opts.bmc_incremental = false;
     } else if (s == "-j" || s == "--jobs") {
       if (!(v = need(i))) return false;
-      a.jobs = static_cast<unsigned>(std::stoul(v));
+      a.jobs = parse_uint<unsigned>(argv[i - 1], v);
     } else if (s == "--no-exchange") {
       a.exchange = false;
     } else if (s == "--checkpoint") {
@@ -436,7 +438,7 @@ int main(int argc, char** argv) {
   try {
     args_ok = parse_args(argc, argv, a);
   } catch (const std::exception& ex) {
-    // Malformed numerics (std::stoul and friends) are usage errors, not
+    // Malformed numerics (parse_uint, std::stod) are usage errors, not
     // uncaught-exception aborts.
     std::fprintf(stderr, "%s: bad argument: %s\n", argv[0], ex.what());
   }
