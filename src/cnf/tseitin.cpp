@@ -1,7 +1,5 @@
 #include "cnf/tseitin.hpp"
 
-#include <cassert>
-
 namespace itpseq::cnf {
 
 sat::Lit TseitinEncoder::true_lit(std::uint32_t label) {
@@ -26,37 +24,9 @@ sat::Lit TseitinEncoder::encode(aig::Lit l, std::uint32_t label) {
     sat::Lit t = true_lit(label);
     return aig::lit_sign(l) ? t : sat::neg(t);
   }
-  if (map_[root] == sat::kNoLit) {
-    for (aig::Var v : g_.cone({aig::var_lit(root)})) {
-      if (map_[v] != sat::kNoLit) continue;
-      const aig::Node& n = g_.node(v);
-      if (n.type == aig::NodeType::kAnd) {
-        auto fanin_sat = [&](aig::Lit f) -> sat::Lit {
-          aig::Var fv = aig::lit_var(f);
-          sat::Lit s;
-          if (fv == 0) {
-            s = sat::neg(true_lit(label));  // aig constant false
-          } else {
-            assert(map_[fv] != sat::kNoLit && "cone order violated");
-            s = map_[fv];
-          }
-          return aig::lit_sign(f) ? sat::neg(s) : s;
-        };
-        sat::Lit a = fanin_sat(n.fanin0);
-        sat::Lit b = fanin_sat(n.fanin1);
-        sat::Lit g = sat::mk_lit(solver_.new_var());
-        // g <-> a & b
-        solver_.add_clause({sat::neg(g), a}, label);
-        solver_.add_clause({sat::neg(g), b}, label);
-        solver_.add_clause({g, sat::neg(a), sat::neg(b)}, label);
-        map_[v] = g;
-      } else {
-        map_[v] = leaf_(v);
-        assert(map_[v] != sat::kNoLit && "leaf map must cover all leaves");
-      }
-    }
-  }
-  return aig::lit_sign(l) ? sat::neg(map_[root]) : map_[root];
+  sat::Lit s = encode_cone(g_, root, label, solver_, map_, stack_, leaf_,
+                           [&] { return true_lit(label); });
+  return aig::lit_sign(l) ? sat::neg(s) : s;
 }
 
 }  // namespace itpseq::cnf

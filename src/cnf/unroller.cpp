@@ -49,43 +49,11 @@ sat::Lit Unroller::lit(aig::Lit l, unsigned t, std::uint32_t label) {
     sat::Lit tl = true_lit(label);
     return aig::lit_sign(l) ? tl : sat::neg(tl);
   }
-  Frame& f = frames_[t];
-  if (f.map[root] == sat::kNoLit) {
-    for (aig::Var v : model_.cone({aig::var_lit(root)})) {
-      if (f.map[v] != sat::kNoLit) continue;
-      const aig::Node& n = model_.node(v);
-      switch (n.type) {
-        case aig::NodeType::kInput:
-          f.map[v] = fresh();
-          break;
-        case aig::NodeType::kLatch:
-          // Visible latches are created eagerly (frame 0) or by
-          // add_transition; reaching here means the latch is invisible
-          // (abstraction cutpoint) -> fresh free variable.
-          f.map[v] = fresh();
-          break;
-        case aig::NodeType::kAnd: {
-          auto fanin_sat = [&](aig::Lit fl) -> sat::Lit {
-            aig::Var fv = aig::lit_var(fl);
-            sat::Lit s = fv == 0 ? sat::neg(true_lit(label)) : f.map[fv];
-            assert(s != sat::kNoLit);
-            return aig::lit_sign(fl) ? sat::neg(s) : s;
-          };
-          sat::Lit a = fanin_sat(n.fanin0);
-          sat::Lit b = fanin_sat(n.fanin1);
-          sat::Lit g = fresh();
-          solver_.add_clause({sat::neg(g), a}, label);
-          solver_.add_clause({sat::neg(g), b}, label);
-          solver_.add_clause({g, sat::neg(a), sat::neg(b)}, label);
-          f.map[v] = g;
-          break;
-        }
-        case aig::NodeType::kConst:
-          break;
-      }
-    }
-  }
-  sat::Lit s = f.map[root];
+  // Every frame maps all its latches up front (ensure_frame0,
+  // add_transition), so the only leaves the walk reaches are inputs.
+  sat::Lit s = encode_cone(
+      model_, root, label, solver_, frames_[t].map, stack_,
+      [&](aig::Var) { return fresh(); }, [&] { return true_lit(label); });
   return aig::lit_sign(l) ? sat::neg(s) : s;
 }
 

@@ -16,6 +16,14 @@
 // Localization abstraction (CBA) is supported through a visibility mask:
 // invisible latches are cut — they get fresh unconstrained SAT variables in
 // every frame and are skipped by assert_init.
+//
+// Gate cones are encoded on demand by cnf::encode_cone (tseitin.hpp) over
+// the frame's map.  Pruning invariant: a node with a literal in a frame's
+// map has its whole cone encoded in that frame.  The walk therefore stops
+// at encoded nodes and costs only the part of a cone a frame does not yet
+// have, also when a frame is partly encoded before its transition (BMC and
+// k-induction ask for bad_lit(t) before add_transition(t)).  Variables,
+// clause order and labels are those of a full-cone walk.
 #pragma once
 
 #include <cstdint>
@@ -110,6 +118,7 @@ class Unroller {
   sat::Solver& solver_;
   std::vector<bool> visible_;
   std::vector<Frame> frames_;
+  std::vector<aig::Var> stack_;  // encode_cone's work stack
   sat::Lit true_ = sat::kNoLit;
 };
 

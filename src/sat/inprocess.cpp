@@ -161,11 +161,7 @@ Solver::CRef Solver::integrate_clause(std::vector<Lit> lits, ClauseId id,
 #endif
   for (Lit l : lits)
     if (value(l) == LBool::kTrue) return kNoCRef;  // satisfied at level 0
-  std::stable_partition(lits.begin(), lits.end(),
-                        [&](Lit l) { return value(l) != LBool::kFalse; });
-  std::size_t num_free = 0;
-  while (num_free < lits.size() && value(lits[num_free]) != LBool::kFalse)
-    ++num_free;
+  const std::size_t num_free = watch_order(lits);
   CRef cr = alloc_clause(lits, id, learned, lbd);
   if (num_free == 0) {  // all literals false at level 0: root conflict
     if (ok_) {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sat/types.hpp"
@@ -25,26 +26,28 @@ struct ResolutionChain {
   std::vector<Var> pivots;  // size == chain.size() - 1
 };
 
-/// Complete refutation proof.  Indexed by ClauseId.
+/// Complete refutation proof.  Indexed by ClauseId.  The literals of all
+/// clauses live in one flat array (clause id's literals end at ends_[id]),
+/// so logging a clause appends to it instead of allocating a vector.
 class Proof {
  public:
   /// Kind of each recorded clause.
   enum class Kind : std::uint8_t { kOriginal, kLearned };
 
   /// Record an original clause; returns its id.
-  ClauseId add_original(std::vector<Lit> lits, std::uint32_t label) {
+  ClauseId add_original(std::span<const Lit> lits, std::uint32_t label) {
     kinds_.push_back(Kind::kOriginal);
     labels_.push_back(label);
-    literals_.push_back(std::move(lits));
+    append_literals(lits);
     chains_.emplace_back();
     return static_cast<ClauseId>(kinds_.size() - 1);
   }
 
   /// Record a learned clause with its resolution chain; returns its id.
-  ClauseId add_learned(std::vector<Lit> lits, ResolutionChain chain) {
+  ClauseId add_learned(std::span<const Lit> lits, ResolutionChain chain) {
     kinds_.push_back(Kind::kLearned);
     labels_.push_back(0);
-    literals_.push_back(std::move(lits));
+    append_literals(lits);
     chains_.push_back(std::move(chain));
     return static_cast<ClauseId>(kinds_.size() - 1);
   }
@@ -59,7 +62,11 @@ class Proof {
   Kind kind(ClauseId id) const { return kinds_[id]; }
   bool is_original(ClauseId id) const { return kinds_[id] == Kind::kOriginal; }
   std::uint32_t label(ClauseId id) const { return labels_[id]; }
-  const std::vector<Lit>& literals(ClauseId id) const { return literals_[id]; }
+  /// The clause's literals; the view is invalidated by the next add_*.
+  std::span<const Lit> literals(ClauseId id) const {
+    const std::size_t begin = id == 0 ? 0 : ends_[id - 1];
+    return {lits_.data() + begin, ends_[id] - begin};
+  }
   const ResolutionChain& chain(ClauseId id) const { return chains_[id]; }
   /// Id of the derived empty clause; kNoClauseId until the refutation ends.
   ClauseId final_id() const { return final_id_; }
@@ -70,9 +77,15 @@ class Proof {
   std::vector<ClauseId> core() const;
 
  private:
+  void append_literals(std::span<const Lit> lits) {
+    lits_.insert(lits_.end(), lits.begin(), lits.end());
+    ends_.push_back(lits_.size());
+  }
+
   std::vector<Kind> kinds_;
   std::vector<std::uint32_t> labels_;
-  std::vector<std::vector<Lit>> literals_;
+  std::vector<Lit> lits_;            // all clauses' literals, back to back
+  std::vector<std::size_t> ends_;    // per clause: one past its last literal
   std::vector<ResolutionChain> chains_;
   ClauseId final_id_ = kNoClauseId;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -33,7 +34,8 @@ ProofCheckResult check_proof(const Proof& proof) {
 
   for (ClauseId id : proof.core()) {
     if (proof.is_original(id)) {
-      derived[id] = {proof.literals(id).begin(), proof.literals(id).end()};
+      std::span<const Lit> lits = proof.literals(id);
+      derived[id] = {lits.begin(), lits.end()};
       have[id] = true;
       continue;
     }
@@ -70,7 +72,7 @@ ProofCheckResult check_proof(const Proof& proof) {
       for (Lit l : rhs)
         if (var(l) != p) acc.insert(l);
     }
-    const auto& recorded = proof.literals(id);
+    std::span<const Lit> recorded = proof.literals(id);
     std::set<Lit> rec(recorded.begin(), recorded.end());
     if (acc != rec) {
       std::ostringstream os;

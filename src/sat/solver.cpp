@@ -48,7 +48,7 @@ Var Solver::new_var() {
   return v;
 }
 
-Solver::CRef Solver::alloc_clause(const std::vector<Lit>& lits, ClauseId id,
+Solver::CRef Solver::alloc_clause(std::span<const Lit> lits, ClauseId id,
                                   bool learned, std::uint32_t lbd) {
   ITPSEQ_FAULT_POINT("sat.arena");
 #ifdef ITPSEQ_CHECKED
@@ -66,8 +66,20 @@ Solver::CRef Solver::alloc_clause(const std::vector<Lit>& lits, ClauseId id,
   return cr;
 }
 
-bool Solver::add_clause(std::vector<Lit> lits, std::uint32_t label) {
+bool Solver::add_clause(std::initializer_list<Lit> lits, std::uint32_t label) {
+  return add_clause_span({lits.begin(), lits.size()}, label);
+}
+
+bool Solver::add_clause(const std::vector<Lit>& lits, std::uint32_t label) {
+  return add_clause_span(lits, label);
+}
+
+bool Solver::add_clause_span(std::span<const Lit> in, std::uint32_t label) {
   assert(trail_lim_.empty() && "add_clause only at decision level 0");
+  // Work in the member buffer: once it has grown, adding a clause allocates
+  // nothing outside the arena and the proof log.
+  std::vector<Lit>& lits = add_buf_;
+  lits.assign(in.begin(), in.end());
   // Deduplicate and detect tautologies.
   std::sort(lits.begin(), lits.end());
   lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
@@ -78,6 +90,7 @@ bool Solver::add_clause(std::vector<Lit> lits, std::uint32_t label) {
   // A new clause may mention a BVE-eliminated variable; bring it back first
   // (its recorded clauses re-install under their original proof ids), so
   // the elimination never leaks into the caller-visible semantics.
+  // restore_var reaches integrate_clause, never add_buf_.
   for (Lit l : lits)
     if (eliminated_[var(l)]) restore_var(var(l));
   // Skip clauses already satisfied at level 0 (sound for refutation: the
@@ -99,12 +112,7 @@ bool Solver::add_clause(std::vector<Lit> lits, std::uint32_t label) {
     return false;
   }
 
-  // Order literals so that non-false ones come first (watch positions).
-  std::stable_partition(lits.begin(), lits.end(),
-                        [&](Lit l) { return value(l) != LBool::kFalse; });
-  std::size_t num_free = 0;
-  while (num_free < lits.size() && value(lits[num_free]) != LBool::kFalse) ++num_free;
-
+  const std::size_t num_free = watch_order(lits);
   CRef cr = alloc_clause(lits, id, /*learned=*/false, /*lbd=*/0);
 
   if (num_free == 0) {
@@ -121,6 +129,19 @@ bool Solver::add_clause(std::vector<Lit> lits, std::uint32_t label) {
   }
   attach(cr);
   return true;
+}
+
+std::size_t Solver::watch_order(std::span<Lit> lits) const {
+  // std::stable_partition would allocate: rotate each non-false literal
+  // down past the false ones before it instead.
+  std::size_t num_free = 0;
+  for (std::size_t i = 0; i < lits.size(); ++i) {
+    if (value(lits[i]) == LBool::kFalse) continue;
+    if (i != num_free)
+      std::rotate(lits.begin() + num_free, lits.begin() + i, lits.begin() + i + 1);
+    ++num_free;
+  }
+  return num_free;
 }
 
 void Solver::attach(CRef cr) {

@@ -108,7 +108,9 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sat/checked.hpp"
@@ -216,7 +218,11 @@ class Solver {
   /// for interpolation.  Returns false iff the formula is already trivially
   /// unsatisfiable at level 0 (solve() will still produce a proof).
   /// Clauses may also be added *between* solve() calls (incremental use).
-  bool add_clause(std::vector<Lit> lits, std::uint32_t label = 0);
+  /// Both overloads copy the literals into a member scratch buffer, so a
+  /// braced clause (`add_clause({a, b}, label)`) or a caller's reused
+  /// vector costs no heap allocation beyond the arena and the proof log.
+  bool add_clause(std::initializer_list<Lit> lits, std::uint32_t label = 0);
+  bool add_clause(const std::vector<Lit>& lits, std::uint32_t label = 0);
 
   /// Solve the accumulated formula.
   Status solve(const Budget& budget = {});
@@ -382,8 +388,13 @@ class Solver {
   LBool value(Lit l) const { return lbool_xor(assign_[var(l)], sign(l)); }
   LBool value_var(Var v) const { return assign_[v]; }
 
-  CRef alloc_clause(const std::vector<Lit>& lits, ClauseId id, bool learned,
+  CRef alloc_clause(std::span<const Lit> lits, ClauseId id, bool learned,
                     std::uint32_t lbd);
+  bool add_clause_span(std::span<const Lit> lits, std::uint32_t label);
+  /// Watch order: moves the literals not false at level 0 to the front,
+  /// keeping the relative order of both groups, without allocating.
+  /// Returns how many are not false.
+  std::size_t watch_order(std::span<Lit> lits) const;
   void attach(CRef cr);
   void detach(CRef cr);
   bool locked(CRef cr);
@@ -482,6 +493,7 @@ class Solver {
 #endif
   std::vector<CRef> learned_list_;           // arena refs of learned clauses
   std::size_t num_input_clauses_ = 0;
+  std::vector<Lit> add_buf_;                 // add_clause's scratch clause
   std::size_t wasted_ = 0;                   // deleted words awaiting GC
   double gc_frac_ = 0.25;
 

@@ -64,8 +64,14 @@ class CertifyEngineTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CertifyEngineTest, SuitePassCertificatesCheck) {
   const EngineCase& e = kEngines[GetParam()];
+  // Work-bounded: all but one of the PASSes on this suite converge by
+  // k = 66 (tlc32 needs k = 130 with itpseq and pba), and the designs that
+  // do not converge stop at the bound, not at the clock.  The time limit is
+  // only a safety net, far above the slowest run (sitpseq on gray10 to
+  // k = 70 takes about 6 s on a 4-core VM).
   mc::EngineOptions opts;
-  opts.time_limit_sec = 15.0;
+  opts.max_bound = 70;
+  opts.time_limit_sec = 300.0;
   unsigned certified = 0;
   for (auto& inst : bench::make_academic_suite(20)) {
     if (inst.expected != bench::Expected::kPass) continue;

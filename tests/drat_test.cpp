@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <span>
 #include <sstream>
 
 #include "cnf/unroller.hpp"
@@ -113,7 +114,10 @@ TEST(Drat, BmcProofsVerify) {
   unsigned nvars = static_cast<unsigned>(s.num_vars());
   const sat::Proof& p = s.proof();
   for (sat::ClauseId id = 0; id < p.size(); ++id)
-    if (p.is_original(id)) cnf.push_back(p.literals(id));
+    if (p.is_original(id)) {
+      std::span<const sat::Lit> lits = p.literals(id);
+      cnf.push_back({lits.begin(), lits.end()});
+    }
   std::istringstream in(out.str());
   sat::DratCheckResult r = sat::check_drat(nvars, cnf, in);
   EXPECT_TRUE(r.ok) << r.error;
