@@ -1,7 +1,8 @@
 // bench_ablation_alpha.cpp — ablation over the serial fraction alpha_s of
 // Fig. 4 (0 = parallel ITPSEQ ... 1 = fully serial).  The paper fixes
 // alpha_s = 0.5 for SITPSEQ; this sweep shows the trade-off between extra
-// SAT calls (serial) and weaker per-term abstraction (parallel).
+// SAT calls (serial) and weaker per-term abstraction (parallel).  Every
+// verdict is checked (verdict_check.hpp); a bad one exits 1.
 //
 // Usage: bench_ablation_alpha [per_engine_seconds] [family_filter]
 #include <cstdio>
@@ -11,6 +12,7 @@
 #include "bench_circuits/suite.hpp"
 #include "mc/engine.hpp"
 #include "mc/itpseq_verif.hpp"
+#include "verdict_check.hpp"
 
 using namespace itpseq;
 
@@ -38,6 +40,7 @@ int main(int argc, char** argv) {
       opts.time_limit_sec = limit;
       opts.serial_alpha = alphas[i];
       mc::EngineResult r = mc::ItpSeqEngine(inst.model, 0, opts).run();
+      bench::check_verdict(inst, r);
       if (r.verdict == mc::Verdict::kUnknown) {
         std::printf("  %-18s", "ovf");
         tally[i].total += limit;

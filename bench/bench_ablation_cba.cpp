@@ -3,7 +3,8 @@
 // the final abstraction size (visible latches), refinement count and time.
 // This is the paper's headline CBA claim: on large designs with local
 // properties the abstraction solves instances the concrete engines cannot,
-// because BMC checks and proofs stay small.
+// because BMC checks and proofs stay small.  Every verdict is checked
+// (verdict_check.hpp); a bad one exits 1.
 //
 // Usage: bench_ablation_cba [per_engine_seconds]
 #include <cstdio>
@@ -11,6 +12,7 @@
 
 #include "bench_circuits/suite.hpp"
 #include "mc/engine.hpp"
+#include "verdict_check.hpp"
 
 using namespace itpseq;
 
@@ -36,6 +38,8 @@ int main(int argc, char** argv) {
   for (auto& inst : bench::make_industrial_suite()) {
     mc::EngineResult plain = mc::check_sitpseq(inst.model, 0, opts);
     mc::EngineResult cba = mc::check_itpseq_cba(inst.model, 0, opts);
+    bench::check_verdict(inst, plain);
+    bench::check_verdict(inst, cba);
     std::printf("%-18s %5zu | %-22s | %-22s %5u/%-3zu %7u\n", inst.name.c_str(),
                 inst.model.num_latches(), cell(plain).c_str(),
                 cell(cba).c_str(), cba.stats.cba_visible_latches,

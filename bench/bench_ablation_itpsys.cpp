@@ -8,7 +8,8 @@
 // weaker over-approximations from the *same* proofs, trading convergence
 // depth against interpolant size.  This sweep quantifies that trade-off on
 // both the standard-ITP engine (Fig. 1) and the parallel ITPSEQ engine
-// (Fig. 2).
+// (Fig. 2).  Every verdict is checked (verdict_check.hpp); a bad one
+// exits 1.
 //
 // Usage: bench_ablation_itpsys [per_engine_seconds] [family_filter]
 #include <cstdio>
@@ -17,6 +18,7 @@
 
 #include "bench_circuits/suite.hpp"
 #include "mc/engine.hpp"
+#include "verdict_check.hpp"
 
 using namespace itpseq;
 
@@ -35,6 +37,7 @@ void run_cell(const bench::Instance& inst, bool seq, itp::System sys,
   opts.itp_system = sys;
   mc::EngineResult r = seq ? mc::check_itpseq(inst.model, 0, opts)
                            : mc::check_itp(inst.model, 0, opts);
+  bench::check_verdict(inst, r);
   if (r.verdict == mc::Verdict::kUnknown) {
     std::printf("  %-18s", "ovf");
     tally.total += limit;

@@ -2,7 +2,8 @@
 // (re-encode the unrolling at every bound) versus the single-instance
 // incremental formulation (one solver, assumptions per bound; in the spirit
 // of the paper's reference [13]).  Reported on the falsifiable suite
-// instances; both must find identical counterexample depths.
+// instances; both must find identical counterexample depths.  Every
+// verdict is checked (verdict_check.hpp); a bad one exits 1.
 //
 // Usage: bench_bmc_incremental [per_engine_seconds]
 #include <cstdio>
@@ -10,6 +11,7 @@
 
 #include "bench_circuits/suite.hpp"
 #include "mc/engine.hpp"
+#include "verdict_check.hpp"
 
 using namespace itpseq;
 
@@ -33,6 +35,8 @@ int main(int argc, char** argv) {
 
     mc::EngineResult a = mc::check_bmc(inst.model, 0, mono);
     mc::EngineResult b = mc::check_bmc(inst.model, 0, incr);
+    bench::check_verdict(inst, a);
+    bench::check_verdict(inst, b);
     double ta = a.verdict == mc::Verdict::kUnknown ? limit : a.seconds;
     double tb = b.verdict == mc::Verdict::kUnknown ? limit : b.seconds;
     mono_total += ta;

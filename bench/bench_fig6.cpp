@@ -3,7 +3,8 @@
 // Runs the four engines over the full suite, records the per-instance CPU
 // time (timeouts clamp to the budget), sorts each engine's times
 // independently (as the paper does, yielding monotone curves) and prints
-// the four series side by side, plus solved-instance counts.
+// the four series side by side, plus solved-instance counts.  Every
+// verdict is checked (verdict_check.hpp); a bad one exits 1.
 //
 // Usage: bench_fig6 [per_engine_seconds]
 #include <algorithm>
@@ -13,6 +14,7 @@
 
 #include "bench_circuits/suite.hpp"
 #include "mc/engine.hpp"
+#include "verdict_check.hpp"
 
 using namespace itpseq;
 
@@ -40,6 +42,7 @@ int main(int argc, char** argv) {
         mc::check_sitpseq(inst.model, 0, opts),
         mc::check_itpseq_cba(inst.model, 0, opts)};
     for (int e = 0; e < 4; ++e) {
+      bench::check_verdict(inst, rs[e]);
       bool solved = rs[e].verdict != mc::Verdict::kUnknown;
       series[e].times.push_back(solved ? rs[e].seconds : limit);
       if (solved) ++series[e].solved;

@@ -3,7 +3,8 @@
 // Scatter comparison of the ITPSEQ engine using exact-k versus
 // exact-assume-k BMC checks (Section III).  One line per instance with both
 // run times; points below the diagonal favour assume-k.  A win/loss/tie
-// summary and the geometric-mean speedup are printed at the end.
+// summary and the geometric-mean speedup are printed at the end.  Every
+// verdict is checked (verdict_check.hpp); a bad one exits 1.
 //
 // Usage: bench_fig7 [per_engine_seconds]
 #include <cmath>
@@ -12,6 +13,7 @@
 
 #include "bench_circuits/suite.hpp"
 #include "mc/engine.hpp"
+#include "verdict_check.hpp"
 
 using namespace itpseq;
 
@@ -36,6 +38,8 @@ int main(int argc, char** argv) {
   for (auto& inst : bench::make_suite()) {
     mc::EngineResult re = mc::check_itpseq(inst.model, 0, exact);
     mc::EngineResult ra = mc::check_itpseq(inst.model, 0, assume);
+    bench::check_verdict(inst, re);
+    bench::check_verdict(inst, ra);
     double te = re.verdict == mc::Verdict::kUnknown ? limit : re.seconds;
     double ta = ra.verdict == mc::Verdict::kUnknown ? limit : ra.seconds;
     std::printf("%-18s %12.4f %12.4f %4s/%-4s\n", inst.name.c_str(), te, ta,

@@ -5,6 +5,7 @@
 // of the four engines (ITP, ITPSEQ, SITPSEQ, ITPSEQCBA): CPU time, k_fp and
 // j_fp.  "ovf" marks budget exhaustion, with the bound reached in
 // parentheses, exactly like the paper's table; j_fp = 0 marks failures.
+// Every verdict is checked (verdict_check.hpp); a bad one exits 1.
 //
 // Usage: bench_table1 [per_engine_seconds] [bdd_seconds] [family_filter]
 #include <cstdio>
@@ -14,6 +15,7 @@
 #include "bdd/reach.hpp"
 #include "bench_circuits/suite.hpp"
 #include "mc/engine.hpp"
+#include "verdict_check.hpp"
 
 using namespace itpseq;
 
@@ -97,6 +99,8 @@ int main(int argc, char** argv) {
     mc::EngineResult b = mc::check_itpseq(inst.model, 0, opts);
     mc::EngineResult c = mc::check_sitpseq(inst.model, 0, opts);
     mc::EngineResult d = mc::check_itpseq_cba(inst.model, 0, opts);
+    for (const mc::EngineResult* r : {&a, &b, &c, &d})
+      bench::check_verdict(inst, *r);
 
     std::printf("%-18s %4zu %4zu | %12s | %12s | %15s | %15s | %15s | %15s\n",
                 inst.name.c_str(), inst.model.num_inputs(),

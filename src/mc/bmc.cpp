@@ -1,7 +1,6 @@
 #include "mc/bmc.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "mc/lemma_exchange.hpp"
 #include "obs/trace.hpp"
@@ -14,7 +13,6 @@ namespace itpseq::mc {
 // frames t <= bound.  Both variants consume; BMC publishes nothing.
 
 void BmcEngine::execute(EngineResult& out) {
-  per_bound_.assign(1, 0.0);  // k = 0 covered by preliminary_checks
   if (opts_.bmc_incremental) {
     execute_incremental(out);
     return;
@@ -46,11 +44,7 @@ void BmcEngine::execute(EngineResult& out) {
         assert_lemma_clause(unr, l, t, 0);
     out.stats.lemmas_consumed = feed.invariants.size() + feed.frames.size();
 
-    auto t0 = std::chrono::steady_clock::now();
     sat::Status status = solver.solve(sat_budget());
-    per_bound_.push_back(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count());
     absorb_stats(out, solver);
 
     switch (status) {
@@ -146,12 +140,8 @@ void BmcEngine::execute_incremental(EngineResult& out) {
       assumptions.push_back(unr.bad_lit(k, 0, prop_));
     }
 
-    auto t0 = std::chrono::steady_clock::now();
     sat::Status status = solver.solve_assuming(assumptions, sat_budget());
     ++solves;
-    per_bound_.push_back(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count());
 
     switch (status) {
       case sat::Status::kSat: {

@@ -4,8 +4,6 @@
 // configured target scheme (bound-k / exact-k / exact-assume-k,
 // Section II-A).  Returns FAIL with a counterexample, or UNKNOWN when the
 // bound or time budget is exhausted — BMC alone can never return PASS.
-// Also exposes per-bound timing, which bench_fig7 uses to compare the
-// exact-k and assume-k check formulations.
 #pragma once
 
 #include "mc/engine.hpp"
@@ -18,16 +16,11 @@ class BmcEngine : public Engine {
       : Engine(model, prop, opts) {}
   const char* name() const override { return "BMC"; }
 
-  /// Seconds spent in the SAT solver per bound (index = k), filled by run().
-  const std::vector<double>& per_bound_seconds() const { return per_bound_; }
-
  protected:
   void execute(EngineResult& out) override;
 
  private:
   void execute_incremental(EngineResult& out);
-
-  std::vector<double> per_bound_;
 };
 
 }  // namespace itpseq::mc

@@ -93,8 +93,6 @@ EngineResult check_itpseq_cba(const aig::Aig& model, std::size_t prop,
                               EngineOptions opts = {});
 EngineResult check_itpseq_pba(const aig::Aig& model, std::size_t prop,
                               const EngineOptions& opts = {});
-EngineResult check_itpseq_cba_pba(const aig::Aig& model, std::size_t prop,
-                                  EngineOptions opts = {});
 EngineResult check_bmc(const aig::Aig& model, std::size_t prop,
                        const EngineOptions& opts = {});
 EngineResult check_pdr(const aig::Aig& model, std::size_t prop,

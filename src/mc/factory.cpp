@@ -36,12 +36,6 @@ EngineResult check_itpseq_pba(const aig::Aig& model, std::size_t prop,
   return ItpSeqEngine(model, prop, opts, AbstractionMode::kPba).run();
 }
 
-EngineResult check_itpseq_cba_pba(const aig::Aig& model, std::size_t prop,
-                                  EngineOptions opts) {
-  if (opts.serial_alpha <= 0.0) opts.serial_alpha = 0.5;
-  return ItpSeqEngine(model, prop, opts, AbstractionMode::kCbaPba).run();
-}
-
 EngineResult check_bmc(const aig::Aig& model, std::size_t prop,
                        const EngineOptions& opts) {
   return BmcEngine(model, prop, opts).run();

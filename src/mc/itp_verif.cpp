@@ -22,8 +22,6 @@ struct StepSolve {
 
 void ItpVerifEngine::execute(EngineResult& out) {
   aig::Aig& G = space_.graph();
-  const bool partitioned = opts_.itp_partitioned;
-  const bool assume = opts_.scheme == cnf::TargetScheme::kExactAssume;
 
   // Lemma exchange: consumed kInvariant lemmas behave exactly like model
   // invariant constraints (they hold in every reachable state and are
@@ -51,10 +49,8 @@ void ItpVerifEngine::execute(EngineResult& out) {
   };
 
   // Builds and solves one instance: A = front ∧ T(V^0,V^1) (label 1) and
-  // either the bound-k B (hi_frame = k, bound target) or a single exact /
-  // assume partition with the bad at `target_frame`.
-  auto solve_step = [&](aig::Lit front, unsigned k, unsigned target_frame,
-                        bool bound_target) {
+  // the bound-k B = T^{k-1} ∧ (bad at some frame 1..k) (label 2).
+  auto solve_step = [&](aig::Lit front, unsigned k) {
     StepSolve s;
     s.solver = std::make_unique<sat::Solver>();
     opts_.apply_sat_options(*s.solver);
@@ -69,23 +65,15 @@ void ItpVerifEngine::execute(EngineResult& out) {
     }
     unr.add_transition(0, 1);
     unr.assert_constraints(0, 1);
-    unsigned frames = bound_target ? k : target_frame;
-    for (unsigned t = 1; t < frames; ++t) unr.add_transition(t, 2);
-    for (unsigned t = 1; t <= frames; ++t) unr.assert_constraints(t, 2);
+    for (unsigned t = 1; t < k; ++t) unr.add_transition(t, 2);
+    for (unsigned t = 1; t <= k; ++t) unr.assert_constraints(t, 2);
     for (const Lemma& l : feed.invariants) {
       assert_lemma_clause(unr, l, 0, 1);
-      for (unsigned t = 1; t <= frames; ++t) assert_lemma_clause(unr, l, t, 2);
+      for (unsigned t = 1; t <= k; ++t) assert_lemma_clause(unr, l, t, 2);
     }
-    if (bound_target) {
-      std::vector<sat::Lit> disj;
-      for (unsigned t = 1; t <= k; ++t) disj.push_back(unr.bad_lit(t, 2, prop_));
-      s.solver->add_clause(disj, 2);
-    } else {
-      if (assume)
-        for (unsigned t = 1; t < target_frame; ++t)
-          s.solver->add_clause({sat::neg(unr.bad_lit(t, 2, prop_))}, 2);
-      s.solver->add_clause({unr.bad_lit(target_frame, 2, prop_)}, 2);
-    }
+    std::vector<sat::Lit> disj;
+    for (unsigned t = 1; t <= k; ++t) disj.push_back(unr.bad_lit(t, 2, prop_));
+    s.solver->add_clause(disj, 2);
     s.status = s.solver->solve(sat_budget());
     absorb_stats(out, *s.solver);
     return s;
@@ -107,18 +95,16 @@ void ItpVerifEngine::execute(EngineResult& out) {
         opts_.itp_system);
   };
 
-  auto fail_from = [&](const StepSolve& s, unsigned k, unsigned known_depth,
-                       bool bound_target) {
-    unsigned depth = known_depth;
-    if (bound_target) {
-      for (unsigned t = 1; t <= k; ++t) {
-        sat::Lit b = s.unroller->lookup(model_.output(prop_), t);
-        if (b != sat::kNoLit &&
-            sat::lbool_xor(s.solver->model()[sat::var(b)], sat::sign(b)) ==
-                sat::LBool::kTrue) {
-          depth = t;
-          break;
-        }
+  // The counterexample ends at the first frame where bad holds.
+  auto fail_from = [&](const StepSolve& s, unsigned k) {
+    unsigned depth = k;
+    for (unsigned t = 1; t <= k; ++t) {
+      sat::Lit b = s.unroller->lookup(model_.output(prop_), t);
+      if (b != sat::kNoLit &&
+          sat::lbool_xor(s.solver->model()[sat::var(b)], sat::sign(b)) ==
+              sat::LBool::kTrue) {
+        depth = t;
+        break;
       }
     }
     out.verdict = Verdict::kFail;
@@ -150,44 +136,21 @@ void ItpVerifEngine::execute(EngineResult& out) {
 
     for (unsigned j = 0;; ++j) {
       aig::Lit I;
-      bool spurious = false;
-      if (!partitioned) {
-        StepSolve s = solve_step(front, k, k, /*bound_target=*/true);
+      {
+        StepSolve s = solve_step(front, k);
         if (s.status == sat::Status::kUnknown) {
           out.verdict = Verdict::kUnknown;
           return;
         }
         if (s.status == sat::Status::kSat) {
           if (j == 0) {
-            fail_from(s, k, k, true);
+            fail_from(s, k);
             return;
           }
-          spurious = true;
-        } else {
-          I = extract_cut1(s);
+          break;  // spurious: deepen the unrolling
         }
-      } else {
-        // Partitioned ITPs (Section III): I = AND over per-depth exact or
-        // assume partitions, each from its own (smaller) refutation.
-        I = aig::kTrue;
-        for (unsigned jj = 1; jj <= k && !spurious; ++jj) {
-          StepSolve s = solve_step(front, k, jj, /*bound_target=*/false);
-          if (s.status == sat::Status::kUnknown) {
-            out.verdict = Verdict::kUnknown;
-            return;
-          }
-          if (s.status == sat::Status::kSat) {
-            if (j == 0) {
-              fail_from(s, k, jj, false);
-              return;
-            }
-            spurious = true;
-          } else {
-            I = G.make_and(I, extract_cut1(s));
-          }
-        }
+        I = extract_cut1(s);
       }
-      if (spurious) break;  // deepen the unrolling
 
       // cone_size is an O(cone) DAG walk: keep it behind the gate so the
       // tracing-off path stays free.

@@ -7,15 +7,12 @@
 #include "itp/interpolate.hpp"
 #include "mc/sim.hpp"
 #include "obs/trace.hpp"
-#include "opt/fraig.hpp"
 
 namespace itpseq::mc {
 
 namespace {
 /// Max CBA refinement iterations per bound before the run gives up.
 constexpr unsigned kCbaRefineLimit = 1000;
-/// Conflict budget per fraig equivalence check on extracted interpolants.
-constexpr std::int64_t kFraigConflicts = 200;
 }  // namespace
 
 const char* to_string(AbstractionMode m) {
@@ -23,7 +20,6 @@ const char* to_string(AbstractionMode m) {
     case AbstractionMode::kNone: return "none";
     case AbstractionMode::kCba: return "cba";
     case AbstractionMode::kPba: return "pba";
-    case AbstractionMode::kCbaPba: return "cba+pba";
   }
   return "?";
 }
@@ -41,7 +37,7 @@ ItpSeqEngine::ItpSeqEngine(const aig::Aig& model, std::size_t prop,
       std::size_t idx = model.latch_index(v);
       if (idx != aig::Aig::kNoIndex) prop_support_[idx] = true;
     }
-  if (mode_ == AbstractionMode::kCba || mode_ == AbstractionMode::kCbaPba) {
+  if (mode_ == AbstractionMode::kCba) {
     // Initial abstraction: exactly the property support.
     visible_ = prop_support_;
   }
@@ -55,10 +51,8 @@ const char* ItpSeqEngine::name() const {
   switch (mode_) {
     case AbstractionMode::kCba: return "ITPSEQCBA";
     case AbstractionMode::kPba: return "ITPSEQPBA";
-    case AbstractionMode::kCbaPba: return "ITPSEQCBAPBA";
     case AbstractionMode::kNone: break;
   }
-  if (opts_.serial_dynamic) return "SITPSEQ-DYN";
   return opts_.serial_alpha > 0.0 ? "SITPSEQ" : "ITPSEQ";
 }
 
@@ -91,9 +85,8 @@ ItpSeqEngine::ShiftedSolve ItpSeqEngine::solve_shifted(aig::Lit start,
   // Target.  CBA follows Fig. 5 and uses exact-k; otherwise the configured
   // scheme decides whether intermediate "good" constraints are added
   // (assume-k) or not (exact-k).  bound-k is not meaningful for sequences.
-  bool cba_like =
-      mode_ == AbstractionMode::kCba || mode_ == AbstractionMode::kCbaPba;
-  bool assume = !cba_like && opts_.scheme == cnf::TargetScheme::kExactAssume;
+  bool assume = mode_ != AbstractionMode::kCba &&
+                opts_.scheme == cnf::TargetScheme::kExactAssume;
   if (assume)
     for (unsigned t = 1; t < local_k; ++t)
       s.solver->add_clause({sat::neg(unr.bad_lit(t, t + 1, prop_))}, t + 1);
@@ -267,8 +260,7 @@ void ItpSeqEngine::execute(EngineResult& out) {
     }
 
     // --- BMC check at bound k (with abstraction handling) ---------------
-    const bool cba = mode_ == AbstractionMode::kCba ||
-                     mode_ == AbstractionMode::kCbaPba;
+    const bool cba = mode_ == AbstractionMode::kCba;
     ShiftedSolve first;
     if (mode_ == AbstractionMode::kPba) {
       // PBA: the concrete check decides SAT/UNSAT; its proof core sizes the
@@ -308,28 +300,6 @@ void ItpSeqEngine::execute(EngineResult& out) {
         }
         first = solve_shifted(aig::kNullLit, k, out);
       }
-      if (first.status == sat::Status::kUnsat &&
-          mode_ == AbstractionMode::kCbaPba) {
-        // PBA shrink: drop visible latches the refutation never used, then
-        // re-solve on the smaller abstraction for extraction ([13]-style
-        // grow/shrink alternation).
-        std::vector<bool> grown = visible_;
-        std::vector<bool> needed = pba_needed(first, k);
-        bool shrunk = false;
-        for (std::size_t i = 0; i < visible_.size(); ++i) {
-          bool keep = visible_[i] && needed[i];
-          shrunk |= keep != visible_[i];
-          visible_[i] = keep;
-        }
-        if (shrunk) {
-          ShiftedSolve s2 = solve_shifted(aig::kNullLit, k, out);
-          if (s2.status == sat::Status::kUnsat) {
-            first = std::move(s2);
-          } else {
-            visible_ = std::move(grown);  // corner case: keep the CBA set
-          }
-        }
-      }
     }
     if (!visible_.empty())
       out.stats.cba_visible_latches = static_cast<unsigned>(
@@ -348,16 +318,9 @@ void ItpSeqEngine::execute(EngineResult& out) {
 
     // --- sequence construction (Fig. 4) ----------------------------------
     std::vector<aig::Lit> terms(k + 1, aig::kNullLit);  // terms[j], j=1..k
-    unsigned ns;
-    if (opts_.serial_dynamic) {
-      // Dynamic strategy (Section IV-C): serialize as long as terms stay
-      // small; the per-term size check below stops the prefix early.
-      ns = k;
-    } else {
-      ns = static_cast<unsigned>(
-          std::floor(opts_.serial_alpha * static_cast<double>(k + 1)));
-      if (ns > k) ns = k;
-    }
+    unsigned ns = std::min(
+        k, static_cast<unsigned>(
+               std::floor(opts_.serial_alpha * static_cast<double>(k + 1))));
     bool fallback = false;
 
     if (ns == 0) {
@@ -371,8 +334,6 @@ void ItpSeqEngine::execute(EngineResult& out) {
         std::vector<aig::Lit> seq = extract_terms(first, 1);
         terms[1] = seq[0];
       }
-      if (opts_.serial_dynamic && G.cone_size(terms[1]) > opts_.serial_size_limit)
-        ns = 1;
       for (unsigned j = 2; j <= ns && !fallback; ++j) {
         ShiftedSolve s = solve_shifted(terms[j - 1], k - (j - 1), out);
         if (s.status == sat::Status::kUnknown) {
@@ -385,11 +346,6 @@ void ItpSeqEngine::execute(EngineResult& out) {
         }
         std::vector<aig::Lit> seq = extract_terms(s, 1);
         terms[j] = seq[0];
-        if (opts_.serial_dynamic &&
-            G.cone_size(terms[j]) > opts_.serial_size_limit) {
-          ns = j;  // stop serializing, finish with the parallel suffix
-          break;
-        }
       }
       if (!fallback && ns < k) {
         // Parallel suffix from one more proof (Fig. 4, last line).
@@ -409,20 +365,6 @@ void ItpSeqEngine::execute(EngineResult& out) {
         std::vector<aig::Lit> seq = extract_terms(first, k);
         for (unsigned j = 1; j <= k; ++j) terms[j] = seq[j - 1];
       }
-    }
-
-    if (opts_.fraig_interpolants) {
-      // SAT-sweep the freshly extracted terms; the swept cones are imported
-      // back into the (strashed) state-set graph.
-      std::vector<aig::Lit> roots(terms.begin() + 1, terms.end());
-      opt::FraigOptions fo;
-      fo.max_conflicts = kFraigConflicts;
-      opt::FraigResult fr = opt::fraig(G, roots, fo);
-      std::vector<aig::Lit> leaf_map(fr.graph.num_vars(), aig::kNullLit);
-      for (std::size_t i = 0; i < fr.graph.num_inputs(); ++i)
-        leaf_map[aig::lit_var(fr.graph.input(i))] = space_.latch_input(i);
-      for (unsigned j = 1; j <= k; ++j)
-        terms[j] = G.import_cone(fr.graph, fr.roots[j - 1], leaf_map);
     }
 
     for (unsigned j = 1; j <= k; ++j)

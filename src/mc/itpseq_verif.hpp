@@ -27,9 +27,6 @@
 //    hence higher over-approximation — the premise of Section V).  If the
 //    variable-granular abstraction is too coarse for this bound (the
 //    abstract re-solve turns SAT), the concrete proof is used instead.
-//  * ITPSEQCBAPBA (AbstractionMode::kCbaPba): the [13]-style alternation —
-//    CBA grows the abstraction on spurious counterexamples, then the proof
-//    core of the final UNSAT check shrinks it back before extraction.
 //
 // The matrix state sets are maintained across bounds:
 //   calI_j = AND over i >= j of I^i_j          (column conjunction)
@@ -47,10 +44,9 @@ namespace itpseq::mc {
 
 /// Localization-abstraction strategy of the sequence engine (Section V).
 enum class AbstractionMode : std::uint8_t {
-  kNone,    ///< concrete model only (ITPSEQ / SITPSEQ)
-  kCba,     ///< counterexample-based abstraction (Fig. 5)
-  kPba,     ///< proof-based abstraction
-  kCbaPba,  ///< CBA growth + PBA shrink alternation ([13])
+  kNone,  ///< concrete model only (ITPSEQ / SITPSEQ)
+  kCba,   ///< counterexample-based abstraction (Fig. 5)
+  kPba,   ///< proof-based abstraction
 };
 
 const char* to_string(AbstractionMode m);

@@ -27,8 +27,6 @@ const char* to_string(PortfolioMember m) {
       return "BMC";
     case PortfolioMember::kItp:
       return "ITP";
-    case PortfolioMember::kItpPartitioned:
-      return "ITP-PART";
     case PortfolioMember::kItpSeq:
       return "ITPSEQ";
     case PortfolioMember::kSItpSeq:
@@ -90,11 +88,6 @@ EngineResult run_member(const aig::Aig& model, std::size_t prop,
         return check_bmc(model, prop, eo);
       case PortfolioMember::kItp:
         return check_itp(model, prop, eo);
-      case PortfolioMember::kItpPartitioned: {
-        EngineOptions e = eo;
-        e.itp_partitioned = true;
-        return check_itp(model, prop, e);
-      }
       case PortfolioMember::kItpSeq:
         return check_itpseq(model, prop, eo);
       case PortfolioMember::kSItpSeq:

@@ -89,7 +89,6 @@ enum class PortfolioMember : std::uint8_t {
   kRandomSim,  ///< 64-way random simulation (falsification only)
   kBmc,        ///< plain BMC (falsification only)
   kItp,        ///< standard interpolation (Fig. 1)
-  kItpPartitioned,
   kItpSeq,     ///< parallel sequences (Fig. 2)
   kSItpSeq,    ///< serial sequences, alpha = 0.5 (Fig. 4)
   kItpSeqCba,  ///< sequences + abstraction (Fig. 5)

@@ -101,7 +101,8 @@ struct Trace {
 struct EngineOptions {
   double time_limit_sec = 60.0;   ///< total wall-clock budget
   unsigned max_bound = 500;       ///< give up beyond this BMC bound
-  /// BMC check formulation for sequence engines (Section III).
+  /// BMC check formulation for the BMC and sequence engines (Section III);
+  /// standard ITP always uses the bound-k target its soundness needs.
   cnf::TargetScheme scheme = cnf::TargetScheme::kExactAssume;
   /// Labeled interpolation system used to extract interpolants.  McMillan
   /// is the paper's system; Pudlak / inverse McMillan give progressively
@@ -110,16 +111,6 @@ struct EngineOptions {
   /// Serial fraction alpha_s of Fig. 4: 0 = parallel ITPSEQ,
   /// 1 = fully serial; the paper's SITPSEQ uses 0.5.
   double serial_alpha = 0.0;
-  /// Dynamic serialization (Section IV-C mentions dynamic intermediate
-  /// strategies): serialize while terms stay below serial_size_limit AND
-  /// nodes, then switch to the parallel suffix.  Overrides serial_alpha.
-  bool serial_dynamic = false;
-  std::size_t serial_size_limit = 2000;
-  /// Standard-ITP engine only: compute each interpolant as the conjunction
-  /// of per-depth partitioned interpolants ITP(A, B^j) instead of one
-  /// bound-k interpolant (Section III / partitioned ITPs of [8]).  The
-  /// partition targets follow `scheme` (exact-k or assume-k).
-  bool itp_partitioned = false;
   /// BMC engine: keep one incremental solver across bounds (single-instance
   /// formulation in the spirit of the paper's reference [13]) instead of
   /// re-encoding the unrolling at every k.  The monolithic re-encoding is
@@ -129,11 +120,6 @@ struct EngineOptions {
   /// once it exceeds this node count (0 = never).  Bounds the growth of the
   /// interpolant store over long runs.
   std::size_t compact_threshold = 200000;
-  /// Sequence engines: compact each extracted interpolant term by SAT
-  /// sweeping (opt::fraig) before it enters the matrix.  Proof-directed
-  /// interpolant circuits are highly redundant, so this trades SAT time
-  /// for smaller state sets.
-  bool fraig_interpolants = false;
   /// PDR: shrink predecessor/bad cubes by ternary-simulation lifting
   /// (Eén/Mishchenko/Brayton FMCAD'11) instead of the syntactic
   /// cone-of-influence lift alone.

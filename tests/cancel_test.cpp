@@ -40,10 +40,6 @@ std::vector<NamedEngine> all_engines() {
       {"itp", [](const aig::Aig& g, std::size_t p, EngineOptions o) {
          return check_itp(g, p, o);
        }},
-      {"itp-part", [](const aig::Aig& g, std::size_t p, EngineOptions o) {
-         o.itp_partitioned = true;
-         return check_itp(g, p, o);
-       }},
       {"itpseq", [](const aig::Aig& g, std::size_t p, EngineOptions o) {
          return check_itpseq(g, p, o);
        }},

@@ -21,12 +21,6 @@ mc::EngineResult run_itp(const aig::Aig& g, std::size_t p,
                          const mc::EngineOptions& o) {
   return mc::check_itp(g, p, o);
 }
-mc::EngineResult run_itp_part(const aig::Aig& g, std::size_t p,
-                              const mc::EngineOptions& o) {
-  mc::EngineOptions oo = o;
-  oo.itp_partitioned = true;
-  return mc::check_itp(g, p, oo);
-}
 mc::EngineResult run_itpseq(const aig::Aig& g, std::size_t p,
                             const mc::EngineOptions& o) {
   return mc::check_itpseq(g, p, o);
@@ -43,10 +37,6 @@ mc::EngineResult run_pba(const aig::Aig& g, std::size_t p,
                          const mc::EngineOptions& o) {
   return mc::check_itpseq_pba(g, p, o);
 }
-mc::EngineResult run_cba_pba(const aig::Aig& g, std::size_t p,
-                             const mc::EngineOptions& o) {
-  return mc::check_itpseq_cba_pba(g, p, o);
-}
 
 struct EngineCase {
   const char* name;
@@ -54,10 +44,8 @@ struct EngineCase {
 };
 
 const EngineCase kEngines[] = {
-    {"itp", run_itp},         {"itp-part", run_itp_part},
-    {"itpseq", run_itpseq},   {"sitpseq", run_sitpseq},
-    {"cba", run_cba},         {"pba", run_pba},
-    {"cba+pba", run_cba_pba},
+    {"itp", run_itp}, {"itpseq", run_itpseq}, {"sitpseq", run_sitpseq},
+    {"cba", run_cba}, {"pba", run_pba},
 };
 
 class CertifyEngineTest : public ::testing::TestWithParam<int> {};
@@ -86,7 +74,7 @@ TEST_P(CertifyEngineTest, SuitePassCertificatesCheck) {
   EXPECT_GE(certified, 10u) << e.name;
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, CertifyEngineTest, ::testing::Range(0, 7),
+INSTANTIATE_TEST_SUITE_P(Engines, CertifyEngineTest, ::testing::Range(0, 5),
                          [](const auto& tpinfo) {
                            std::string n = kEngines[tpinfo.param].name;
                            for (char& c : n)
@@ -101,7 +89,6 @@ TEST(Certify, OptionsVariantsStillCertify) {
     mc::EngineOptions opts;
     opts.time_limit_sec = 15.0;
     opts.itp_system = sys;
-    opts.fraig_interpolants = true;
     mc::EngineResult r = mc::check_itpseq(g, 0, opts);
     ASSERT_EQ(r.verdict, mc::Verdict::kPass);
     ASSERT_TRUE(r.certificate.has_value());

@@ -91,8 +91,8 @@ TEST_F(CliTest, McBmcIncrementalModesAgree) {
 
 TEST_F(CliTest, McEveryEngineAgrees) {
   for (const char* e :
-       {"itp", "itp-part", "itpseq", "sitpseq", "itpseq-cba", "itpseq-pba",
-        "itpseq-cba-pba", "pdr", "bmc", "kind", "bdd", "portfolio"}) {
+       {"itp", "itpseq", "sitpseq", "itpseq-cba", "itpseq-pba", "pdr", "bmc",
+        "kind", "bdd", "portfolio"}) {
     std::string cmd =
         tool("itpseq-mc") + " -q -t 30 -e " + e + " " + fail_aag_;
     EXPECT_EQ(run(cmd), 1) << e;
@@ -105,8 +105,8 @@ TEST_F(CliTest, McEveryEngineAgrees) {
 }
 
 TEST_F(CliTest, McCertifyPassVerdicts) {
-  for (const char* e : {"itp", "itpseq", "sitpseq", "itpseq-cba",
-                        "itpseq-pba", "itpseq-cba-pba", "pdr"}) {
+  for (const char* e :
+       {"itp", "itpseq", "sitpseq", "itpseq-cba", "itpseq-pba", "pdr"}) {
     std::string out;
     int rc = run(tool("itpseq-mc") + " -t 30 --certify -e " + e + " " +
                      pass_aag_,
@@ -225,6 +225,10 @@ TEST_F(CliTest, McUsageErrors) {
        {"-e bmc -k -1", "-e bmc -k 5x", "-e bmc -k +5", "-e bmc -k 4294967296",
         "-p 0x", "-e portfolio -j -1", "-e portfolio -j 2x",
         "-e bmc --mem-limit -5", "-e bmc --mem-limit 99999999999999999"})
+    EXPECT_EQ(run(mc + flags + " " + fail_aag_), 2) << flags;
+  // Engine variants and flags that the CLI no longer offers.
+  for (const char* flags : {"-e itp-part", "-e itpseq-cba-pba",
+                            "-e sitpseq --dynamic", "-e itpseq --fraig"})
     EXPECT_EQ(run(mc + flags + " " + fail_aag_), 2) << flags;
 }
 

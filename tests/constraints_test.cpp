@@ -89,20 +89,15 @@ TEST_P(ConstraintEngineTest, AllEnginesPassBlockedDesigns) {
         return mc::check_itpseq(g, 0, opts);
       case 2:
         return mc::check_sitpseq(g, 0, opts);
-      case 3:
+      default:
         return mc::check_itpseq_cba(g, 0, opts);
-      default: {
-        mc::EngineOptions po = opts;
-        po.itp_partitioned = true;
-        return mc::check_itp(g, 0, po);
-      }
     }
   };
   EXPECT_EQ(run(blocked_queue(4)).verdict, mc::Verdict::kPass);
   EXPECT_EQ(run(blocked_counter()).verdict, mc::Verdict::kPass);
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, ConstraintEngineTest, ::testing::Range(0, 5));
+INSTANTIATE_TEST_SUITE_P(Engines, ConstraintEngineTest, ::testing::Range(0, 4));
 
 TEST(Constraints, BmcCannotFailBlockedDesign) {
   mc::EngineOptions opts;
@@ -131,8 +126,7 @@ TEST(Constraints, ConstrainedFailStillFound) {
 }
 
 TEST(Constraints, NewEnginesRespectConstraints) {
-  // PBA / CBA+PBA and the option variants (interpolation system, fraig)
-  // must all PASS the constraint-blocked designs and keep failing the
+  // PBA and the interpolation-system option must PASS the constraint-blocked designs and keep failing the
   // genuinely broken one.
   aig::Aig pass1 = blocked_queue(4);
   aig::Aig pass2 = blocked_counter();
@@ -140,11 +134,8 @@ TEST(Constraints, NewEnginesRespectConstraints) {
   opts.time_limit_sec = 15.0;
   for (auto* g : {&pass1, &pass2}) {
     EXPECT_EQ(mc::check_itpseq_pba(*g, 0, opts).verdict, mc::Verdict::kPass);
-    EXPECT_EQ(mc::check_itpseq_cba_pba(*g, 0, opts).verdict,
-              mc::Verdict::kPass);
     mc::EngineOptions v = opts;
     v.itp_system = itp::System::kPudlak;
-    v.fraig_interpolants = true;
     EXPECT_EQ(mc::check_itpseq(*g, 0, v).verdict, mc::Verdict::kPass);
   }
   // Constraint present but not blocking: still FAIL at the right depth.

@@ -68,11 +68,8 @@ TEST_P(BddVsSatTest, RandomCircuitsAgree) {
     const char* name;
     mc::EngineResult r;
   };
-  mc::EngineOptions part = opts;
-  part.itp_partitioned = true;
   Named results[] = {
       {"itp", mc::check_itp(g, 0, opts)},
-      {"itp-part", mc::check_itp(g, 0, part)},
       {"itpseq", mc::check_itpseq(g, 0, opts)},
       {"sitpseq", mc::check_sitpseq(g, 0, opts)},
       {"cba", mc::check_itpseq_cba(g, 0, opts)},

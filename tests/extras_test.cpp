@@ -9,7 +9,6 @@
 #include "bench_circuits/generators.hpp"
 #include "itp/interpolate.hpp"
 #include "itp/validate.hpp"
-#include "mc/itpseq_verif.hpp"
 #include "mc/portfolio.hpp"
 #include "mc/sim.hpp"
 #include "sat/dimacs.hpp"
@@ -256,52 +255,11 @@ TEST(Portfolio, RespectsBudget) {
 TEST(Portfolio, CustomMemberList) {
   mc::PortfolioOptions opts;
   opts.time_limit_sec = 20.0;
-  opts.members = {mc::PortfolioMember::kBmc, mc::PortfolioMember::kItpPartitioned};
+  opts.members = {mc::PortfolioMember::kBmc, mc::PortfolioMember::kKInduction};
   aig::Aig g = bench::counter(4, 11, 13);
   mc::EngineResult r = mc::check_portfolio(g, 0, opts);
   EXPECT_EQ(r.verdict, mc::Verdict::kPass);
-  EXPECT_NE(r.engine.find("ITP-PART"), std::string::npos);
-}
-
-// --- partitioned / dynamic engine modes ----------------------------------------
-
-TEST(EngineModes, PartitionedItpSoundOnSuiteSamples) {
-  mc::EngineOptions opts;
-  opts.time_limit_sec = 20.0;
-  opts.itp_partitioned = true;
-  for (bool fail : {false, true}) {
-    aig::Aig g = bench::token_ring(8, fail);
-    mc::EngineResult r = mc::check_itp(g, 0, opts);
-    ASSERT_NE(r.verdict, mc::Verdict::kUnknown);
-    EXPECT_EQ(r.verdict, fail ? mc::Verdict::kFail : mc::Verdict::kPass);
-    if (fail) {
-      EXPECT_TRUE(mc::trace_is_cex(g, r.cex, 0));
-      EXPECT_EQ(r.cex.depth(), 7u);
-    }
-    EXPECT_EQ(r.engine, "ITP-PART");
-  }
-}
-
-TEST(EngineModes, PartitionedWithExactScheme) {
-  mc::EngineOptions opts;
-  opts.time_limit_sec = 20.0;
-  opts.itp_partitioned = true;
-  opts.scheme = cnf::TargetScheme::kExact;
-  aig::Aig g = bench::counter(4, 11, 13);
-  EXPECT_EQ(mc::check_itp(g, 0, opts).verdict, mc::Verdict::kPass);
-}
-
-TEST(EngineModes, DynamicSerialization) {
-  mc::EngineOptions opts;
-  opts.time_limit_sec = 20.0;
-  opts.serial_dynamic = true;
-  opts.serial_size_limit = 50;
-  for (bool fail : {false, true}) {
-    aig::Aig g = bench::token_ring(10, fail);
-    mc::EngineResult r = mc::ItpSeqEngine(g, 0, opts).run();
-    EXPECT_EQ(r.verdict, fail ? mc::Verdict::kFail : mc::Verdict::kPass);
-    EXPECT_EQ(r.engine, "SITPSEQ-DYN");
-  }
+  EXPECT_NE(r.engine.find("KIND"), std::string::npos);
 }
 
 }  // namespace

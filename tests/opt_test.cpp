@@ -9,8 +9,6 @@
 #include <random>
 
 #include "aig/aig.hpp"
-#include "bench_circuits/generators.hpp"
-#include "mc/engine.hpp"
 #include "opt/fraig.hpp"
 #include "opt/simulate.hpp"
 
@@ -230,46 +228,6 @@ TEST(Fraig, EquivalentHelper) {
   EXPECT_TRUE(opt::equivalent(g, deMorgan, g.make_or(a, b)).value());
   EXPECT_TRUE(opt::equivalent(g, aig::kTrue, aig::kTrue).value());
   EXPECT_FALSE(opt::equivalent(g, aig::kTrue, aig::kFalse).value());
-}
-
-// --- engine integration ------------------------------------------------------
-
-TEST(FraigEngine, InterpolantSweepingPreservesVerdicts) {
-  struct Case {
-    aig::Aig model;
-    mc::Verdict expected;
-  };
-  Case cases[] = {
-      {bench::counter(4, 12, 14), mc::Verdict::kPass},
-      {bench::counter(4, 12, 7), mc::Verdict::kFail},
-      {bench::token_ring(6, false), mc::Verdict::kPass},
-      {bench::queue(5, true), mc::Verdict::kPass},
-      {bench::feistel_mixer(6, 6, 3), mc::Verdict::kPass},
-  };
-  for (const Case& c : cases) {
-    mc::EngineOptions opts;
-    opts.time_limit_sec = 30.0;
-    opts.fraig_interpolants = true;
-    mc::EngineResult r = mc::check_itpseq(c.model, 0, opts);
-    EXPECT_EQ(r.verdict, c.expected);
-    mc::EngineResult rs = mc::check_sitpseq(c.model, 0, opts);
-    EXPECT_EQ(rs.verdict, c.expected);
-  }
-}
-
-TEST(FraigEngine, SweepingShrinksInterpolants) {
-  // On a design with redundant interpolants the swept run must report
-  // max_itp_nodes no larger than the plain run (same extraction order).
-  aig::Aig g = bench::feistel_mixer(8, 8, 5);
-  mc::EngineOptions plain;
-  plain.time_limit_sec = 30.0;
-  mc::EngineOptions swept = plain;
-  swept.fraig_interpolants = true;
-  mc::EngineResult rp = mc::check_itpseq(g, 0, plain);
-  mc::EngineResult rs = mc::check_itpseq(g, 0, swept);
-  ASSERT_EQ(rp.verdict, mc::Verdict::kPass);
-  ASSERT_EQ(rs.verdict, mc::Verdict::kPass);
-  EXPECT_LE(rs.stats.max_itp_nodes, rp.stats.max_itp_nodes);
 }
 
 }  // namespace

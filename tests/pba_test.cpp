@@ -1,5 +1,4 @@
-// pba_test.cpp — proof-based abstraction (ITPSEQPBA) and the CBA+PBA
-// alternation (ITPSEQCBAPBA).
+// pba_test.cpp — proof-based abstraction (ITPSEQPBA).
 //
 // Soundness is checked two ways: against BDD reachability ground truth on
 // random circuits, and against the analytically-known verdicts of the
@@ -61,23 +60,14 @@ TEST_P(PbaVsBddTest, RandomCircuitsAgree) {
   opts.time_limit_sec = 15.0;
   opts.max_bound = 120;
 
-  struct Named {
-    const char* name;
-    mc::EngineResult r;
-  };
-  Named results[] = {
-      {"pba", mc::check_itpseq_pba(g, 0, opts)},
-      {"cba+pba", mc::check_itpseq_cba_pba(g, 0, opts)},
-  };
-  for (const Named& n : results) {
-    if (n.r.verdict == mc::Verdict::kUnknown) continue;
-    if (truth.verdict == bdd::ReachVerdict::kPass) {
-      EXPECT_EQ(n.r.verdict, mc::Verdict::kPass) << n.name;
-    } else {
-      ASSERT_EQ(n.r.verdict, mc::Verdict::kFail) << n.name;
-      EXPECT_TRUE(mc::trace_is_cex(g, n.r.cex, 0)) << n.name;
-      EXPECT_EQ(n.r.cex.depth(), truth.depth) << n.name << ": not shallowest";
-    }
+  mc::EngineResult r = mc::check_itpseq_pba(g, 0, opts);
+  if (r.verdict == mc::Verdict::kUnknown) return;
+  if (truth.verdict == bdd::ReachVerdict::kPass) {
+    EXPECT_EQ(r.verdict, mc::Verdict::kPass);
+  } else {
+    ASSERT_EQ(r.verdict, mc::Verdict::kFail);
+    EXPECT_TRUE(mc::trace_is_cex(g, r.cex, 0));
+    EXPECT_EQ(r.cex.depth(), truth.depth) << "not shallowest";
   }
 }
 
@@ -101,23 +91,6 @@ TEST(Pba, SuiteVerdictsMatchExpected) {
     ++solved;
   }
   EXPECT_GE(solved, 20u);  // the engine must actually solve the small suite
-}
-
-TEST(Pba, CbaPbaSuiteVerdictsMatchExpected) {
-  mc::EngineOptions opts;
-  opts.time_limit_sec = 10.0;
-  unsigned solved = 0;
-  for (auto& inst : bench::make_academic_suite(24)) {
-    if (inst.expected == bench::Expected::kOpen) continue;
-    mc::EngineResult r = mc::check_itpseq_cba_pba(inst.model, 0, opts);
-    if (r.verdict == mc::Verdict::kUnknown) continue;
-    mc::Verdict want = inst.expected == bench::Expected::kPass
-                           ? mc::Verdict::kPass
-                           : mc::Verdict::kFail;
-    EXPECT_EQ(r.verdict, want) << inst.name;
-    ++solved;
-  }
-  EXPECT_GE(solved, 20u);
 }
 
 TEST(Pba, AbstractsAwayIrrelevantLatches) {
@@ -161,12 +134,9 @@ TEST(Pba, ShrinkNeverDropsPropertySupport) {
   aig::Aig g = bench::counter(4, 12, 7);  // FAILs at depth 7
   mc::EngineOptions opts;
   opts.time_limit_sec = 30.0;
-  mc::EngineResult r = mc::check_itpseq_cba_pba(g, 0, opts);
+  mc::EngineResult r = mc::check_itpseq_pba(g, 0, opts);
   ASSERT_EQ(r.verdict, mc::Verdict::kFail);
   EXPECT_EQ(r.cex.depth(), 7u);
-  mc::EngineResult r2 = mc::check_itpseq_pba(g, 0, opts);
-  ASSERT_EQ(r2.verdict, mc::Verdict::kFail);
-  EXPECT_EQ(r2.cex.depth(), 7u);
 }
 
 TEST(Pba, EngineNamesReflectMode) {
@@ -175,17 +145,13 @@ TEST(Pba, EngineNamesReflectMode) {
   opts.time_limit_sec = 5.0;
   EXPECT_EQ(mc::ItpSeqEngine(g, 0, opts, mc::AbstractionMode::kPba).run().engine,
             "ITPSEQPBA");
-  EXPECT_EQ(
-      mc::ItpSeqEngine(g, 0, opts, mc::AbstractionMode::kCbaPba).run().engine,
-      "ITPSEQCBAPBA");
   EXPECT_STREQ(to_string(mc::AbstractionMode::kNone), "none");
   EXPECT_STREQ(to_string(mc::AbstractionMode::kCba), "cba");
   EXPECT_STREQ(to_string(mc::AbstractionMode::kPba), "pba");
-  EXPECT_STREQ(to_string(mc::AbstractionMode::kCbaPba), "cba+pba");
 }
 
 TEST(Pba, WorksWithEverySequenceVariant) {
-  // PBA composes with serial / dynamic sequence construction.
+  // PBA composes with parallel, serial and fully serial construction.
   aig::Aig g = bench::token_ring(5, false);
   for (double alpha : {0.0, 0.5, 1.0}) {
     mc::EngineOptions opts;
@@ -195,12 +161,6 @@ TEST(Pba, WorksWithEverySequenceVariant) {
         mc::ItpSeqEngine(g, 0, opts, mc::AbstractionMode::kPba).run();
     EXPECT_EQ(r.verdict, mc::Verdict::kPass) << "alpha=" << alpha;
   }
-  mc::EngineOptions dyn;
-  dyn.time_limit_sec = 15.0;
-  dyn.serial_dynamic = true;
-  mc::EngineResult r =
-      mc::ItpSeqEngine(g, 0, dyn, mc::AbstractionMode::kPba).run();
-  EXPECT_EQ(r.verdict, mc::Verdict::kPass);
 }
 
 TEST(Pba, WorksWithEveryInterpolationSystem) {

@@ -1,10 +1,12 @@
 // itpseq-mc — command-line model checker.
 //
 // The deployable front door to the library: reads a sequential circuit in
-// AIGER (.aig/.aag) or BLIF (.blif) format, runs one of the paper's
-// engines (or the portfolio), and reports PASS / FAIL / UNKNOWN together
-// with the depth measures of Table I.  Counterexamples can be minimized,
-// validated by replay, and written as AIGER witnesses.
+// AIGER (.aig/.aag) or BLIF (.blif) format, runs one engine, and reports
+// PASS / FAIL / UNKNOWN together with the depth measures of Table I.  The
+// engines are the paper's four (itp, itpseq, sitpseq, itpseq-cba), proof-
+// based abstraction (itpseq-pba), the reference engines (pdr, bmc, kind,
+// bdd) and the portfolio.  Counterexamples can be minimized, validated by
+// replay, and written as AIGER witnesses.
 //
 // Exit-code contract (stable; scripts may rely on it):
 //    0  verdict reached: property holds (PASS)
@@ -54,9 +56,9 @@ void usage(const char* argv0) {
                "FILE                circuit in AIGER (.aig/.aag) or BLIF format\n"
                "\n"
                "options:\n"
-               "  -e, --engine E    itp | itp-part | itpseq | sitpseq |\n"
-               "                    itpseq-cba | itpseq-pba | itpseq-cba-pba |\n"
-               "                    pdr | bmc | kind | bdd | portfolio\n"
+               "  -e, --engine E    itp | itpseq | sitpseq | itpseq-cba |\n"
+               "                    itpseq-pba | pdr | bmc | kind | bdd |\n"
+               "                    portfolio\n"
                "                    (default sitpseq)\n"
                "  -p, --property N  bad-output index to check (default 0)\n"
                "  -t, --timeout S   wall-clock budget in seconds (default 60)\n"
@@ -78,8 +80,6 @@ void usage(const char* argv0) {
                "      --scheme S    exact | assume   BMC target scheme (default assume)\n"
                "      --itp-system S mcmillan | pudlak | inverse  (default mcmillan)\n"
                "      --alpha A     serial fraction for sitpseq (default 0.5)\n"
-               "      --dynamic     dynamic serialization (overrides --alpha)\n"
-               "      --fraig       SAT-sweep interpolants before storing them\n"
                "      --sat-inprocess[=on|off]\n"
                "                    in-solver inprocessing (subsumption, var\n"
                "                    elimination, vivification, probing) for\n"
@@ -238,9 +238,8 @@ bool parse_args(int argc, char** argv, Args& a) {
       // Keep in sync with dispatch(): an unknown engine is a usage error
       // (exit 2), not an engine failure discovered after the model loads.
       static const char* const kEngines[] = {
-          "itp",  "itp-part",       "itpseq", "sitpseq", "itpseq-cba",
-          "itpseq-pba", "itpseq-cba-pba", "pdr",    "bmc",     "kind",
-          "portfolio",  "bdd"};
+          "itp", "itpseq", "sitpseq", "itpseq-cba", "itpseq-pba",
+          "pdr", "bmc",    "kind",    "portfolio",  "bdd"};
       bool known = false;
       for (const char* name : kEngines)
         if (!std::strcmp(v, name)) known = true;
@@ -291,10 +290,6 @@ bool parse_args(int argc, char** argv, Args& a) {
     } else if (s == "--alpha") {
       if (!(v = need(i))) return false;
       a.opts.serial_alpha = std::stod(v);
-    } else if (s == "--dynamic") {
-      a.opts.serial_dynamic = true;
-    } else if (s == "--fraig") {
-      a.opts.fraig_interpolants = true;
     } else if (s == "--pdr-lift" || s == "--pdr-lift=on") {
       a.opts.pdr_lift = true;
     } else if (s == "--pdr-lift=off" || s == "--no-pdr-lift") {
@@ -387,16 +382,10 @@ mc::EngineResult dispatch(const Args& a, const aig::Aig& g) {
   o.max_bound = a.max_bound;
   const std::string& e = a.engine;
   if (e == "itp") return mc::check_itp(g, a.property, o);
-  if (e == "itp-part") {
-    o.itp_partitioned = true;
-    return mc::check_itp(g, a.property, o);
-  }
   if (e == "itpseq") return mc::check_itpseq(g, a.property, o);
   if (e == "sitpseq") return mc::check_sitpseq(g, a.property, o);
   if (e == "itpseq-cba") return mc::check_itpseq_cba(g, a.property, o);
   if (e == "itpseq-pba") return mc::check_itpseq_pba(g, a.property, o);
-  if (e == "itpseq-cba-pba")
-    return mc::check_itpseq_cba_pba(g, a.property, o);
   if (e == "pdr") return mc::check_pdr(g, a.property, o);
   if (e == "bmc") return mc::check_bmc(g, a.property, o);
   if (e == "kind") return mc::check_kinduction(g, a.property, o);
