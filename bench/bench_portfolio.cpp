@@ -6,7 +6,8 @@
 // to watch is the "vs best" column — the threaded portfolio should track
 // the best single member per instance (small scheduling overhead aside)
 // instead of paying for running members one after another, while the
-// exchange columns count the lemmas that crossed engine boundaries.
+// exchange columns count the lemmas that crossed engine boundaries.  Every
+// run's verdict is checked (bench/verdict_check.hpp).
 //
 // Usage: bench_portfolio [per_instance_seconds] [family_filter]
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "bench_circuits/suite.hpp"
 #include "mc/portfolio.hpp"
 #include "obs/trace.hpp"
+#include "verdict_check.hpp"
 
 using namespace itpseq;
 
@@ -55,6 +57,7 @@ int main(int argc, char** argv) {
       po.exchange = false;
       po.time_limit_sec = limit;
       mc::EngineResult r = mc::check_portfolio(inst.model, 0, po);
+      bench::check_verdict(inst, r);
       singles[i] = r.seconds;
       if (r.verdict != mc::Verdict::kUnknown &&
           (best < 0 || r.seconds < best))
@@ -66,10 +69,12 @@ int main(int argc, char** argv) {
     po.members = members;
     po.time_limit_sec = limit;
     mc::EngineResult threaded = mc::check_portfolio(inst.model, 0, po);
+    bench::check_verdict(inst, threaded);
 
     mc::PortfolioOptions one = po;
     one.jobs = 1;
     mc::EngineResult single = mc::check_portfolio(inst.model, 0, one);
+    bench::check_verdict(inst, single);
 
     // Allowance: 25% scheduling overhead on top of the best single member,
     // scaled by core contention — with fewer cores than members the racing

@@ -4,7 +4,8 @@
 // threaded portfolio (all engines racing + lemma exchange) as the closer.
 // A SAT-core footer totals the solver-side work per engine: propagations
 // (and the share served by the inline binary watchers), conflicts, arena
-// GC runs and bytes reclaimed.
+// GC runs and bytes reclaimed.  Every run's verdict is checked
+// (bench/verdict_check.hpp): a wrong one stops the shootout.
 //
 // Usage: engine_shootout [per_instance_seconds] [family_filter]
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include "mc/engine.hpp"
 #include "mc/portfolio.hpp"
 #include "obs/trace.hpp"
+#include "verdict_check.hpp"
 
 using namespace itpseq;
 
@@ -64,6 +66,8 @@ int main(int argc, char** argv) {
     mc::EngineResult d = mc::check_itpseq_cba(inst.model, 0, opts);
     mc::EngineResult p = mc::check_pdr(inst.model, 0, opts);
     mc::EngineResult pf = mc::check_portfolio(inst.model, 0, popts);
+    for (const mc::EngineResult* r : {&bm, &a, &b, &c, &d, &p, &pf})
+      bench::check_verdict(inst, *r);
     totals[0] += bm.stats;
     totals[1] += a.stats;
     totals[2] += b.stats;

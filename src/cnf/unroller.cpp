@@ -74,13 +74,17 @@ sat::Lit Unroller::input_lit(std::size_t i, unsigned t, std::uint32_t label) {
   return lit(model_.input(i), t, label);
 }
 
-void Unroller::assert_init(std::uint32_t label) {
+void Unroller::assert_init(std::uint32_t label, sat::Lit guard) {
   for (std::size_t i = 0; i < model_.num_latches(); ++i) {
     if (!latch_visible(i)) continue;
     aig::LatchInit init = model_.latch_init(i);
     if (init == aig::LatchInit::kUndef) continue;  // free at reset
     sat::Lit l = latch_lit(i, 0, label);
-    solver_.add_clause({init == aig::LatchInit::kOne ? l : sat::neg(l)}, label);
+    if (init != aig::LatchInit::kOne) l = sat::neg(l);
+    if (guard == sat::kNoLit)
+      solver_.add_clause({l}, label);
+    else
+      solver_.add_clause({sat::neg(guard), l}, label);
   }
 }
 
@@ -113,14 +117,24 @@ void Unroller::add_transition(unsigned t, std::uint32_t label) {
   frames_.push_back(std::move(next));
 }
 
-void Unroller::assert_constraints(unsigned t, std::uint32_t label) {
+void Unroller::assert_constraints(unsigned t, std::uint32_t label,
+                                  sat::Lit guard) {
   for (std::size_t i = 0; i < model_.num_constraints(); ++i) {
     aig::Lit c = model_.constraint(i);
     if (aig::lit_var(c) == 0) {
-      if (c == aig::kFalse) solver_.add_clause({}, label);  // unsatisfiable
+      if (c != aig::kFalse) continue;
+      // Unsatisfiable: the empty clause, or ~guard.
+      if (guard == sat::kNoLit)
+        solver_.add_clause({}, label);
+      else
+        solver_.add_clause({sat::neg(guard)}, label);
       continue;
     }
-    solver_.add_clause({lit(c, t, label)}, label);
+    sat::Lit l = lit(c, t, label);
+    if (guard == sat::kNoLit)
+      solver_.add_clause({l}, label);
+    else
+      solver_.add_clause({sat::neg(guard), l}, label);
   }
 }
 

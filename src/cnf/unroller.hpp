@@ -71,8 +71,9 @@ class Unroller {
   sat::Lit input_lit(std::size_t i, unsigned t, std::uint32_t label);
 
   /// Assert the reset state at frame 0 (unit clause per initialized,
-  /// visible latch) with partition `label`.
-  void assert_init(std::uint32_t label);
+  /// visible latch) with partition `label`.  With a `guard` literal every
+  /// clause gets ~guard, so the clauses hold only while guard is assumed.
+  void assert_init(std::uint32_t label, sat::Lit guard = sat::kNoLit);
 
   /// Extend the unrolling with transition t -> t+1: encodes every visible
   /// latch's next-state cone at frame t (label) and aliases frame-(t+1)
@@ -88,7 +89,9 @@ class Unroller {
 
   /// Assert every invariant constraint of the model at frame t (AIGER 1.9
   /// "C" section semantics: constraints hold in every frame of a trace).
-  void assert_constraints(unsigned t, std::uint32_t label);
+  /// `guard` as for assert_init.
+  void assert_constraints(unsigned t, std::uint32_t label,
+                          sat::Lit guard = sat::kNoLit);
 
   /// Assert the BMC target for bound k with the given scheme.  Target
   /// clauses get partition `label` (gate cones per-frame get labels from

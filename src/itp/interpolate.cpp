@@ -16,38 +16,63 @@ const char* to_string(System s) {
 }
 
 InterpolantExtractor::InterpolantExtractor(const sat::Proof& proof)
+    : InterpolantExtractor(proof, proof.final_id()) {}
+
+InterpolantExtractor::InterpolantExtractor(const sat::Proof& proof,
+                                           sat::ClauseId final)
     : proof_(proof) {
   ITPSEQ_FAULT_POINT("itp.extract");
-  if (!proof.complete())
+  if (final == sat::kNoClauseId)
     throw std::invalid_argument("InterpolantExtractor: proof incomplete");
-  core_ = proof.core();
+  core_ = proof.core(final);
   // Classify variables by the labels of core original clauses they occur in.
   for (sat::ClauseId id : core_) {
     if (!proof_.is_original(id)) continue;
-    std::uint32_t label = proof_.label(id);
+    const std::uint32_t label = proof_.label(id);
     for (sat::Lit l : proof_.literals(id)) {
-      sat::Var v = sat::var(l);
-      if (v >= min_label_.size()) {
-        min_label_.resize(v + 1, kUnset);
-        max_label_.resize(v + 1, 0);
+      Range& r = range_[sat::var(l)];
+      if (r.min == kUnset || label < r.min) r.min = label;
+      if (r.max == 0 || label > r.max) r.max = label;
+    }
+  }
+  // Flatten the core once, antecedents as core positions and every variable
+  // with its range, so each cut walks arrays of the core's size only.
+  auto range_of = [&](sat::Var v) {
+    auto it = range_.find(v);
+    return it == range_.end() ? Range{} : it->second;
+  };
+  part_.reserve(core_.size());
+  for (sat::ClauseId id : core_) {
+    if (proof_.is_original(id)) {
+      const auto begin = static_cast<std::uint32_t>(leaves_.size());
+      for (sat::Lit l : proof_.literals(id))
+        leaves_.push_back(Leaf{l, range_of(sat::var(l))});
+      part_.emplace_back(begin, static_cast<std::uint32_t>(leaves_.size()));
+    } else {
+      const auto begin = static_cast<std::uint32_t>(steps_.size());
+      const sat::ChainView ch = proof_.chain(id);
+      for (std::size_t s = 0; s < ch.chain.size(); ++s) {
+        const sat::Var pivot = s == 0 ? sat::kNoVar : ch.pivots[s - 1];
+        steps_.push_back(Step{proof_.core_position(ch.chain[s]), pivot,
+                              s == 0 ? Range{} : range_of(pivot)});
       }
-      if (min_label_[v] == kUnset || label < min_label_[v]) min_label_[v] = label;
-      if (max_label_[v] == 0 || label > max_label_[v]) max_label_[v] = label;
+      part_.emplace_back(begin, static_cast<std::uint32_t>(steps_.size()));
     }
   }
 }
 
 bool InterpolantExtractor::var_range(sat::Var v, std::uint32_t& min_label,
                                      std::uint32_t& max_label) const {
-  if (v >= min_label_.size() || min_label_[v] == kUnset) return false;
-  min_label = min_label_[v];
-  max_label = max_label_[v];
+  auto it = range_.find(v);
+  if (it == range_.end()) return false;
+  min_label = it->second.min;
+  max_label = it->second.max;
   return true;
 }
 
 bool InterpolantExtractor::shared_at(sat::Var v, std::uint32_t cut) const {
-  if (v >= min_label_.size() || min_label_[v] == kUnset) return false;
-  return min_label_[v] <= cut && max_label_[v] > cut;
+  auto it = range_.find(v);
+  return it != range_.end() && it->second.shared_at(cut);
 }
 
 aig::Lit InterpolantExtractor::extract(aig::Aig& out, std::uint32_t cut,
@@ -58,45 +83,49 @@ aig::Lit InterpolantExtractor::extract(aig::Aig& out, std::uint32_t cut,
       throw std::logic_error("interpolation: unmapped shared variable");
     return al;
   };
-  std::vector<aig::Lit> val(proof_.size(), aig::kNullLit);
-  for (sat::ClauseId id : core_) {
+  std::vector<aig::Lit> val(core_.size(), aig::kNullLit);  // by core position
+  for (std::size_t i = 0; i < core_.size(); ++i) {
+    const sat::ClauseId id = core_[i];
+    const auto [begin, end] = part_[i];
     if (proof_.is_original(id)) {
       if (proof_.label(id) <= cut) {
         // A-leaf.
         if (sys == System::kMcMillan) {
           std::vector<aig::Lit> disj;  // OR of shared literals
-          for (sat::Lit l : proof_.literals(id)) {
-            sat::Var v = sat::var(l);
-            if (!shared_at(v, cut)) continue;
-            disj.push_back(aig::lit_xor(mapped_leaf(v), sat::sign(l)));
+          for (std::uint32_t e = begin; e < end; ++e) {
+            const Leaf& lf = leaves_[e];
+            if (!lf.range.shared_at(cut)) continue;
+            disj.push_back(
+                aig::lit_xor(mapped_leaf(sat::var(lf.lit)), sat::sign(lf.lit)));
           }
-          val[id] = out.make_or_many(disj);
+          val[i] = out.make_or_many(disj);
         } else {
-          val[id] = aig::kFalse;  // Pudlak, inverse McMillan
+          val[i] = aig::kFalse;  // Pudlak, inverse McMillan
         }
       } else {
         // B-leaf.
         if (sys == System::kInverseMcMillan) {
           std::vector<aig::Lit> conj;  // AND of negated shared literals
-          for (sat::Lit l : proof_.literals(id)) {
-            sat::Var v = sat::var(l);
-            if (!shared_at(v, cut)) continue;
-            conj.push_back(aig::lit_xor(mapped_leaf(v), !sat::sign(l)));
+          for (std::uint32_t e = begin; e < end; ++e) {
+            const Leaf& lf = leaves_[e];
+            if (!lf.range.shared_at(cut)) continue;
+            conj.push_back(
+                aig::lit_xor(mapped_leaf(sat::var(lf.lit)), !sat::sign(lf.lit)));
           }
-          val[id] = out.make_and_many(conj);
+          val[i] = out.make_and_many(conj);
         } else {
-          val[id] = aig::kTrue;  // McMillan, Pudlak
+          val[i] = aig::kTrue;  // McMillan, Pudlak
         }
       }
     } else {
-      const sat::ResolutionChain& ch = proof_.chain(id);
-      aig::Lit acc = val[ch.chain[0]];
-      for (std::size_t s = 0; s + 1 < ch.chain.size(); ++s) {
-        sat::Var pivot = ch.pivots[s];
-        aig::Lit rhs = val[ch.chain[s + 1]];
-        bool in_core = pivot < max_label_.size() && min_label_[pivot] != kUnset;
-        bool in_b = in_core && max_label_[pivot] > cut;
-        bool in_a = !in_core || min_label_[pivot] <= cut;
+      aig::Lit acc = val[steps_[begin].ante];
+      for (std::uint32_t e = begin + 1; e < end; ++e) {
+        const Step& st = steps_[e];
+        const sat::Var pivot = st.pivot;
+        aig::Lit rhs = val[st.ante];
+        bool in_core = st.range.min != kUnset;
+        bool in_b = in_core && st.range.max > cut;
+        bool in_a = !in_core || st.range.min <= cut;
         switch (sys) {
           case System::kMcMillan:
             // A-local => OR; shared or B-local => AND.
@@ -111,7 +140,7 @@ aig::Lit InterpolantExtractor::extract(aig::Aig& out, std::uint32_t cut,
               // Shared: mux on the pivot, (v OR Ip) AND (NOT v OR In) with
               // Ip from the antecedent containing the positive pivot.
               bool rhs_positive = false;
-              for (sat::Lit l : proof_.literals(ch.chain[s + 1]))
+              for (sat::Lit l : proof_.literals(core_[st.ante]))
                 if (sat::var(l) == pivot) {
                   rhs_positive = !sat::sign(l);
                   break;
@@ -130,10 +159,10 @@ aig::Lit InterpolantExtractor::extract(aig::Aig& out, std::uint32_t cut,
             break;
         }
       }
-      val[id] = acc;
+      val[i] = acc;
     }
   }
-  return val[proof_.final_id()];
+  return val.back();  // the final is last in topological order
 }
 
 std::vector<aig::Lit> InterpolantExtractor::extract_sequence(

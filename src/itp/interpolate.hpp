@@ -36,6 +36,8 @@
 #pragma once
 
 #include <functional>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -56,8 +58,12 @@ const char* to_string(System s);
 
 class InterpolantExtractor {
  public:
-  /// `proof` must be complete (refutation ended).  The extractor keeps a
-  /// reference; the proof must outlive it.
+  /// Extract from the refutation that ends in `final` (one refuted query of
+  /// a possibly long-lived proof log).  The extractor keeps a reference; the
+  /// proof must outlive it.  Construction and every extraction cost
+  /// O(core), never O(proof).
+  InterpolantExtractor(const sat::Proof& proof, sat::ClauseId final);
+  /// The latest refutation (`proof` must be complete).
   explicit InterpolantExtractor(const sat::Proof& proof);
 
   /// Smallest / largest partition label of an original core clause in which
@@ -86,11 +92,37 @@ class InterpolantExtractor {
   std::size_t core_size() const { return core_.size(); }
 
  private:
-  const sat::Proof& proof_;
-  std::vector<sat::ClauseId> core_;           // topo order
-  std::vector<std::uint32_t> min_label_;      // per var; kUnset if absent
-  std::vector<std::uint32_t> max_label_;
+  /// Labels of the core originals a variable occurs in; min == kUnset when
+  /// it occurs in none.
+  struct Range {
+    std::uint32_t min = kUnset;
+    std::uint32_t max = 0;
+    bool shared_at(std::uint32_t cut) const {
+      return min != kUnset && min <= cut && max > cut;
+    }
+  };
+  /// A core original's literal, with its variable's range.
+  struct Leaf {
+    sat::Lit lit;
+    Range range;
+  };
+  /// One antecedent of a learned core clause's chain: its core position and,
+  /// after the first, the pivot it is resolved on.
+  struct Step {
+    std::uint32_t ante;
+    sat::Var pivot;
+    Range range;
+  };
   static constexpr std::uint32_t kUnset = 0xffffffffu;
+
+  const sat::Proof& proof_;
+  std::vector<sat::ClauseId> core_;  // topo order; val/part index it by position
+  // Per core position: its Leafs (original) or Steps (learned) are
+  // [part_[i].first, part_[i].second) of leaves_ or steps_.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> part_;
+  std::vector<Leaf> leaves_;
+  std::vector<Step> steps_;
+  std::unordered_map<sat::Var, Range> range_;  // every variable of a core original
 };
 
 }  // namespace itpseq::itp

@@ -168,26 +168,39 @@ Certificate Engine::make_certificate(aig::Lit r) const {
   return Certificate{std::move(c.graph), c.roots[0]};
 }
 
-void Engine::absorb_stats(EngineResult& out, const sat::Solver& solver) const {
+void Engine::absorb_stats(EngineResult& out, const sat::Solver& solver,
+                          const sat::SolverStats& since) const {
   ++out.stats.sat_calls;
   const sat::SolverStats& s = solver.stats();
-  out.stats.sat_conflicts += s.conflicts;
-  out.stats.sat_propagations += s.propagations;
-  out.stats.sat_bin_propagations += s.bin_propagations;
-  out.stats.sat_gc_runs += s.gc_runs;
-  out.stats.sat_arena_reclaimed += s.wasted_bytes_reclaimed;
+  out.stats.sat_conflicts += s.conflicts - since.conflicts;
+  out.stats.sat_propagations += s.propagations - since.propagations;
+  out.stats.sat_bin_propagations += s.bin_propagations - since.bin_propagations;
+  out.stats.sat_gc_runs += s.gc_runs - since.gc_runs;
+  out.stats.sat_arena_reclaimed +=
+      s.wasted_bytes_reclaimed - since.wasted_bytes_reclaimed;
   out.stats.sat_arena_peak = std::max<std::size_t>(
       out.stats.sat_arena_peak, s.peak_arena_bytes);
   for (std::size_t i = 0; i < s.glue_hist.size(); ++i)
-    out.stats.sat_glue_hist[i] += s.glue_hist[i];
-  out.stats.sat_inprocess_rounds += s.inprocess_rounds;
-  out.stats.sat_subsumed += s.subsumed + s.strengthened;
-  out.stats.sat_vars_eliminated += s.vars_eliminated;
-  out.stats.sat_vivified += s.vivified;
-  out.stats.sat_failed_literals += s.failed_literals;
-  out.stats.sat_hyper_binaries += s.hyper_binaries;
-  if (solver.proof_enabled() && solver.proof().complete())
-    out.stats.proof_clauses += solver.proof().core().size();
+    out.stats.sat_glue_hist[i] += s.glue_hist[i] - since.glue_hist[i];
+  out.stats.sat_inprocess_rounds += s.inprocess_rounds - since.inprocess_rounds;
+  out.stats.sat_subsumed +=
+      s.subsumed + s.strengthened - since.subsumed - since.strengthened;
+  out.stats.sat_vars_eliminated += s.vars_eliminated - since.vars_eliminated;
+  out.stats.sat_vivified += s.vivified - since.vivified;
+  out.stats.sat_failed_literals += s.failed_literals - since.failed_literals;
+  out.stats.sat_hyper_binaries += s.hyper_binaries - since.hyper_binaries;
+}
+
+sat::Status Engine::solve_query(ItpSession& s, aig::Lit start, unsigned n,
+                                const std::vector<Lemma>& lemmas,
+                                EngineResult& out) {
+  const sat::SolverStats before = s.solver().stats();
+  const sat::Status st =
+      s.query(space_.graph(), start, n, lemmas, sat_budget());
+  absorb_stats(out, s.solver(), before);
+  if (st == sat::Status::kUnsat)
+    out.stats.proof_clauses += s.proof().core(s.final()).size();
+  return st;
 }
 
 }  // namespace itpseq::mc

@@ -18,6 +18,7 @@
 
 #include "aig/aig.hpp"
 #include "cnf/unroller.hpp"
+#include "mc/itp_session.hpp"
 #include "mc/result.hpp"
 #include "mc/state_space.hpp"
 #include "sat/solver.hpp"
@@ -68,8 +69,17 @@ class Engine {
   Trace extract_trace(const sat::Solver& solver, const cnf::Unroller& unroller,
                       unsigned k) const;
 
-  /// Merge solver statistics into the running result.
-  void absorb_stats(EngineResult& out, const sat::Solver& solver) const;
+  /// Merge the solver's work since `since` (default: since its creation)
+  /// into the running result, as one SAT call.  A long-lived solver passes
+  /// the statistics it had before the query, so each query counts once.
+  void absorb_stats(EngineResult& out, const sat::Solver& solver,
+                    const sat::SolverStats& since = {}) const;
+
+  /// One query on a session (mc/itp_session.hpp) from `start` over the
+  /// state-set graph, within the engine's budget; its work, and on kUnsat
+  /// its refutation's core size, go into `out`.
+  sat::Status solve_query(ItpSession& s, aig::Lit start, unsigned n,
+                          const std::vector<Lemma>& lemmas, EngineResult& out);
 
   /// Build a PASS certificate from a state-set literal of space_.graph()
   /// (see mc/certify.hpp for the conditions the caller guarantees).

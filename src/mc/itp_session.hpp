@@ -1,0 +1,140 @@
+// itp_session.hpp — one proof-logging BMC unrolling, answered query by query.
+//
+// ITP (Fig. 1) and the sequence engines (Figs. 2, 4) ask all of a run's BMC
+// queries over one labelled unrolling: only the start (the initial states,
+// or the previous interpolant or serial term) and the target change.  A
+// long-lived session therefore encodes each frame once, keeps start, target
+// and query-specific clauses behind activation literals, and answers every
+// query with solve_assuming.  Each UNSAT answer has its own refutation in
+// the one proof log (sat/proof.hpp), ending at final(); interpolants are
+// extracted from that refutation.
+//
+// Partition labels are fixed per frame, so they never depend on the query:
+//   kSequence  frame t's logic (transition t -> t+1, constraints, lemma
+//              clauses, the assume-k "good" clause) is partition t+1; the
+//              start is partition 1 and the target bad(V^n) of a length-n
+//              query partition n+1;
+//   kStandard  frame 0's logic and the start are partition 1; every later
+//              frame and the bound-n target (bad at some frame 1..n) are
+//              partition 2.
+// Each activation literal carries the label of the clauses it guards, so it
+// is local to one partition and never shared across a cut.
+//
+// A query sees exactly the clauses of its one-shot build, plus learned
+// clauses and clauses that only define fresh variables (frames past a
+// shorter query's target, the Tseitin definitions of earlier starts).  When
+// queries can be shorter than the unrolling (SITPSEQ's serial steps), the
+// constraints, lemma clauses and good clauses of every frame are guarded
+// per frame and assumed only up to the query's target; every target is
+// guarded.  So every SAT/UNSAT answer is the one-shot answer; only the
+// proofs differ.
+//
+// Used activations are retired with a permanent negative unit, so level-0
+// simplification reclaims their clauses: a start that is an interpolant or
+// a term after its query, and, when queries never get shorter, a target
+// once a query of another length comes.  Activation variables and frame
+// latch variables are frozen: they are assumed, they are the interpolation
+// leaves, and they are the inputs of the next frame and of start encodings.
+//
+// A one-query session (CBA and PBA, whose visibility mask changes from
+// query to query) asserts everything directly and calls solve(): exactly
+// the one-shot build.
+#pragma once
+
+#include <cstdint>
+#include <vector>
+
+#include "aig/aig.hpp"
+#include "cnf/unroller.hpp"
+#include "mc/lemma_exchange.hpp"
+#include "mc/result.hpp"
+#include "sat/solver.hpp"
+
+namespace itpseq::mc {
+
+class ItpSession {
+ public:
+  enum class Layout : std::uint8_t { kSequence, kStandard };
+
+  struct Shape {
+    Layout layout = Layout::kSequence;
+    /// Activation literals and solve_assuming; false: exactly one query.
+    bool long_lived = true;
+    /// kSequence: not bad at frames 1..n-1 (the assume-k target).
+    bool assume_k = false;
+    /// A query may be shorter than an earlier one (SITPSEQ serial steps).
+    bool shorter_queries = false;
+  };
+
+  /// Retained-proof cap, in proof clauses.  A session keeps every query's
+  /// refutation, so its proof grows with the run; an engine starts a fresh
+  /// session at its next bound once proof().size() exceeds this.  About 40 MB
+  /// of proof at 40 bytes a clause; the largest session of the enginebench
+  /// workloads (bound 32 academic, bound 16 industrial) stays near 135k.
+  static constexpr std::size_t kProofCap = std::size_t{1} << 20;
+
+  /// `visible` as for cnf::Unroller (empty: the concrete model).
+  ItpSession(const aig::Aig& model, std::size_t prop, const EngineOptions& opts,
+             Shape shape, std::vector<bool> visible = {});
+  ItpSession(const ItpSession&) = delete;
+  ItpSession& operator=(const ItpSession&) = delete;
+
+  /// Solve start(V^0) ∧ (unrolling of length n) ∧ target (see the layouts
+  /// above).  `start`: aig::kNullLit for the initial states, aig::kTrue for
+  /// none, otherwise a predicate of `sets`, whose input i is model latch i.
+  /// `lemmas` are invariants asserted at every frame; the vector may only
+  /// grow between queries.
+  sat::Status query(const aig::Aig& sets, aig::Lit start, unsigned n,
+                    const std::vector<Lemma>& lemmas, const sat::Budget& budget);
+
+  /// After query() == kUnsat: that query's empty clause in proof().
+  sat::ClauseId final() const { return final_; }
+
+  const sat::Solver& solver() const { return solver_; }
+  const cnf::Unroller& unroller() const { return unr_; }
+  const sat::Proof& proof() const { return solver_.proof(); }
+
+ private:
+  std::uint32_t frame_label(unsigned t) const {
+    return shape_.layout == Layout::kSequence ? t + 1 : (t == 0 ? 1 : 2);
+  }
+  std::uint32_t target_label(unsigned n) const {
+    return shape_.layout == Layout::kSequence ? n + 1 : 2;
+  }
+  /// A fresh frozen activation literal for clauses of partition `label`;
+  /// kNoLit in a one-query session (clauses are then asserted directly).
+  sat::Lit activation(std::uint32_t label);
+  /// Add clause_ (with ~guard unless guard is kNoLit).
+  void add_guarded(sat::Lit guard, std::uint32_t label);
+  /// Disable `act` for good (no-op for kNoLit) and clear it.
+  void retire(sat::Lit& act, std::uint32_t label);
+  /// `slots[t]`'s activation, created on first use when queries can be
+  /// shorter, else kNoLit (the frame's clauses are unguarded).
+  sat::Lit frame_guard(std::vector<sat::Lit>& slots, unsigned t);
+  void freeze_latches(unsigned t);
+  /// Transitions up to frame n, then the constraints, lemma clauses and
+  /// good clauses the session does not have yet.
+  void encode(unsigned n, const std::vector<Lemma>& lemmas);
+  /// The target's activation (created and its clause added on first use).
+  sat::Lit target(unsigned n);
+
+  const aig::Aig& model_;
+  std::size_t prop_;
+  Shape shape_;
+  sat::Solver solver_;
+  cnf::Unroller unr_;
+  std::vector<sat::Lit> clause_;       // add_guarded's scratch clause
+  std::vector<sat::Lit> assumptions_;  // one query's activations
+  sat::Lit init_act_ = sat::kNoLit;
+  bool init_encoded_ = false;
+  unsigned constrained_ = 0;  // frames [0, constrained_) have constraints
+  std::size_t lemmas_ = 0;    // lemmas [0, lemmas_) are at those frames
+  unsigned good_ = 1;         // frames [1, good_) have a good clause
+  std::vector<sat::Lit> frame_act_;   // per frame: constraints + lemmas
+  std::vector<sat::Lit> good_act_;    // per frame: the good clause
+  std::vector<sat::Lit> target_act_;  // per length
+  unsigned last_n_ = 0;               // length of the previous query
+  sat::ClauseId final_ = sat::kNoClauseId;
+};
+
+}  // namespace itpseq::mc

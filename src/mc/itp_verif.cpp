@@ -9,17 +9,6 @@
 
 namespace itpseq::mc {
 
-namespace {
-
-/// One refuted (or satisfied) inner-step SAT instance.
-struct StepSolve {
-  std::unique_ptr<sat::Solver> solver;
-  std::unique_ptr<cnf::Unroller> unroller;
-  sat::Status status = sat::Status::kUnknown;
-};
-
-}  // namespace
-
 void ItpVerifEngine::execute(EngineResult& out) {
   aig::Aig& G = space_.graph();
 
@@ -48,42 +37,18 @@ void ItpVerifEngine::execute(EngineResult& out) {
         opts_.exchange_source);
   };
 
-  // Builds and solves one instance: A = front ∧ T(V^0,V^1) (label 1) and
-  // the bound-k B = T^{k-1} ∧ (bad at some frame 1..k) (label 2).
-  auto solve_step = [&](aig::Lit front, unsigned k) {
-    StepSolve s;
-    s.solver = std::make_unique<sat::Solver>();
-    opts_.apply_sat_options(*s.solver);
-    s.solver->enable_proof();
-    s.unroller = std::make_unique<cnf::Unroller>(model_, *s.solver);
-    cnf::Unroller& unr = *s.unroller;
-    if (front == aig::kNullLit) {
-      unr.assert_init(1);
-    } else if (front != aig::kTrue) {
-      sat::Lit fl = unr.encode_state_pred(G, front, 0, 1);
-      s.solver->add_clause({fl}, 1);
-    }
-    unr.add_transition(0, 1);
-    unr.assert_constraints(0, 1);
-    for (unsigned t = 1; t < k; ++t) unr.add_transition(t, 2);
-    for (unsigned t = 1; t <= k; ++t) unr.assert_constraints(t, 2);
-    for (const Lemma& l : feed.invariants) {
-      assert_lemma_clause(unr, l, 0, 1);
-      for (unsigned t = 1; t <= k; ++t) assert_lemma_clause(unr, l, t, 2);
-    }
-    std::vector<sat::Lit> disj;
-    for (unsigned t = 1; t <= k; ++t) disj.push_back(unr.bad_lit(t, 2, prop_));
-    s.solver->add_clause(disj, 2);
-    s.status = s.solver->solve(sat_budget());
-    absorb_stats(out, *s.solver);
-    return s;
-  };
+  // One session answers every query of the run: A = front ∧ T(V^0,V^1)
+  // (label 1) and the bound-k B = T^{k-1} ∧ (bad at some frame 1..k)
+  // (label 2).  A new session starts at a bound once the proof outgrows
+  // ItpSession::kProofCap.
+  std::unique_ptr<ItpSession> session;
+  const ItpSession::Shape shape{ItpSession::Layout::kStandard};
 
-  auto extract_cut1 = [&](const StepSolve& s) {
-    itp::InterpolantExtractor ex(s.solver->proof());
+  auto extract_cut1 = [&](const ItpSession& s) {
+    itp::InterpolantExtractor ex(s.proof(), s.final());
     std::unordered_map<sat::Var, aig::Lit> leaf;
     for (std::size_t i = 0; i < model_.num_latches(); ++i) {
-      sat::Lit sl = s.unroller->lookup(model_.latch(i), 1);
+      sat::Lit sl = s.unroller().lookup(model_.latch(i), 1);
       leaf[sat::var(sl)] = aig::lit_xor(space_.latch_input(i), sat::sign(sl));
     }
     return ex.extract(
@@ -96,12 +61,12 @@ void ItpVerifEngine::execute(EngineResult& out) {
   };
 
   // The counterexample ends at the first frame where bad holds.
-  auto fail_from = [&](const StepSolve& s, unsigned k) {
+  auto fail_from = [&](const ItpSession& s, unsigned k) {
     unsigned depth = k;
     for (unsigned t = 1; t <= k; ++t) {
-      sat::Lit b = s.unroller->lookup(model_.output(prop_), t);
+      sat::Lit b = s.unroller().lookup(model_.output(prop_), t);
       if (b != sat::kNoLit &&
-          sat::lbool_xor(s.solver->model()[sat::var(b)], sat::sign(b)) ==
+          sat::lbool_xor(s.solver().model()[sat::var(b)], sat::sign(b)) ==
               sat::LBool::kTrue) {
         depth = t;
         break;
@@ -110,7 +75,7 @@ void ItpVerifEngine::execute(EngineResult& out) {
     out.verdict = Verdict::kFail;
     out.k_fp = k;
     out.j_fp = 0;
-    out.cex = extract_trace(*s.solver, *s.unroller, depth);
+    out.cex = extract_trace(s.solver(), s.unroller(), depth);
   };
 
   for (unsigned k = 1; k <= opts_.max_bound; ++k) {
@@ -130,27 +95,27 @@ void ItpVerifEngine::execute(EngineResult& out) {
     // conjunction is the only literal that must survive).
     if (opts_.compact_threshold > 0 && G.num_ands() > opts_.compact_threshold)
       space_.compact({&inv});
+    if (!session || session->proof().size() > ItpSession::kProofCap)
+      session = std::make_unique<ItpSession>(model_, prop_, opts_, shape);
 
     aig::Lit R = space_.init_pred();
     aig::Lit front = aig::kNullLit;  // null = S0 (exact initial states)
 
     for (unsigned j = 0;; ++j) {
-      aig::Lit I;
-      {
-        StepSolve s = solve_step(front, k);
-        if (s.status == sat::Status::kUnknown) {
-          out.verdict = Verdict::kUnknown;
+      const sat::Status st =
+          solve_query(*session, front, k, feed.invariants, out);
+      if (st == sat::Status::kUnknown) {
+        out.verdict = Verdict::kUnknown;
+        return;
+      }
+      if (st == sat::Status::kSat) {
+        if (j == 0) {
+          fail_from(*session, k);
           return;
         }
-        if (s.status == sat::Status::kSat) {
-          if (j == 0) {
-            fail_from(s, k);
-            return;
-          }
-          break;  // spurious: deepen the unrolling
-        }
-        I = extract_cut1(s);
+        break;  // spurious: deepen the unrolling
       }
+      const aig::Lit I = extract_cut1(*session);
 
       // cone_size is an O(cone) DAG walk: keep it behind the gate so the
       // tracing-off path stays free.

@@ -10,6 +10,11 @@
 // over-approximate instance becomes satisfiable.  FAIL is only reported
 // from the first inner iteration, whose A-side is the exact initial-state
 // set.
+//
+// Every instance of a run is a query on one long-lived proof-logging
+// session (mc/itp_session.hpp, layout kStandard): the unrolling grows by a
+// frame per bound, the front and the bound-k target sit behind activation
+// literals, and each interpolant comes from its own query's refutation.
 #pragma once
 
 #include "mc/engine.hpp"

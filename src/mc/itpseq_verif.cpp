@@ -56,64 +56,35 @@ const char* ItpSeqEngine::name() const {
   return opts_.serial_alpha > 0.0 ? "SITPSEQ" : "ITPSEQ";
 }
 
-ItpSeqEngine::ShiftedSolve ItpSeqEngine::solve_shifted(aig::Lit start,
-                                                       unsigned local_k,
-                                                       EngineResult& out,
-                                                       bool concrete) {
-  ShiftedSolve s;
-  s.solver = std::make_unique<sat::Solver>();
-  opts_.apply_sat_options(*s.solver);
-  s.solver->enable_proof();
-  s.unroller = std::make_unique<cnf::Unroller>(
-      model_, *s.solver, concrete ? std::vector<bool>{} : visible_);
-  cnf::Unroller& unr = *s.unroller;
-
-  // A_1: initial set and first transition (label 1).
-  if (start == aig::kNullLit) {
-    unr.assert_init(1);
-  } else if (start != aig::kTrue) {
-    sat::Lit fl = unr.encode_state_pred(space_.graph(), start, 0, 1);
-    s.solver->add_clause({fl}, 1);
-  }
-  // A_i = T(V^{i-1}, V^i) with label i.
-  for (unsigned t = 0; t < local_k; ++t) unr.add_transition(t, t + 1);
-  // Invariant constraints hold in every frame; frame-t logic carries the
-  // label of partition t+1.
-  for (unsigned t = 0; t <= local_k; ++t)
-    unr.assert_constraints(t, std::min(t + 1, local_k + 1));
-
+ItpSession::Shape ItpSeqEngine::shape(bool long_lived) const {
   // Target.  CBA follows Fig. 5 and uses exact-k; otherwise the configured
   // scheme decides whether intermediate "good" constraints are added
   // (assume-k) or not (exact-k).  bound-k is not meaningful for sequences.
-  bool assume = mode_ != AbstractionMode::kCba &&
+  ItpSession::Shape sh;
+  sh.layout = ItpSession::Layout::kSequence;
+  sh.long_lived = long_lived;
+  sh.assume_k = mode_ != AbstractionMode::kCba &&
                 opts_.scheme == cnf::TargetScheme::kExactAssume;
-  if (assume)
-    for (unsigned t = 1; t < local_k; ++t)
-      s.solver->add_clause({sat::neg(unr.bad_lit(t, t + 1, prop_))}, t + 1);
-  s.solver->add_clause({unr.bad_lit(local_k, local_k + 1, prop_)}, local_k + 1);
-
-  // Consumed invariant lemmas hold in every reachable state and are
-  // inductive, so they are asserted like the model's invariant constraints
-  // (same frames, same partition labels).  Feed is empty outside concrete
-  // mode.
-  for (const Lemma& l : feed_.invariants)
-    for (unsigned t = 0; t <= local_k; ++t)
-      assert_lemma_clause(unr, l, t, std::min(t + 1, local_k + 1));
-
-  s.status = s.solver->solve(sat_budget());
-  absorb_stats(out, *s.solver);
-  return s;
+  sh.shorter_queries = long_lived && opts_.serial_alpha > 0.0;
+  return sh;
 }
 
-std::vector<aig::Lit> ItpSeqEngine::extract_terms(const ShiftedSolve& s,
+std::unique_ptr<ItpSession> ItpSeqEngine::one_query(bool concrete) const {
+  return std::make_unique<ItpSession>(
+      model_, prop_, opts_, shape(/*long_lived=*/false),
+      concrete ? std::vector<bool>{} : visible_);
+}
+
+std::vector<aig::Lit> ItpSeqEngine::extract_terms(const ItpSession& s,
+                                                  sat::ClauseId final,
                                                   unsigned last_cut) {
   aig::Aig& G = space_.graph();
-  itp::InterpolantExtractor ex(s.solver->proof());
+  itp::InterpolantExtractor ex(s.proof(), final);
   // Leaf maps: for cut c the shared variables are the frame-c latch vars.
   std::vector<std::unordered_map<sat::Var, aig::Lit>> leaf(last_cut + 1);
   for (unsigned c = 1; c <= last_cut; ++c)
     for (std::size_t i = 0; i < model_.num_latches(); ++i) {
-      sat::Lit sl = s.unroller->lookup(model_.latch(i), c);
+      sat::Lit sl = s.unroller().lookup(model_.latch(i), c);
       if (sl != sat::kNoLit)
         leaf[c][sat::var(sl)] =
             aig::lit_xor(space_.latch_input(i), sat::sign(sl));
@@ -127,12 +98,12 @@ std::vector<aig::Lit> ItpSeqEngine::extract_terms(const ShiftedSolve& s,
       opts_.itp_system);
 }
 
-std::vector<bool> ItpSeqEngine::pba_needed(const ShiftedSolve& s,
+std::vector<bool> ItpSeqEngine::pba_needed(const ItpSession& s,
                                            unsigned k) const {
   // Variables mentioned by original clauses of the refutation core.
   std::vector<char> used;
-  const sat::Proof& proof = s.solver->proof();
-  for (sat::ClauseId id : proof.core()) {
+  const sat::Proof& proof = s.proof();
+  for (sat::ClauseId id : proof.core(s.final())) {
     if (!proof.is_original(id)) continue;
     for (sat::Lit l : proof.literals(id)) {
       sat::Var v = sat::var(l);
@@ -147,7 +118,7 @@ std::vector<bool> ItpSeqEngine::pba_needed(const ShiftedSolve& s,
   std::vector<bool> needed = prop_support_;
   for (std::size_t i = 0; i < model_.num_latches(); ++i)
     for (unsigned t = 0; t <= k && !needed[i]; ++t) {
-      sat::Lit sl = s.unroller->lookup(model_.latch(i), t);
+      sat::Lit sl = s.unroller().lookup(model_.latch(i), t);
       if (sl != sat::kNoLit && sat::var(sl) < used.size() &&
           used[sat::var(sl)])
         needed[i] = true;
@@ -155,11 +126,11 @@ std::vector<bool> ItpSeqEngine::pba_needed(const ShiftedSolve& s,
   return needed;
 }
 
-bool ItpSeqEngine::extend_or_refine(const ShiftedSolve& s, unsigned k,
+bool ItpSeqEngine::extend_or_refine(const ItpSession& s, unsigned k,
                                     EngineResult& out, bool& refined) {
   refined = false;
   // Abstract counterexample: inputs and frame-0 free-latch values.
-  Trace abs = extract_trace(*s.solver, *s.unroller, k);
+  Trace abs = extract_trace(s.solver(), s.unroller(), k);
   // EXTEND: replay on the concrete model from the concrete reset state.
   Simulator sim(model_, prop_);
   Trace concrete = abs;  // initial_latches only consulted for undef resets
@@ -192,10 +163,10 @@ bool ItpSeqEngine::extend_or_refine(const ShiftedSolve& s, unsigned k,
   auto divergence = [&](std::size_t i) {
     unsigned score = 0;
     for (unsigned t = 0; t <= k; ++t) {
-      sat::Lit sl = s.unroller->lookup(model_.latch(i), t);
+      sat::Lit sl = s.unroller().lookup(model_.latch(i), t);
       if (sl == sat::kNoLit) continue;
       bool abs_val =
-          sat::lbool_xor(s.solver->model()[sat::var(sl)], sat::sign(sl)) ==
+          sat::lbool_xor(s.solver().model()[sat::var(sl)], sat::sign(sl)) ==
           sat::LBool::kTrue;
       if (abs_val != frames.latches[t][i]) ++score;
     }
@@ -227,6 +198,9 @@ bool ItpSeqEngine::extend_or_refine(const ShiftedSolve& s, unsigned k,
 void ItpSeqEngine::execute(EngineResult& out) {
   aig::Aig& G = space_.graph();
   calI_.assign(1, aig::kNullLit);  // index 0 unused
+  // Concrete mode: one session for every query of the run, replaced at a
+  // bound once its proof outgrows ItpSession::kProofCap.
+  std::unique_ptr<ItpSession> run;
 
   for (unsigned k = 1; k <= opts_.max_bound; ++k) {
     out.k_fp = k;
@@ -260,61 +234,80 @@ void ItpSeqEngine::execute(EngineResult& out) {
     }
 
     // --- BMC check at bound k (with abstraction handling) ---------------
+    // `first` holds this bound's first refutation: the run's session in
+    // concrete mode, else a one-query session.
     const bool cba = mode_ == AbstractionMode::kCba;
-    ShiftedSolve first;
+    std::unique_ptr<ItpSession> conc, abs;
+    ItpSession* first = nullptr;
+    sat::Status status;
     if (mode_ == AbstractionMode::kPba) {
       // PBA: the concrete check decides SAT/UNSAT; its proof core sizes the
       // abstraction used for extraction.
-      ShiftedSolve conc = solve_shifted(aig::kNullLit, k, out,
-                                        /*concrete=*/true);
-      if (conc.status == sat::Status::kUnknown) {
+      conc = one_query(/*concrete=*/true);
+      status = solve_query(*conc, aig::kNullLit, k, feed_.invariants, out);
+      if (status == sat::Status::kUnknown) {
         out.verdict = Verdict::kUnknown;
         return;
       }
-      if (conc.status == sat::Status::kSat) {
+      if (status == sat::Status::kSat) {
         out.verdict = Verdict::kFail;
         out.k_fp = k;
         out.j_fp = 0;
-        out.cex = extract_trace(*conc.solver, *conc.unroller, k);
+        out.cex = extract_trace(conc->solver(), conc->unroller(), k);
         return;
       }
-      visible_ = pba_needed(conc, k);
-      first = solve_shifted(aig::kNullLit, k, out);
-      if (first.status != sat::Status::kUnsat) {
+      visible_ = pba_needed(*conc, k);
+      abs = one_query();
+      first = abs.get();
+      status = solve_query(*abs, aig::kNullLit, k, feed_.invariants, out);
+      if (status != sat::Status::kUnsat) {
         // Variable-granular PBA was too coarse for this bound (or the
         // re-solve ran out of budget): extract from the concrete proof.
         visible_.clear();
-        first = std::move(conc);
+        first = conc.get();
+        status = sat::Status::kUnsat;
       }
       ++out.stats.cba_refinements;  // counts PBA recomputations
     } else {
-      first = solve_shifted(aig::kNullLit, k, out);
-      while (cba && first.status == sat::Status::kSat) {
+      if (cba) {
+        abs = one_query();
+        first = abs.get();
+      } else {
+        if (!run || run->proof().size() > ItpSession::kProofCap)
+          run = std::make_unique<ItpSession>(model_, prop_, opts_,
+                                             shape(/*long_lived=*/true));
+        first = run.get();
+      }
+      status = solve_query(*first, aig::kNullLit, k, feed_.invariants, out);
+      while (cba && status == sat::Status::kSat) {
         bool refined = false;
-        if (extend_or_refine(first, k, out, refined)) return;  // real FAIL
+        if (extend_or_refine(*first, k, out, refined)) return;  // real FAIL
         if (!refined) break;  // concrete model, genuine SAT
         if (out.stats.cba_refinements > kCbaRefineLimit ||
             out_of_time()) {
           out.verdict = Verdict::kUnknown;
           return;
         }
-        first = solve_shifted(aig::kNullLit, k, out);
+        abs = one_query();
+        first = abs.get();
+        status = solve_query(*first, aig::kNullLit, k, feed_.invariants, out);
       }
     }
     if (!visible_.empty())
       out.stats.cba_visible_latches = static_cast<unsigned>(
           std::count(visible_.begin(), visible_.end(), true));
-    if (first.status == sat::Status::kUnknown) {
+    if (status == sat::Status::kUnknown) {
       out.verdict = Verdict::kUnknown;
       return;
     }
-    if (first.status == sat::Status::kSat) {
+    if (status == sat::Status::kSat) {
       out.verdict = Verdict::kFail;
       out.k_fp = k;
       out.j_fp = 0;
-      out.cex = extract_trace(*first.solver, *first.unroller, k);
+      out.cex = extract_trace(first->solver(), first->unroller(), k);
       return;
     }
+    const sat::ClauseId first_final = first->final();
 
     // --- sequence construction (Fig. 4) ----------------------------------
     std::vector<aig::Lit> terms(k + 1, aig::kNullLit);  // terms[j], j=1..k
@@ -322,47 +315,53 @@ void ItpSeqEngine::execute(EngineResult& out) {
         k, static_cast<unsigned>(
                std::floor(opts_.serial_alpha * static_cast<double>(k + 1))));
     bool fallback = false;
+    // A shifted query runs on the run's session in concrete mode, else on
+    // a one-query session over the current abstraction.
+    std::unique_ptr<ItpSession> shifted;
+    auto shifted_session = [&]() -> ItpSession& {
+      if (mode_ == AbstractionMode::kNone) return *run;
+      shifted = one_query();
+      return *shifted;
+    };
 
     if (ns == 0) {
       // Pure parallel: the whole sequence from the one proof (Eq. 2).
-      std::vector<aig::Lit> seq = extract_terms(first, k);
+      std::vector<aig::Lit> seq = extract_terms(*first, first_final, k);
       for (unsigned j = 1; j <= k; ++j) terms[j] = seq[j - 1];
     } else {
       // Serial prefix (Eq. 3).  The first term's defining problem is
       // exactly the original BMC check, so its proof is reused.
-      {
-        std::vector<aig::Lit> seq = extract_terms(first, 1);
-        terms[1] = seq[0];
-      }
+      terms[1] = extract_terms(*first, first_final, 1)[0];
       for (unsigned j = 2; j <= ns && !fallback; ++j) {
-        ShiftedSolve s = solve_shifted(terms[j - 1], k - (j - 1), out);
-        if (s.status == sat::Status::kUnknown) {
+        ItpSession& s = shifted_session();
+        status = solve_query(s, terms[j - 1], k - (j - 1), feed_.invariants, out);
+        if (status == sat::Status::kUnknown) {
           out.verdict = Verdict::kUnknown;
           return;
         }
-        if (s.status == sat::Status::kSat) {
+        if (status == sat::Status::kSat) {
           fallback = true;  // over-approximation made the target reachable
           break;
         }
-        std::vector<aig::Lit> seq = extract_terms(s, 1);
-        terms[j] = seq[0];
+        terms[j] = extract_terms(s, s.final(), 1)[0];
       }
       if (!fallback && ns < k) {
         // Parallel suffix from one more proof (Fig. 4, last line).
-        ShiftedSolve s = solve_shifted(terms[ns], k - ns, out);
-        if (s.status == sat::Status::kUnknown) {
+        ItpSession& s = shifted_session();
+        status = solve_query(s, terms[ns], k - ns, feed_.invariants, out);
+        if (status == sat::Status::kUnknown) {
           out.verdict = Verdict::kUnknown;
           return;
         }
-        if (s.status == sat::Status::kSat) {
+        if (status == sat::Status::kSat) {
           fallback = true;
         } else {
-          std::vector<aig::Lit> seq = extract_terms(s, k - ns);
+          std::vector<aig::Lit> seq = extract_terms(s, s.final(), k - ns);
           for (unsigned c = 1; c <= k - ns; ++c) terms[ns + c] = seq[c - 1];
         }
       }
       if (fallback) {
-        std::vector<aig::Lit> seq = extract_terms(first, k);
+        std::vector<aig::Lit> seq = extract_terms(*first, first_final, k);
         for (unsigned j = 1; j <= k; ++j) terms[j] = seq[j - 1];
       }
     }

@@ -7,11 +7,17 @@
 //    extracted *in parallel* from the single refutation proof (Eq. 2).
 //  * SITPSEQ   (Fig. 4, 0 < serial_alpha <= 1): the first
 //    floor(alpha*(k+1)) terms are computed *serially* (Eq. 3) — each term
-//    becomes the A-side initial set of a fresh, shorter BMC problem — and
-//    the rest in parallel from the final proof.  If a shifted instance
-//    turns satisfiable (the over-approximate prefix made it reachable), the
-//    engine falls back to the pure parallel sequence from the original
-//    proof for this bound.
+//    becomes the A-side initial set of a shorter BMC query — and the rest
+//    in parallel from the last query's proof.  If a shifted query turns
+//    satisfiable (the over-approximate prefix made it reachable), the
+//    engine falls back to the pure parallel sequence from the bound's
+//    first proof.
+//
+// ITPSEQ and SITPSEQ answer every query of a run (every bound and serial
+// step) on one long-lived session (mc/itp_session.hpp): each frame is
+// encoded once, and each query is a solve_assuming with its own
+// refutation.  CBA and PBA change their visibility mask from query to
+// query, so each of their queries gets a one-query session.
 //  * ITPSEQCBA (Fig. 5, AbstractionMode::kCba): the BMC checks run on a
 //    localization abstraction (invisible latches freed).  Abstract
 //    counterexamples are concretized by simulation (EXTEND); on mismatch
@@ -61,31 +67,27 @@ class ItpSeqEngine : public Engine {
   void execute(EngineResult& out) override;
 
  private:
-  struct ShiftedSolve {
-    std::unique_ptr<sat::Solver> solver;
-    std::unique_ptr<cnf::Unroller> unroller;
-    sat::Status status = sat::Status::kUnknown;
-  };
-
-  /// Build and solve the BMC problem  start(V^0) ∧ T^local_k ∧ target, with
-  /// interpolation-sequence partition labels 1..local_k+1.  start ==
-  /// kNullLit means the (possibly abstract) initial states.  With
-  /// `concrete` the visibility mask is ignored (full model).
-  ShiftedSolve solve_shifted(aig::Lit start, unsigned local_k,
-                             EngineResult& out, bool concrete = false);
+  /// Shape of the run's sessions: kSequence labels 1..n+1 for a length-n
+  /// query from start(V^0), with the configured target scheme.
+  ItpSession::Shape shape(bool long_lived) const;
+  /// CBA, PBA: a one-query session over the current abstraction, or over
+  /// the full model with `concrete`.
+  std::unique_ptr<ItpSession> one_query(bool concrete = false) const;
 
   /// PBA: latches whose unrolled frame variables occur in the refutation
-  /// core of a solved instance (everything else can be cut).
-  std::vector<bool> pba_needed(const ShiftedSolve& s, unsigned k) const;
+  /// core of a refuted query (everything else can be cut).
+  std::vector<bool> pba_needed(const ItpSession& s, unsigned k) const;
 
-  /// Extract sequence terms for local cuts [1, last_cut] from a refuted
-  /// shifted solve; returns AIG literals over the state space.
-  std::vector<aig::Lit> extract_terms(const ShiftedSolve& s, unsigned last_cut);
+  /// Extract sequence terms for local cuts [1, last_cut] from the
+  /// refutation ending in `final`; returns AIG literals over the state
+  /// space.
+  std::vector<aig::Lit> extract_terms(const ItpSession& s, sat::ClauseId final,
+                                      unsigned last_cut);
 
   /// CBA: check an abstract counterexample on the concrete model (EXTEND);
   /// fills `out` and returns true on a real failure, otherwise refines the
   /// abstraction (REFINE) and returns false.
-  bool extend_or_refine(const ShiftedSolve& s, unsigned k, EngineResult& out,
+  bool extend_or_refine(const ItpSession& s, unsigned k, EngineResult& out,
                         bool& refined);
 
   AbstractionMode mode_;
@@ -96,7 +98,7 @@ class ItpSeqEngine : public Engine {
   // Lemma exchange (concrete mode only — on the abstract transition
   // relation even invariant lemmas are not inductive, so the abstraction
   // engines neither consume nor rely on foreign facts).  Consumed
-  // kInvariant lemmas are asserted like model constraints in every solve
+  // kInvariant lemmas are asserted like model constraints in every query
   // and conjoined into the fixpoint target / PASS certificate; sequence
   // terms are published back as kCandidate latch clauses.
   LemmaFeed feed_;

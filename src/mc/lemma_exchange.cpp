@@ -150,9 +150,10 @@ LemmaExchangeStats LemmaExchange::stats() const {
 }
 
 void assert_lemma_clause(cnf::Unroller& unr, const Lemma& l, unsigned t,
-                         std::uint32_t label) {
+                         std::uint32_t label, sat::Lit guard) {
   std::vector<sat::Lit> cls;
-  cls.reserve(l.clause.size());
+  cls.reserve(l.clause.size() + 1);
+  if (guard != sat::kNoLit) cls.push_back(sat::neg(guard));
   for (LatchLit ll : l.clause) {
     sat::Lit sl = unr.latch_lit(latch_lit_index(ll), t, label);
     cls.push_back(latch_lit_sign(ll) ? sat::neg(sl) : sl);

@@ -144,10 +144,12 @@ struct LemmaFeed {
 };
 
 /// Assert `l.clause` over the latch literals of frame `t` of an unrolling
-/// (clauses and on-demand gate cones carry partition `label`).  The caller
-/// owns the soundness argument — see the grade rules above.
+/// (clauses and on-demand gate cones carry partition `label`).  With a
+/// `guard` literal the clause gets ~guard and holds only while guard is
+/// assumed.  The caller owns the soundness argument — see the grade rules
+/// above.
 void assert_lemma_clause(cnf::Unroller& unr, const Lemma& l, unsigned t,
-                         std::uint32_t label);
+                         std::uint32_t label, sat::Lit guard = sat::kNoLit);
 
 /// Build the clause as a predicate in an AIG whose input i stands for model
 /// latch i (e.g. a StateSpace graph): OR over the latch-input literals.

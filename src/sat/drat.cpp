@@ -8,10 +8,10 @@
 
 namespace itpseq::sat {
 
-void write_drat(const Proof& proof, std::ostream& out) {
-  if (!proof.complete())
+void write_drat(const Proof& proof, ClauseId final, std::ostream& out) {
+  if (final == kNoClauseId)
     throw std::invalid_argument("write_drat: proof incomplete");
-  for (ClauseId id : proof.core()) {
+  for (ClauseId id : proof.core(final)) {
     if (proof.is_original(id)) continue;
     for (Lit l : proof.literals(id)) {
       long dimacs = static_cast<long>(var(l)) + 1;

@@ -25,10 +25,15 @@
 
 namespace itpseq::sat {
 
-/// Write the core learned clauses of `proof` (which must be complete) as a
+/// Write the core learned clauses of `final`, one query's refutation, as a
 /// DRAT proof, in DIMACS-style signed-integer lines terminated by 0.  The
-/// final line is the empty clause ("0").
-void write_drat(const Proof& proof, std::ostream& out);
+/// final line is the empty clause ("0").  A refutation under assumptions
+/// checks against the formula plus its assumption units.
+void write_drat(const Proof& proof, ClauseId final, std::ostream& out);
+/// The latest query's refutation (the proof must be complete).
+inline void write_drat(const Proof& proof, std::ostream& out) {
+  write_drat(proof, proof.final_id(), out);
+}
 
 struct DratCheckResult {
   bool ok = false;

@@ -140,10 +140,10 @@ ClauseId Solver::log_derived(const std::vector<Lit>& lits,
   // clause itself — reuse its id instead of logging a duplicate.
   if (chain.chain.size() == 1) return chain.chain[0];
   if (lits.empty()) {
-    if (!proof_->complete()) proof_->set_final(std::move(chain));
-    return proof_->final_id();
+    if (root_final_ == kNoClauseId) root_final_ = proof_->set_final(chain);
+    return root_final_;
   }
-  return proof_->add_learned(lits, std::move(chain));
+  return proof_->add_learned(lits, chain);
 }
 
 Solver::CRef Solver::integrate_clause(std::vector<Lit> lits, ClauseId id,
@@ -330,7 +330,7 @@ bool Solver::maybe_inprocess(bool at_entry) {
     }
   }
   bool alive = inprocess();
-  if (!alive && proof_ && !proof_->complete() && root_conflict_ != kNoCRef)
+  if (!alive && proof_ && root_final_ == kNoClauseId && root_conflict_ != kNoCRef)
     analyze_final(root_conflict_);
   return alive;
 }

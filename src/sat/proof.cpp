@@ -1,30 +1,46 @@
 #include "sat/proof.hpp"
 
+#include <algorithm>
 #include <vector>
 
 namespace itpseq::sat {
 
-std::vector<ClauseId> Proof::core() const {
+std::vector<ClauseId> Proof::core(ClauseId final) const {
   std::vector<ClauseId> order;
-  if (final_id_ == kNoClauseId) return order;
+  if (final == kNoClauseId) return order;
+  // Grown to the log, never cleared: a fresh epoch makes every old mark
+  // stale, so a walk costs O(core) plus the log's amortised growth.
+  if (stamp_.size() < size()) {
+    stamp_.resize(size(), 0);
+    position_.resize(size(), 0);
+  }
+  if (epoch_ >= 0xfffffffdu) {
+    std::fill(stamp_.begin(), stamp_.end(), 0u);
+    epoch_ = 0;
+  }
+  epoch_ += 2;
+  const std::uint32_t entered = epoch_, emitted = epoch_ + 1;
+  auto unseen = [&](ClauseId id) {
+    return stamp_[id] != entered && stamp_[id] != emitted;
+  };
   // Iterative post-order DFS from the final chain.
-  std::vector<std::uint8_t> mark(size(), 0);
-  std::vector<ClauseId> stack{final_id_};
+  std::vector<ClauseId> stack{final};
   while (!stack.empty()) {
     ClauseId id = stack.back();
-    if (mark[id] == 2) {
+    if (stamp_[id] == emitted) {
       stack.pop_back();
       continue;
     }
-    if (mark[id] == 1) {
-      mark[id] = 2;
+    if (stamp_[id] == entered) {
+      stamp_[id] = emitted;
+      position_[id] = static_cast<std::uint32_t>(order.size());
       order.push_back(id);
       stack.pop_back();
       continue;
     }
-    mark[id] = 1;
-    for (ClauseId c : chains_[id].chain)
-      if (mark[c] == 0) stack.push_back(c);
+    stamp_[id] = entered;
+    for (ClauseId c : chain(id).chain)
+      if (unseen(c)) stack.push_back(c);
   }
   return order;
 }

@@ -23,23 +23,23 @@ std::string clause_str(const std::set<Lit>& c) {
 }
 }  // namespace
 
-ProofCheckResult check_proof(const Proof& proof) {
+ProofCheckResult check_proof(const Proof& proof, ClauseId final) {
   ProofCheckResult res;
-  if (!proof.complete()) {
+  if (final == kNoClauseId) {
     res.error = "proof incomplete (no final chain)";
     return res;
   }
   std::vector<std::set<Lit>> derived(proof.size());
   std::vector<bool> have(proof.size(), false);
 
-  for (ClauseId id : proof.core()) {
+  for (ClauseId id : proof.core(final)) {
     if (proof.is_original(id)) {
       std::span<const Lit> lits = proof.literals(id);
       derived[id] = {lits.begin(), lits.end()};
       have[id] = true;
       continue;
     }
-    const ResolutionChain& ch = proof.chain(id);
+    const ChainView ch = proof.chain(id);
     if (ch.chain.empty()) {
       res.error = "learned clause with empty chain";
       return res;
@@ -84,7 +84,7 @@ ProofCheckResult check_proof(const Proof& proof) {
     derived[id] = std::move(acc);
     have[id] = true;
   }
-  if (!derived[proof.final_id()].empty()) {
+  if (!derived[final].empty()) {
     res.error = "final chain does not derive the empty clause";
     return res;
   }

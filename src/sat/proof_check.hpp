@@ -18,9 +18,14 @@ struct ProofCheckResult {
   std::string error;  // human-readable description of the first failure
 };
 
-/// Replay all chains in the core of `proof`.  Each chain must be a valid
-/// trivial resolution derivation and produce exactly the recorded clause
-/// (as a set of literals); the final chain must produce the empty clause.
-ProofCheckResult check_proof(const Proof& proof);
+/// Replay all chains in the core of `final`, one query's refutation.  Each
+/// chain must be a valid trivial resolution derivation and produce exactly
+/// the recorded clause (as a set of literals); the final chain must produce
+/// the empty clause.
+ProofCheckResult check_proof(const Proof& proof, ClauseId final);
+/// The latest query's refutation.
+inline ProofCheckResult check_proof(const Proof& proof) {
+  return check_proof(proof, proof.final_id());
+}
 
 }  // namespace itpseq::sat

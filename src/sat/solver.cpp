@@ -104,10 +104,10 @@ bool Solver::add_clause_span(std::span<const Lit> in, std::uint32_t label) {
 
   if (lits.empty()) {
     ok_ = false;
-    if (proof_ && !proof_->complete()) {
+    if (proof_ && root_final_ == kNoClauseId) {
       ResolutionChain chain;
       chain.chain.push_back(id);
-      proof_->set_final(std::move(chain));
+      root_final_ = proof_->set_final(chain);
     }
     return false;
   }
@@ -519,7 +519,7 @@ void Solver::minimize_learned(std::vector<Lit>& learned, ResolutionChain& chain)
 
 void Solver::analyze_final(CRef conflict) {
   // Derive the empty clause from a clause falsified at decision level 0.
-  if (!proof_ || proof_->complete()) return;
+  if (!proof_ || root_final_ != kNoClauseId) return;
   ResolutionChain chain;
   chain.chain.push_back(cls(conflict).id());
   std::vector<std::uint32_t> work;
@@ -550,7 +550,7 @@ void Solver::analyze_final(CRef conflict) {
       std::push_heap(work.begin(), work.end());
     }
   }
-  proof_->set_final(std::move(chain));
+  root_final_ = proof_->set_final(chain);
 }
 
 void Solver::analyze_assumption(Lit failed) {
@@ -572,6 +572,40 @@ void Solver::analyze_assumption(Lit failed) {
     }
     seen_[v] = 0;
   }
+}
+
+ClauseId Solver::assumption_unit(Lit a) {
+  if (assumption_units_.size() <= a) assumption_units_.resize(a + 1, kNoClauseId);
+  if (assumption_units_[a] == kNoClauseId) {
+    const std::uint32_t label =
+        var(a) < assumption_labels_.size() ? assumption_labels_[var(a)] : 0;
+    assumption_units_[a] = proof_->add_original({&a, 1}, label);
+  }
+  return assumption_units_[a];
+}
+
+void Solver::log_assumption_final(Lit failed) {
+  // `failed` is false under the assumptions decided before it.  Resolve the
+  // reason of ~failed against trail reasons (the analyze_final worklist)
+  // down to the failed-assumption clause (~failed OR ~d1 OR ... OR ~dm),
+  // whose d_i are assumption decisions, then resolve that clause against
+  // the assumption units (failed), (d1), ..., (dm): the empty clause.
+  ResolutionChain fin;
+  const CRef r = var_data_[var(failed)].reason;
+  if (r == kNoCRef) {
+    // ~failed is itself an assumption: the two units clash.
+    fin.chain = {assumption_unit(failed), assumption_unit(neg(failed))};
+    fin.pivots = {var(failed)};
+  } else {
+    ResolutionChain chain;
+    const std::vector<Lit> clause = resolve_with_reasons(r, kNoLit, chain);
+    fin.chain.push_back(log_derived(clause, std::move(chain)));
+    for (Lit q : clause) {
+      fin.chain.push_back(assumption_unit(neg(q)));
+      fin.pivots.push_back(var(q));
+    }
+  }
+  proof_->set_final(fin);
 }
 
 void Solver::backtrack(std::uint32_t level) {
@@ -773,8 +807,6 @@ Status Solver::solve(const Budget& budget) { return solve_assuming({}, budget); 
 
 Status Solver::solve_assuming(const std::vector<Lit>& assumptions,
                               const Budget& budget) {
-  if (proof_ && !assumptions.empty())
-    throw std::logic_error("assumptions are incompatible with proof logging");
   ++solve_calls_;
   assumptions_ = assumptions;
   failed_.clear();
@@ -811,11 +843,13 @@ Status Solver::solve_assuming(const std::vector<Lit>& assumptions,
                .count() > budget.seconds;
   };
   if (!ok_) {
-    if (proof_ && !proof_->complete() && root_conflict_ != kNoCRef) {
+    if (proof_ && root_final_ == kNoClauseId && root_conflict_ != kNoCRef) {
       // Flush pending units so reasons exist, then finalize.
       propagate();  // cannot make things worse at level 0
       analyze_final(root_conflict_);
     }
+    // The level-0 refutation answers this query too.
+    if (proof_ && root_final_ != kNoClauseId) proof_->reuse_final(root_final_);
     return Status::kUnsat;
   }
   if (budget.seconds == 0.0 || cancelled()) {
@@ -894,8 +928,7 @@ Status Solver::solve_assuming(const std::vector<Lit>& assumptions,
       backtrack(bt_level);
 
       ClauseId id = kNoClauseId;
-      if (proof_) id = proof_->add_learned(learned, std::move(chain));
-      chain = ResolutionChain{};
+      if (proof_) id = proof_->add_learned(learned, chain);  // analyze reuses chain
 
       // Glue computed at learning time (post-minimization, pre-backtrack
       // levels are still those of the conflict) drives the retention tier.
@@ -988,6 +1021,7 @@ Status Solver::solve_assuming(const std::vector<Lit>& assumptions,
         }
         if (value(a) == LBool::kFalse) {
           analyze_assumption(a);
+          if (proof_) log_assumption_final(a);
           backtrack(0);
           return Status::kUnsat;  // unsat under assumptions; ok() stays true
         }

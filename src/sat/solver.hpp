@@ -6,16 +6,18 @@
 // LBD-tiered learned clause database reduction.
 //
 // The distinctive feature is *proof logging*: when enabled, every learned
-// clause records the trivial resolution chain that derives it, and an UNSAT
-// answer comes with a complete refutation of the input clauses
-// (see sat/proof.hpp).  Interpolants and interpolation sequences are then
-// extracted from this proof (itp/interpolate.hpp).
+// clause records the trivial resolution chain that derives it, and every
+// UNSAT answer comes with its own refutation (see sat/proof.hpp): of the
+// input clauses, or, under assumptions, of the input clauses plus one
+// proof-only unit per failed assumption.  Interpolants and interpolation
+// sequences are then extracted from that refutation (itp/interpolate.hpp).
 //
-// Both usage styles are supported: one-shot (create, new_var/add_clause,
-// solve(); how the interpolation engines operate, proof logging on) and
-// long-lived incremental (clauses added between solve_assuming() calls;
-// how PDR and incremental BMC operate).  The storage layer below is built
-// so the incremental style stays lean over thousands of queries.
+// Both usage styles are supported, with or without proof logging: one-shot
+// (create, new_var/add_clause, solve(); how CBA and PBA solve each query)
+// and long-lived incremental (clauses added between solve_assuming() calls,
+// query-specific clauses behind activation literals; how ITP, ITPSEQ,
+// SITPSEQ, PDR and incremental BMC operate).  The storage layer below is
+// built so the incremental style stays lean over thousands of queries.
 //
 // --- Clause storage architecture -------------------------------------------
 //
@@ -231,9 +233,22 @@ class Solver {
   /// non-empty assumption set means "unsatisfiable under these
   /// assumptions"; failed_assumptions() then returns a subset sufficient
   /// for the conflict.  Without assumptions kUnsat is final (ok() false).
-  /// Incompatible with proof logging (throws std::logic_error).
+  /// With proof logging every kUnsat logs this query's refutation, and
+  /// proof().final_id() is its empty clause: the failed-assumption clause
+  /// resolved against the assumption units of the failed subset (logged
+  /// once per literal, labelled by set_assumption_label), or the level-0
+  /// refutation once the clause set itself is refuted.
   Status solve_assuming(const std::vector<Lit>& assumptions,
                         const Budget& budget = {});
+
+  /// Proof logging: partition label of the assumption units of v (either
+  /// polarity; default 0).  Give an activation literal the label of the
+  /// clauses it guards, so it stays local to that partition.  Set it before
+  /// the first query that can fail on v.
+  void set_assumption_label(Var v, std::uint32_t label) {
+    if (assumption_labels_.size() <= v) assumption_labels_.resize(v + 1, 0);
+    assumption_labels_[v] = label;
+  }
 
   /// After solve_assuming() == kUnsat: an inconsistent subset of the
   /// assumptions (the "core"; not necessarily minimal).
@@ -248,7 +263,8 @@ class Solver {
   /// After kSat: full model (indexed by var).
   const std::vector<LBool>& model() const { return model_; }
 
-  /// After kUnsat with proof logging: the refutation.
+  /// With proof logging: the log, holding every refuted query's
+  /// refutation; proof().final_id() is the latest one's.
   const Proof& proof() const { return *proof_; }
 
   const SolverStats& stats() const { return stats_; }
@@ -408,6 +424,11 @@ class Solver {
   void minimize_learned(std::vector<Lit>& learned, ResolutionChain& chain);
   void analyze_final(CRef conflict);  // derive empty clause at level 0
   void analyze_assumption(Lit failed);  // collect the failed-assumption core
+  /// Proof logging: log the refutation of a query whose assumption `failed`
+  /// is false (see solve_assuming).
+  void log_assumption_final(Lit failed);
+  /// Proof id of the assumption unit (a), logged on first use.
+  ClauseId assumption_unit(Lit a);
   void backtrack(std::uint32_t level);
   Lit pick_branch();
   void bump_var(Var v);
@@ -460,8 +481,9 @@ class Solver {
   bool try_eliminate(OccIndex& ix, Var v);
   void strengthen_in_index(OccIndex& ix, std::size_t di, Lit drop,
                            ClauseId subsumer_id);
-  /// Log a derived clause: add_learned normally, set_final for the empty
-  /// clause, and a chain of one clause (no resolutions) reuses its own id.
+  /// Log a derived clause: add_learned normally, the level-0 refutation for
+  /// the empty clause, and a chain of one clause (no resolutions) reuses its
+  /// own id.
   ClauseId log_derived(const std::vector<Lit>& lits, ResolutionChain&& chain);
   /// Allocate + attach/enqueue an already-logged clause at level 0.  Returns
   /// kNoCRef when the clause is satisfied at level 0 (nothing installed);
@@ -531,6 +553,9 @@ class Solver {
   std::vector<Lit> failed_;                  // assumption core after kUnsat
   std::vector<LBool> model_;
   std::unique_ptr<Proof> proof_;
+  ClauseId root_final_ = kNoClauseId;        // the level-0 refutation, once logged
+  std::vector<ClauseId> assumption_units_;   // per literal, kNoClauseId until used
+  std::vector<std::uint32_t> assumption_labels_;  // per var, default 0
   SolverStats stats_;
   double max_learned_ = 0;
   double reduce_base_ = 1000.0;

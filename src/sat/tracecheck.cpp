@@ -5,10 +5,10 @@
 
 namespace itpseq::sat {
 
-void write_tracecheck(const Proof& proof, std::ostream& out) {
-  if (!proof.complete())
+void write_tracecheck(const Proof& proof, ClauseId final, std::ostream& out) {
+  if (final == kNoClauseId)
     throw std::invalid_argument("write_tracecheck: proof incomplete");
-  for (ClauseId id : proof.core()) {
+  for (ClauseId id : proof.core(final)) {
     out << (id + 1);
     for (Lit l : proof.literals(id)) {
       long long v = static_cast<long long>(var(l)) + 1;

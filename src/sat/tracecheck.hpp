@@ -16,7 +16,12 @@
 
 namespace itpseq::sat {
 
-/// Write the core of `proof` (which must be complete) in TRACECHECK format.
-void write_tracecheck(const Proof& proof, std::ostream& out);
+/// Write the core of `final`, one query's refutation, in TRACECHECK format.
+/// Assumption units appear as original clauses.
+void write_tracecheck(const Proof& proof, ClauseId final, std::ostream& out);
+/// The latest query's refutation (the proof must be complete).
+inline void write_tracecheck(const Proof& proof, std::ostream& out) {
+  write_tracecheck(proof, proof.final_id(), out);
+}
 
 }  // namespace itpseq::sat

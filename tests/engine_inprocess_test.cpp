@@ -1,17 +1,22 @@
-// engine_inprocess_test.cpp — the paper's engines build one-shot
-// proof-logging solvers (one per bound, serial step and refinement), and an
-// inprocessing round must be paid for by reuse or by search.  So on small,
-// bound-capped runs their work with inprocessing on is exactly the work with
-// it off: same verdict, k_fp, j_fp, SAT calls, conflicts, propagations and
-// proof clauses, and no round at all.  PDR, which reuses one solver for
-// every query, still runs its rounds.
+// engine_inprocess_test.cpp — an inprocessing round must be paid for by
+// reuse or by search.  CBA and PBA build a one-shot proof-logging solver
+// per query, so on small, bound-capped runs their work with inprocessing on
+// is exactly the work with it off: same verdict, k_fp, j_fp, SAT calls,
+// conflicts, propagations and proof clauses, and no round at all.  ITP,
+// ITPSEQ and SITPSEQ answer a run's queries on one long-lived solver, whose
+// second query pays for a round: rounds change their proofs, and so maybe
+// k_fp and j_fp, but never a verdict, and every PASS still certifies and
+// every FAIL replays.  PDR, which reuses one solver for every query, still
+// runs its rounds.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <string>
 
 #include "bench_circuits/suite.hpp"
+#include "mc/certify.hpp"
 #include "mc/engine.hpp"
+#include "mc/sim.hpp"
 
 namespace itpseq::mc {
 namespace {
@@ -23,13 +28,19 @@ struct NamedEngine {
   Check check;
 };
 
-const std::vector<NamedEngine>& one_shot_engines() {
+const std::vector<NamedEngine>& long_lived_engines() {
   static const std::vector<NamedEngine> e = {
       {"itp", [](const aig::Aig& m, const EngineOptions& o) { return check_itp(m, 0, o); }},
       {"itpseq",
        [](const aig::Aig& m, const EngineOptions& o) { return check_itpseq(m, 0, o); }},
       {"sitpseq",
        [](const aig::Aig& m, const EngineOptions& o) { return check_sitpseq(m, 0, o); }},
+  };
+  return e;
+}
+
+const std::vector<NamedEngine>& one_shot_engines() {
+  static const std::vector<NamedEngine> e = {
       {"cba",
        [](const aig::Aig& m, const EngineOptions& o) { return check_itpseq_cba(m, 0, o); }},
       {"pba",
@@ -77,6 +88,37 @@ TEST(EngineInprocess, OneShotEnginesMatchInprocessingOffExactly) {
       EXPECT_EQ(on.stats.sat_propagations, off.stats.sat_propagations);
       EXPECT_EQ(on.stats.proof_clauses, off.stats.proof_clauses);
       EXPECT_EQ(on.stats.sat_inprocess_rounds, 0u);
+    }
+  }
+}
+
+// A PASS must carry a certificate that checks, a FAIL a trace that replays.
+void expect_certified(const aig::Aig& model, const EngineResult& r) {
+  if (r.verdict == Verdict::kPass) {
+    ASSERT_TRUE(r.certificate.has_value());
+    EXPECT_TRUE(check_certificate(model, 0, *r.certificate).ok);
+  } else if (r.verdict == Verdict::kFail) {
+    EXPECT_TRUE(trace_is_cex(model, r.cex, 0));
+  }
+}
+
+TEST(EngineInprocess, LongLivedEnginesKeepVerdicts) {
+  const auto insts = selected();
+  ASSERT_EQ(insts.size(), std::size(kInstances));
+  for (const auto& inst : insts) {
+    for (const auto& e : long_lived_engines()) {
+      SCOPED_TRACE(inst.name + " / " + e.name);
+      const EngineResult on = e.check(inst.model, capped(true));
+      const EngineResult off = e.check(inst.model, capped(false));
+      ASSERT_NE(on.verdict, Verdict::kError);
+      EXPECT_EQ(on.verdict, off.verdict);
+      EXPECT_EQ(off.stats.sat_inprocess_rounds, 0u);
+      // The session's second query pays for the first round.
+      if (on.stats.sat_calls >= 2) {
+        EXPECT_GE(on.stats.sat_inprocess_rounds, 1u);
+      }
+      expect_certified(inst.model, on);
+      expect_certified(inst.model, off);
     }
   }
 }

@@ -1,16 +1,26 @@
 // incremental_test.cpp — incremental SAT interface (assumptions, clause
-// addition between solves, failed-assumption cores) and incremental BMC.
+// addition between solves, failed-assumption cores, one refutation per
+// query under proof logging) and incremental BMC.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <random>
+#include <set>
+#include <sstream>
+#include <string>
+#include <tuple>
 
 #include "bench_circuits/generators.hpp"
 #include "bench_circuits/suite.hpp"
 #include "mc/bmc.hpp"
 #include "mc/engine.hpp"
 #include "mc/sim.hpp"
+#include "sat/drat.hpp"
+#include "sat/proof_check.hpp"
 #include "sat/solver.hpp"
+#include "sat/tracecheck.hpp"
 
 namespace itpseq {
 namespace {
@@ -72,13 +82,189 @@ TEST(Incremental, AssumptionsThenPermanentUnsat) {
   EXPECT_FALSE(s.ok());
 }
 
-TEST(Incremental, ProofLoggingRejectsAssumptions) {
-  sat::Solver s;
-  s.enable_proof();
-  sat::Var a = s.new_var();
-  s.add_clause({mk_lit(a)});
-  EXPECT_THROW(s.solve_assuming({mk_lit(a, true)}), std::logic_error);
+// --- proofs under assumptions -----------------------------------------------
+
+/// Independent replay of a TRACECHECK trace (sat/tracecheck.hpp): every
+/// derived line must follow from its antecedents by trivial resolution (each
+/// step resolves on the one clashing variable), the last line must be the
+/// empty clause, and every leaf must be accepted by `leaf_ok`.
+::testing::AssertionResult replay_tracecheck(
+    const std::string& trace,
+    const std::function<bool(const std::set<long long>&)>& leaf_ok) {
+  std::map<long long, std::set<long long>> clauses;
+  std::istringstream in(trace);
+  std::string line;
+  std::set<long long> last{0};
+  while (std::getline(in, line)) {
+    std::istringstream ls(line);
+    long long id = 0, x = 0;
+    ls >> id;
+    std::set<long long> lits;
+    while (ls >> x && x != 0) lits.insert(x);
+    std::vector<long long> ante;
+    while (ls >> x && x != 0) ante.push_back(x);
+    if (ante.empty()) {
+      if (!leaf_ok(lits))
+        return ::testing::AssertionFailure() << "foreign leaf on line " << id;
+    } else {
+      std::set<long long> acc = clauses.at(ante[0]);
+      for (std::size_t i = 1; i < ante.size(); ++i) {
+        const std::set<long long>& rhs = clauses.at(ante[i]);
+        long long pivot = 0;
+        for (long long l : rhs)
+          if (acc.count(-l)) {
+            if (pivot != 0)
+              return ::testing::AssertionFailure() << "two clashes, line " << id;
+            pivot = l;
+          }
+        if (pivot == 0)
+          return ::testing::AssertionFailure() << "no clash, line " << id;
+        acc.erase(-pivot);
+        for (long long l : rhs)
+          if (l != pivot) acc.insert(l);
+      }
+      if (acc != lits)
+        return ::testing::AssertionFailure() << "wrong resolvent, line " << id;
+    }
+    clauses[id] = lits;
+    last = lits;
+  }
+  if (!last.empty())
+    return ::testing::AssertionFailure() << "trace does not end in the empty clause";
+  return ::testing::AssertionSuccess();
 }
+
+long long dimacs(sat::Lit l) {
+  const long long v = static_cast<long long>(sat::var(l)) + 1;
+  return sat::sign(l) ? -v : v;
+}
+
+class ProofAssumptionFuzz
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(ProofAssumptionFuzz, EveryQueryHasItsOwnRefutation) {
+  // One proof-logging solver answers a run of queries.  Clause groups sit
+  // behind activation literals, clauses are added between queries, and the
+  // assumptions (activations and plain literals, sometimes clashing) change
+  // from query to query.  Every answer must match a fresh solver on the
+  // query's active clauses; a SAT model must satisfy them; an UNSAT answer
+  // must come with a refutation, from its own final id, that replays,
+  // passes the TRACECHECK and DRAT checks, and rests only on clauses of the
+  // solver and units of this query's assumptions.
+  const auto [seed, forced] = GetParam();
+  std::mt19937 rng(9000 + seed);
+  const unsigned nvars = 8 + rng() % 6;
+  sat::Solver inc;
+  inc.enable_proof();
+  if (forced) inc.set_inprocess_interval(0);  // a round at every entry
+  for (unsigned i = 0; i < nvars; ++i) inc.new_var();
+
+  // group 0 is unguarded; group g > 0 is guarded by act[g].
+  std::vector<sat::Lit> act{sat::kNoLit};
+  std::vector<std::vector<std::vector<sat::Lit>>> groups(1);
+  std::vector<std::vector<sat::Lit>> added;  // every clause as the solver has it
+  auto random_clause = [&] {
+    std::vector<sat::Lit> cl;
+    for (unsigned k = 0, len = 1 + rng() % 3; k < len; ++k)
+      cl.push_back(mk_lit(rng() % nvars, rng() % 2));
+    return cl;
+  };
+  auto add = [&](std::size_t g, std::vector<sat::Lit> cl) {
+    groups[g].push_back(cl);
+    if (g > 0) cl.push_back(sat::neg(act[g]));
+    added.push_back(cl);
+    inc.add_clause(cl, static_cast<std::uint32_t>(g));
+  };
+  std::vector<sat::ClauseId> finals;
+  for (int q = 0; q < 14; ++q) {
+    if (act.size() < 6 && rng() % 2 == 0) {
+      const sat::Var a = inc.new_var();
+      if (forced) inc.freeze(a);
+      inc.set_assumption_label(a, static_cast<std::uint32_t>(act.size()));
+      act.push_back(mk_lit(a));
+      groups.emplace_back();
+    }
+    for (int c = 0, n = 1 + rng() % 4; c < n; ++c)
+      add(rng() % groups.size(), random_clause());
+
+    std::vector<sat::Lit> assumptions;
+    std::vector<bool> on(groups.size(), false);
+    on[0] = true;
+    for (std::size_t g = 1; g < groups.size(); ++g)
+      if (rng() % 3 != 0) {
+        on[g] = true;
+        assumptions.push_back(act[g]);
+      }
+    for (unsigned k = 0, n = rng() % 3; k < n; ++k)
+      assumptions.push_back(mk_lit(rng() % nvars, rng() % 2));
+    std::shuffle(assumptions.begin(), assumptions.end(), rng);
+
+    const Status got = inc.solve_assuming(assumptions);
+    ASSERT_NE(got, Status::kUnknown);
+
+    sat::Solver fresh;
+    for (unsigned i = 0; i < inc.num_vars(); ++i) fresh.new_var();
+    std::vector<std::vector<sat::Lit>> active;
+    for (std::size_t g = 0; g < groups.size(); ++g)
+      if (on[g])
+        for (const auto& cl : groups[g]) active.push_back(cl);
+    for (const auto& cl : active) fresh.add_clause(cl);
+    for (std::size_t g = 1; g < groups.size(); ++g)
+      if (on[g]) fresh.add_clause({act[g]});
+    for (sat::Lit a : assumptions) fresh.add_clause({a});
+    const Status expected = fresh.solve();
+    ASSERT_EQ(got, expected) << "query " << q;
+
+    if (got == Status::kSat) {
+      auto holds = [&](sat::Lit l) {
+        return sat::lbool_xor(inc.model()[sat::var(l)], sat::sign(l)) ==
+               sat::LBool::kTrue;
+      };
+      for (const auto& cl : added)
+        EXPECT_TRUE(std::any_of(cl.begin(), cl.end(), holds)) << "query " << q;
+      for (sat::Lit a : assumptions) EXPECT_TRUE(holds(a)) << "query " << q;
+      continue;
+    }
+    const sat::Proof& proof = inc.proof();
+    const sat::ClauseId final = proof.final_id();
+    ASSERT_NE(final, sat::kNoClauseId);
+    finals.push_back(final);
+    const auto pc = sat::check_proof(proof, final);
+    EXPECT_TRUE(pc.ok) << "query " << q << ": " << pc.error;
+
+    std::set<std::set<long long>> leaves;
+    for (const auto& cl : added) {
+      std::set<long long> c;
+      for (sat::Lit l : cl) c.insert(dimacs(l));
+      leaves.insert(c);
+    }
+    for (sat::Lit a : assumptions) leaves.insert({dimacs(a)});
+    // Leaves: the solver's clauses and this query's assumption units only.
+    std::ostringstream tc;
+    sat::write_tracecheck(proof, final, tc);
+    EXPECT_TRUE(replay_tracecheck(tc.str(), [&](const std::set<long long>& c) {
+      return leaves.count(c) > 0;
+    })) << "query " << q;
+
+    std::vector<std::vector<sat::Lit>> cnf = added;
+    for (sat::Lit a : assumptions) cnf.push_back({a});
+    std::ostringstream drat;
+    sat::write_drat(proof, final, drat);
+    std::istringstream din(drat.str());
+    const auto dc = sat::check_drat(static_cast<unsigned>(inc.num_vars()), cnf, din);
+    EXPECT_TRUE(dc.ok) << "query " << q << ": " << dc.error;
+    if (!inc.ok()) break;  // the clause set itself is refuted
+  }
+  // The log keeps every refutation: earlier finals still replay.
+  for (sat::ClauseId f : finals) {
+    const auto pc = sat::check_proof(inc.proof(), f);
+    EXPECT_TRUE(pc.ok) << pc.error;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ProofAssumptionFuzz,
+                         ::testing::Combine(::testing::Range(0, 40),
+                                            ::testing::Bool()));
 
 class IncrementalRandomTest : public ::testing::TestWithParam<int> {};
 

@@ -1,0 +1,321 @@
+// itp_session_test.cpp — the long-lived proof-logging session behind ITP,
+// ITPSEQ and SITPSEQ against a one-shot build of every query.
+//
+// Each test drives an mc::ItpSession through an engine's query pattern
+// (the bounds of ITPSEQ, SITPSEQ's serial steps and parallel suffix, ITP's
+// inner iterations) and checks every query against a test-local one-shot
+// solver built from the paper's formulas: the same SAT/UNSAT answer, and on
+// UNSAT an extracted sequence that satisfies Definitions 1 and 2
+// (itp/validate) for the one-shot build's partition.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "bench_circuits/suite.hpp"
+#include "cnf/unroller.hpp"
+#include "itp/interpolate.hpp"
+#include "itp/validate.hpp"
+#include "mc/itp_session.hpp"
+#include "mc/state_space.hpp"
+
+namespace itpseq::mc {
+namespace {
+
+using Layout = ItpSession::Layout;
+
+/// A test-local Tseitin unrolling into a plain labelled clause list.  It
+/// shares no code with cnf::Unroller, and no solver drops a clause that is
+/// satisfied at level 0, so the partition is exactly the paper's.
+class Encoder {
+ public:
+  using Map = std::unordered_map<aig::Var, sat::Lit>;
+
+  itp::LabeledCnf cnf;
+
+  sat::Lit fresh() { return sat::mk_lit(cnf.num_vars++); }
+  void add(std::vector<sat::Lit> c, std::uint32_t label) {
+    cnf.clauses.emplace_back(std::move(c), label);
+  }
+  /// `root` of `g`, whose leaves (inputs, latches) are looked up in (or,
+  /// when absent, added to) `map`; gate clauses carry `label`.
+  sat::Lit encode(const aig::Aig& g, aig::Lit root, Map& map,
+                  std::uint32_t label) {
+    const aig::Var v = aig::lit_var(root);
+    sat::Lit l;
+    if (auto it = map.find(v); it != map.end()) {
+      l = it->second;
+    } else if (v == 0) {  // constant false
+      l = fresh();
+      add({sat::neg(l)}, label);
+      map[v] = l;
+    } else if (g.is_and(v)) {
+      const aig::Node& nd = g.node(v);
+      const sat::Lit a = encode(g, nd.fanin0, map, label);
+      const sat::Lit b = encode(g, nd.fanin1, map, label);
+      l = fresh();
+      add({sat::neg(l), a}, label);
+      add({sat::neg(l), b}, label);
+      add({l, sat::neg(a), sat::neg(b)}, label);
+      map[v] = l;
+    } else {
+      l = map[v] = fresh();
+    }
+    return aig::lit_sign(root) ? sat::neg(l) : l;
+  }
+};
+
+/// The one-shot build of a query (what each engine built per query before
+/// the session), partitioned as the paper does: start(V^0) ∧ T^n ∧
+/// constraints at frames 0..n ∧ target, with the layout's labels.
+struct OneShot {
+  sat::Status status;
+  itp::LabeledCnf cnf;
+  std::vector<std::vector<sat::Lit>> latch;  // latch[t][i]: latch i at frame t
+};
+
+OneShot one_shot(const aig::Aig& model, const aig::Aig& sets, Layout layout,
+                 aig::Lit start, unsigned n, bool assume_k) {
+  const bool seq = layout == Layout::kSequence;
+  auto label = [&](unsigned t) -> std::uint32_t {
+    return seq ? t + 1 : (t == 0 ? 1 : 2);
+  };
+  Encoder e;
+  std::vector<Encoder::Map> frame(n + 1);
+  OneShot r;
+  r.latch.resize(n + 1);
+  for (unsigned t = 0; t <= n; ++t)
+    for (std::size_t i = 0; i < model.num_latches(); ++i) {
+      r.latch[t].push_back(e.fresh());
+      frame[t][aig::lit_var(model.latch(i))] = r.latch[t].back();
+    }
+  if (start == aig::kNullLit) {
+    for (std::size_t i = 0; i < model.num_latches(); ++i)
+      if (model.latch_init(i) != aig::LatchInit::kUndef)
+        e.add({model.latch_init(i) == aig::LatchInit::kOne
+                   ? r.latch[0][i]
+                   : sat::neg(r.latch[0][i])},
+              1);
+  } else if (start != aig::kTrue) {
+    Encoder::Map over;  // sets' input i is model latch i
+    for (std::size_t i = 0; i < model.num_latches(); ++i)
+      over[aig::lit_var(sets.input(i))] = r.latch[0][i];
+    e.add({e.encode(sets, start, over, 1)}, 1);
+  }
+  for (unsigned t = 0; t < n; ++t)
+    for (std::size_t i = 0; i < model.num_latches(); ++i) {
+      const sat::Lit nx = e.encode(model, model.latch_next(i), frame[t], label(t));
+      e.add({sat::neg(r.latch[t + 1][i]), nx}, label(t));
+      e.add({r.latch[t + 1][i], sat::neg(nx)}, label(t));
+    }
+  for (unsigned t = 0; t <= n; ++t)
+    for (std::size_t c = 0; c < model.num_constraints(); ++c)
+      e.add({e.encode(model, model.constraint(c), frame[t], label(t))}, label(t));
+  auto bad = [&](unsigned t, std::uint32_t l) {
+    return e.encode(model, model.output(0), frame[t], l);
+  };
+  std::vector<sat::Lit> target;
+  if (seq) {
+    if (assume_k)
+      for (unsigned t = 1; t < n; ++t) e.add({sat::neg(bad(t, label(t)))}, label(t));
+    target.push_back(bad(n, n + 1));
+  } else {
+    for (unsigned t = 1; t <= n; ++t) target.push_back(bad(t, 2));
+  }
+  e.add(target, seq ? n + 1 : 2);
+
+  sat::Solver s;
+  for (unsigned v = 0; v < e.cnf.num_vars; ++v) s.new_var();
+  for (const auto& [c, l] : e.cnf.clauses) s.add_clause(c);
+  r.status = s.solve();
+  r.cnf = std::move(e.cnf);
+  return r;
+}
+
+/// Drives one session and checks each of its queries.
+class SessionChecker {
+ public:
+  SessionChecker(const aig::Aig& model, ItpSession::Shape shape, bool validate)
+      : model_(model),
+        space_(model),
+        shape_(shape),
+        validate_(validate),
+        session_(model, 0, EngineOptions{}, shape) {}
+
+  /// One query, checked against its one-shot build.  On UNSAT returns the
+  /// sequence for cuts 1..last_cut, validated against the one-shot
+  /// partition when enabled.
+  bool query(aig::Lit start, unsigned n, unsigned last_cut,
+             std::vector<aig::Lit>& terms) {
+    SCOPED_TRACE("query " + std::to_string(queries_) + " (n = " +
+                 std::to_string(n) + ")");
+    ++queries_;
+    const sat::Status got =
+        session_.query(space_.graph(), start, n, {}, sat::Budget{});
+    const OneShot want = one_shot(model_, space_.graph(), shape_.layout, start,
+                                  n, shape_.assume_k);
+    EXPECT_NE(got, sat::Status::kUnknown);
+    EXPECT_EQ(got, want.status);
+    if (got != sat::Status::kUnsat || want.status != sat::Status::kUnsat)
+      return false;
+    terms = extract(session_.final(), last_cut);
+    if (validate_) check_sequence(want, terms);
+    return true;
+  }
+
+ private:
+  std::vector<aig::Lit> extract(sat::ClauseId final, unsigned last_cut) {
+    itp::InterpolantExtractor ex(session_.proof(), final);
+    return ex.extract_sequence(
+        space_.graph(), 1, last_cut, [&](std::uint32_t cut, sat::Var v) {
+          for (std::size_t i = 0; i < model_.num_latches(); ++i) {
+            const sat::Lit l = session_.unroller().lookup(model_.latch(i), cut);
+            if (l != sat::kNoLit && sat::var(l) == v)
+              return aig::lit_xor(space_.latch_input(i), sat::sign(l));
+          }
+          return aig::kNullLit;
+        });
+  }
+
+  /// Definitions 1 and 2 for the first terms.size() cuts of the one-shot
+  /// partition.  Term c is over the latches at frame c: rebuild it in an
+  /// AIG whose input v is the one-shot's SAT variable v.
+  void check_sequence(const OneShot& want, const std::vector<aig::Lit>& terms) {
+    aig::Aig h;
+    std::vector<sat::Var> var_of_input;
+    for (unsigned v = 0; v < want.cnf.num_vars; ++v) {
+      h.add_input();
+      var_of_input.push_back(v);
+    }
+    const aig::Aig& g = space_.graph();
+    std::vector<aig::Lit> mapped;
+    for (unsigned c = 1; c <= terms.size(); ++c) {
+      std::vector<aig::Lit> leaf(g.num_vars(), aig::kNullLit);
+      for (std::size_t i = 0; i < model_.num_latches(); ++i) {
+        const sat::Lit l = want.latch[c][i];
+        leaf[aig::lit_var(space_.latch_input(i))] =
+            aig::lit_xor(h.input(sat::var(l)), sat::sign(l));
+      }
+      mapped.push_back(h.import_cone(g, terms[c - 1], leaf));
+    }
+    const itp::ValidationResult r =
+        itp::validate_sequence(want.cnf, h, mapped, var_of_input);
+    EXPECT_TRUE(r.ok) << r.error;
+  }
+
+  const aig::Aig& model_;
+  StateSpace space_;
+  ItpSession::Shape shape_;
+  bool validate_;
+  ItpSession session_;
+  unsigned queries_ = 0;
+};
+
+ItpSession::Shape sequence_shape(bool serial) {
+  ItpSession::Shape sh;
+  sh.layout = Layout::kSequence;
+  sh.assume_k = true;
+  sh.shorter_queries = serial;
+  return sh;
+}
+
+/// ITPSEQ and SITPSEQ (alpha = 0.5): every bound, serial step and
+/// parallel suffix of a run capped at `max_bound`.
+void run_sequence(const aig::Aig& model, bool serial, unsigned max_bound,
+                  bool validate) {
+  SessionChecker chk(model, sequence_shape(serial), validate);
+  for (unsigned k = 1; k <= max_bound; ++k) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    std::vector<aig::Lit> seq;
+    if (!chk.query(aig::kNullLit, k, k, seq)) return;  // a counterexample
+    if (!serial) continue;
+    const unsigned ns = std::min(
+        k, static_cast<unsigned>(std::floor(0.5 * static_cast<double>(k + 1))));
+    aig::Lit term = seq[0];
+    for (unsigned j = 2; j <= ns; ++j) {
+      std::vector<aig::Lit> step;
+      if (!chk.query(term, k - (j - 1), 1, step)) break;  // the fallback
+      term = step[0];
+    }
+    if (ns < k) {
+      std::vector<aig::Lit> suffix;
+      chk.query(term, k - ns, k - ns, suffix);
+    }
+  }
+}
+
+/// ITP: every bound's inner iterations (at most four).
+void run_standard(const aig::Aig& model, unsigned max_bound, bool validate) {
+  ItpSession::Shape sh;
+  sh.layout = Layout::kStandard;
+  SessionChecker chk(model, sh, validate);
+  for (unsigned k = 1; k <= max_bound; ++k) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    aig::Lit front = aig::kNullLit;
+    for (unsigned j = 0; j < 4; ++j) {
+      std::vector<aig::Lit> itp;
+      if (!chk.query(front, k, 1, itp)) break;
+      front = itp[0];
+    }
+  }
+}
+
+TEST(ItpSession, SuiteQueriesMatchOneShot) {
+  for (const auto& inst : bench::make_suite()) {
+    SCOPED_TRACE(inst.name);
+    // Definitions 1 and 2 cost fresh SAT calls per cut: small designs only.
+    const bool validate = inst.model.num_latches() <= 24;
+    run_sequence(inst.model, /*serial=*/false, 4, validate);
+    run_sequence(inst.model, /*serial=*/true, 4, validate);
+    run_standard(inst.model, 3, validate);
+  }
+}
+
+/// x' = x OR in, y' = x, bad = x, constraint NOT y; x and y reset to 0.
+/// bad holds at frame 1 on the path with in = 1 at frame 0, and that
+/// path violates the constraint at frame 2 (y = x at frame 1).
+aig::Aig late_violation() {
+  aig::Aig g;
+  const aig::Lit in = g.add_input("in");
+  const aig::Lit x = g.add_latch(aig::LatchInit::kZero, "x");
+  const aig::Lit y = g.add_latch(aig::LatchInit::kZero, "y");
+  g.set_latch_next(x, g.make_or(x, in));
+  g.set_latch_next(y, x);
+  g.add_output(x, "bad");
+  g.add_constraint(aig::lit_not(y));
+  return g;
+}
+
+TEST(ItpSession, ShorterQueryIgnoresConstraintsPastItsTarget) {
+  const aig::Aig g = late_violation();
+  StateSpace space(g);
+  // A length-1 query is SAT; asserting the constraint at frame 2 as well
+  // would refute it.
+  ASSERT_EQ(one_shot(g, space.graph(), Layout::kSequence, aig::kNullLit, 1,
+                     /*assume_k=*/true)
+                .status,
+            sat::Status::kSat);
+  {
+    sat::Solver s;
+    cnf::Unroller u(g, s);
+    u.assert_init(0);
+    for (unsigned t = 0; t < 2; ++t) u.add_transition(t, 0);
+    for (unsigned t = 0; t <= 2; ++t) u.assert_constraints(t, 0);
+    s.add_clause({u.bad_lit(1, 0)});
+    ASSERT_EQ(s.solve(), sat::Status::kUnsat);
+  }
+  // The session has encoded frames 0..3 when the length-1 query comes.
+  ItpSession session(g, 0, EngineOptions{}, sequence_shape(/*serial=*/true));
+  EXPECT_EQ(session.query(space.graph(), aig::kNullLit, 3, {}, {}),
+            sat::Status::kSat);
+  EXPECT_EQ(session.query(space.graph(), aig::kNullLit, 1, {}, {}),
+            sat::Status::kSat);
+  EXPECT_EQ(session.query(space.graph(), aig::kNullLit, 2, {}, {}),
+            sat::Status::kSat);
+}
+
+}  // namespace
+}  // namespace itpseq::mc
