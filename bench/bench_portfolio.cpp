@@ -1,13 +1,12 @@
 // bench_portfolio.cpp — threaded portfolio vs. its single members.
 //
 // For each instance of a mixed PASS/FAIL circuit set: wall-clock of each
-// single member engine, of the threaded portfolio (with lemma exchange) and
-// of the jobs=1 portfolio (one worker, members in list order).  The number
-// to watch is the "vs best" column — the threaded portfolio should track
-// the best single member per instance (small scheduling overhead aside)
-// instead of paying for running members one after another, while the
-// exchange columns count the lemmas that crossed engine boundaries.  Every
-// run's verdict is checked (bench/verdict_check.hpp).
+// single member engine, of the threaded portfolio and of the jobs=1
+// portfolio (one worker, members in list order).  The number to watch is the
+// "vs best" column — the threaded portfolio should track the best single
+// member per instance (small scheduling overhead aside) instead of paying
+// for running members one after another.  Every run's verdict is checked
+// (bench/verdict_check.hpp).
 //
 // Usage: bench_portfolio [per_instance_seconds] [family_filter]
 #include <algorithm>
@@ -34,13 +33,12 @@ int main(int argc, char** argv) {
       mc::PortfolioMember::kRandomSim, mc::PortfolioMember::kBmc,
       mc::PortfolioMember::kSItpSeq, mc::PortfolioMember::kPdr};
 
-  std::printf("%-18s %-4s | %9s %9s %9s %9s | %9s %8s %9s | %6s %6s %-10s\n",
+  std::printf("%-18s %-4s | %9s %9s %9s %9s | %9s %8s %9s | %-10s\n",
               "instance", "exp", "sim", "bmc", "sitpseq", "pdr", "threaded",
-              "vs best", "jobs=1", "pub", "cons", "winner");
+              "vs best", "jobs=1", "winner");
 
   double total_threaded = 0.0, total_best = 0.0, total_one = 0.0;
   unsigned instances = 0, threaded_decided = 0, regressions = 0;
-  std::uint64_t total_pub = 0, total_cons = 0;
 
   for (const auto& inst : bench::make_academic_suite(32)) {
     if (!filter.empty() && inst.family.find(filter) == std::string::npos)
@@ -54,7 +52,6 @@ int main(int argc, char** argv) {
       mc::PortfolioOptions po;
       po.members = {members[i]};
       po.jobs = 1;
-      po.exchange = false;
       po.time_limit_sec = limit;
       mc::EngineResult r = mc::check_portfolio(inst.model, 0, po);
       bench::check_verdict(inst, r);
@@ -90,31 +87,25 @@ int main(int argc, char** argv) {
     winner = winner != nullptr ? winner + 1 : "-";
     std::printf(
         "%-18s %-4s | %8.2fs %8.2fs %8.2fs %8.2fs | %8.2fs %7.2fx %8.2fs | "
-        "%6llu %6llu %-10s%s\n",
+        "%-10s%s\n",
         inst.name.c_str(),
         inst.expected == bench::Expected::kPass ? "PASS" : "FAIL", singles[0],
         singles[1], singles[2], singles[3], threaded.seconds,
         threaded.seconds / (best > 1e-9 ? best : 1e-9), single.seconds,
-        static_cast<unsigned long long>(threaded.stats.lemmas_published),
-        static_cast<unsigned long long>(threaded.stats.lemmas_consumed),
         winner, regress ? "  <-- slower than best member" : "");
 
     ++instances;
     total_threaded += threaded.seconds;
     total_best += best;
     total_one += single.seconds;
-    total_pub += threaded.stats.lemmas_published;
-    total_cons += threaded.stats.lemmas_consumed;
     if (threaded.verdict != mc::Verdict::kUnknown) ++threaded_decided;
     if (regress) ++regressions;
   }
 
   std::printf(
       "\n%u instances | threaded %.2fs vs best-member %.2fs vs jobs=1 "
-      "%.2fs | decided %u | lemmas published %llu consumed %llu | "
-      "regressions %u\n",
+      "%.2fs | decided %u | regressions %u\n",
       instances, total_threaded, total_best, total_one, threaded_decided,
-      static_cast<unsigned long long>(total_pub),
-      static_cast<unsigned long long>(total_cons), regressions);
+      regressions);
   return 0;
 }

@@ -1,7 +1,7 @@
 // engine_shootout.cpp — run the engines across the benchmark suite and
 // print a per-instance comparison (a miniature of the paper's Table I),
 // with BMC and PDR columns flanking the interpolation family and the
-// threaded portfolio (all engines racing + lemma exchange) as the closer.
+// threaded portfolio (all engines racing) as the closer.
 // A SAT-core footer totals the solver-side work per engine: propagations
 // (and the share served by the inline binary watchers), conflicts, arena
 // GC runs and bytes reclaimed.  Every run's verdict is checked

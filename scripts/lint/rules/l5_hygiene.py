@@ -6,6 +6,10 @@
   * `<iostream>` / `std::cout` / `std::cerr` in src/sat/: the SAT core is
     the hot path and must not drag in iostream statics or print — use obs
     tracing or return data to the caller.
+  * `getenv()` / `std::getenv()` in src/ outside the two documented
+    environment entry points, src/util/fault.cpp (ITPSEQ_FAULTS) and
+    src/obs/trace.cpp (ITPSEQ_TRACE*): an undocumented environment switch
+    changes what the library does without any option or flag showing it.
   * `#include "../..."`: parent-relative includes defeat the single
     `-I src` include root; spell the path from src/.
   * Every header must open with `#pragma once` (or a classic guard).
@@ -23,6 +27,7 @@ DESCRIPTION = "banned patterns, include hygiene, header guards"
 
 _TIME_ARGS = {"nullptr", "NULL", "0"}
 _HOT_PATHS = ("src/sat/",)
+_ENV_ENTRY_POINTS = ("src/util/fault.cpp", "src/obs/trace.cpp")
 
 _INCLUDE_RE = re.compile(r'#\s*include\s+["<]([^">]+)[">]')
 
@@ -36,6 +41,8 @@ def check(project: Project, sf: SourceFile):
     toks = sf.toks
     n = len(toks)
     hot = sf.path.startswith(_HOT_PATHS)
+    env_banned = (sf.path.startswith("src/")
+                  and sf.path not in _ENV_ENTRY_POINTS)
 
     for i, t in enumerate(toks):
         if t.kind == "pp":
@@ -76,6 +83,13 @@ def check(project: Project, sf: SourceFile):
                 RULE, sf.path, t.line,
                 f"'{t.text}()' breaks fixed-seed determinism; use the "
                 f"engine's seeded SplitMix PRNG"))
+        elif (env_banned and t.text == "getenv" and nxt is not None
+                and nxt.text == "(" and _free_call(prev)):
+            out.append(Finding(
+                RULE, sf.path, t.line,
+                "'getenv()' outside the documented environment entry points "
+                "(util/fault.cpp, obs/trace.cpp); take the setting through "
+                "an options struct or a flag"))
         elif (t.text == "time" and nxt is not None and nxt.text == "("
                 and _free_call(prev)
                 and i + 2 < n and toks[i + 2].text in _TIME_ARGS

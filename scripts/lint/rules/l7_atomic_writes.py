@@ -1,9 +1,9 @@
 """L7 — file writes in src/mc/ and src/util/ must go through the atomic
 temp+rename helper.
 
-Checkpoints, stats reports, and anything else the library publishes to a
-user-supplied path are read by other processes — a resumed run, a CI
-grader, a dashboard tailer.  A plain `fopen(path, "w")` or `std::ofstream`
+Stats reports and anything else the library publishes to a user-supplied
+path are read by other processes — a CI grader, a script, a dashboard
+tailer.  A plain `fopen(path, "w")` or `std::ofstream`
 truncates the final path first and fills it in place: a crash (or SIGKILL,
 or a fault-injection hit) mid-write leaves a torn file at the name the
 consumer trusts, and a reader racing the writer observes a prefix.  The
@@ -50,7 +50,7 @@ _EXEMPT_PATHS = {"src/util/atomic_write.cpp"}
 _WRITE_STREAMS = {"ofstream", "fstream"}
 
 _MSG = ("%s writes the final path in place — a crash mid-write leaves a "
-        "torn file where a consumer (resume, CI, dashboard) expects a "
+        "torn file where a consumer (script, CI, dashboard) expects a "
         "complete one; build the body in memory and publish it with "
         "util::atomic_write_file (src/util/atomic_write.hpp)")
 

@@ -1,23 +1,14 @@
 #include "mc/bmc.hpp"
 
-#include <algorithm>
-
-#include "mc/lemma_exchange.hpp"
 #include "obs/trace.hpp"
 
 namespace itpseq::mc {
-
-// Exchanged lemmas are sound to assert here because BMC's unrolling is
-// rooted in the exact initial states, so frame-t states are reachable in
-// exactly t steps: invariant lemmas hold at every frame, kFrame lemmas at
-// frames t <= bound.  Both variants consume; BMC publishes nothing.
 
 void BmcEngine::execute(EngineResult& out) {
   if (opts_.bmc_incremental) {
     execute_incremental(out);
     return;
   }
-  LemmaFeed feed{opts_.exchange, opts_.exchange_source};
   for (unsigned k = 1; k <= opts_.max_bound; ++k) {
     out.k_fp = k;
     if (out_of_time()) {
@@ -29,7 +20,6 @@ void BmcEngine::execute(EngineResult& out) {
       obs::emit("bound_start", {{"k", k}});
     }
     obs::Span obs_bound("bound", {{"k", k}});
-    feed.poll();
     sat::Solver solver;
     opts_.apply_sat_options(solver);
     cnf::Unroller unr(model_, solver);
@@ -37,12 +27,6 @@ void BmcEngine::execute(EngineResult& out) {
     for (unsigned t = 0; t < k; ++t) unr.add_transition(t, 0);
     for (unsigned t = 0; t <= k; ++t) unr.assert_constraints(t, 0);
     unr.assert_target(k, opts_.scheme, 0);
-    for (const Lemma& l : feed.invariants)
-      for (unsigned t = 0; t <= k; ++t) assert_lemma_clause(unr, l, t, 0);
-    for (const Lemma& l : feed.frames)
-      for (unsigned t = 0; t <= std::min(l.bound, k); ++t)
-        assert_lemma_clause(unr, l, t, 0);
-    out.stats.lemmas_consumed = feed.invariants.size() + feed.frames.size();
 
     sat::Status status = solver.solve(sat_budget());
     absorb_stats(out, solver);
@@ -87,8 +71,6 @@ void BmcEngine::execute_incremental(EngineResult& out) {
   cnf::Unroller unr(model_, solver);
   unr.assert_init(0);
   unr.assert_constraints(0, 0);
-  LemmaFeed feed{opts_.exchange, opts_.exchange_source};
-  std::vector<unsigned> inv_next, fr_next;  // per-lemma next frame to assert
   // One long-lived solver: its counters are cumulative, so absorb once per
   // exit path (a per-bound absorb would sum prefixes quadratically) and
   // account the per-bound queries separately.
@@ -115,19 +97,6 @@ void BmcEngine::execute_incremental(EngineResult& out) {
     unr.assert_constraints(k, 0);
     if (opts_.scheme == cnf::TargetScheme::kExactAssume && k >= 2)
       solver.add_clause({sat::neg(unr.bad_lit(k - 1, 0, prop_))}, 0);
-
-    // Lemma clauses are permanent, so they trail the growing unrolling:
-    // each lemma is asserted at the frames it has not covered yet.
-    feed.poll();
-    inv_next.resize(feed.invariants.size(), 0);
-    fr_next.resize(feed.frames.size(), 0);
-    for (std::size_t i = 0; i < feed.invariants.size(); ++i)
-      for (unsigned& t = inv_next[i]; t <= k; ++t)
-        assert_lemma_clause(unr, feed.invariants[i], t, 0);
-    for (std::size_t i = 0; i < feed.frames.size(); ++i)
-      for (unsigned& t = fr_next[i]; t <= std::min(feed.frames[i].bound, k); ++t)
-        assert_lemma_clause(unr, feed.frames[i], t, 0);
-    out.stats.lemmas_consumed = feed.invariants.size() + feed.frames.size();
 
     std::vector<sat::Lit> assumptions;
     if (opts_.scheme == cnf::TargetScheme::kBound) {

@@ -50,8 +50,7 @@ ErrorInfo classify_exception(const std::exception& e) {
   info.message = e.what();
   if (dynamic_cast<const std::ios_base::failure*>(&e) != nullptr ||
       info.message.rfind("aiger:", 0) == 0 ||
-      info.message.rfind("blif:", 0) == 0 ||
-      info.message.rfind("snapshot:", 0) == 0) {
+      info.message.rfind("blif:", 0) == 0) {
     info.kind = ErrorKind::kIoError;
   } else {
     info.kind = ErrorKind::kInternal;
@@ -192,11 +191,9 @@ void Engine::absorb_stats(EngineResult& out, const sat::Solver& solver,
 }
 
 sat::Status Engine::solve_query(ItpSession& s, aig::Lit start, unsigned n,
-                                const std::vector<Lemma>& lemmas,
                                 EngineResult& out) {
   const sat::SolverStats before = s.solver().stats();
-  const sat::Status st =
-      s.query(space_.graph(), start, n, lemmas, sat_budget());
+  const sat::Status st = s.query(space_.graph(), start, n, sat_budget());
   absorb_stats(out, s.solver(), before);
   if (st == sat::Status::kUnsat)
     out.stats.proof_clauses += s.proof().core(s.final()).size();

@@ -79,7 +79,7 @@ class Engine {
   /// state-set graph, within the engine's budget; its work, and on kUnsat
   /// its refutation's core size, go into `out`.
   sat::Status solve_query(ItpSession& s, aig::Lit start, unsigned n,
-                          const std::vector<Lemma>& lemmas, EngineResult& out);
+                          EngineResult& out);
 
   /// Build a PASS certificate from a state-set literal of space_.graph()
   /// (see mc/certify.hpp for the conditions the caller guarantees).

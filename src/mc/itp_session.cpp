@@ -50,27 +50,18 @@ void ItpSession::freeze_latches(unsigned t) {
   }
 }
 
-void ItpSession::encode(unsigned n, const std::vector<Lemma>& lemmas) {
+void ItpSession::encode(unsigned n) {
   while (unr_.num_frames() <= n) {
     const unsigned t = unr_.num_frames() - 1;
     unr_.add_transition(t, frame_label(t));
     if (shape_.long_lived) freeze_latches(t + 1);
   }
-  // A new frame gets the constraints and every known lemma; a new lemma
-  // gets every frame the session has.
   for (; constrained_ <= n; ++constrained_) {
     const unsigned t = constrained_;
     unr_.assert_constraints(
         t, frame_label(t),
         model_.num_constraints() > 0 ? frame_guard(frame_act_, t) : sat::kNoLit);
-    for (std::size_t i = 0; i < lemmas_; ++i)
-      assert_lemma_clause(unr_, lemmas[i], t, frame_label(t),
-                          frame_guard(frame_act_, t));
   }
-  for (; lemmas_ < lemmas.size(); ++lemmas_)
-    for (unsigned t = 0; t < constrained_; ++t)
-      assert_lemma_clause(unr_, lemmas[lemmas_], t, frame_label(t),
-                          frame_guard(frame_act_, t));
   if (shape_.assume_k)
     for (; good_ < n; ++good_) {
       clause_.push_back(sat::neg(unr_.bad_lit(good_, frame_label(good_), prop_)));
@@ -94,7 +85,6 @@ sat::Lit ItpSession::target(unsigned n) {
 }
 
 sat::Status ItpSession::query(const aig::Aig& sets, aig::Lit start, unsigned n,
-                              const std::vector<Lemma>& lemmas,
                               const sat::Budget& budget) {
   assumptions_.clear();
   // Start: the initial states stay available; an interpolant or term is
@@ -113,7 +103,7 @@ sat::Status ItpSession::query(const aig::Aig& sets, aig::Lit start, unsigned n,
     add_guarded(once, 1);
     if (once != sat::kNoLit) assumptions_.push_back(once);
   }
-  encode(n, lemmas);
+  encode(n);
   if (shape_.shorter_queries) {
     for (unsigned t = 0; t <= n && t < frame_act_.size(); ++t)
       if (frame_act_[t] != sat::kNoLit) assumptions_.push_back(frame_act_[t]);

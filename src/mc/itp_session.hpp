@@ -10,8 +10,8 @@
 // extracted from that refutation.
 //
 // Partition labels are fixed per frame, so they never depend on the query:
-//   kSequence  frame t's logic (transition t -> t+1, constraints, lemma
-//              clauses, the assume-k "good" clause) is partition t+1; the
+//   kSequence  frame t's logic (transition t -> t+1, constraints, the
+//              assume-k "good" clause) is partition t+1; the
 //              start is partition 1 and the target bad(V^n) of a length-n
 //              query partition n+1;
 //   kStandard  frame 0's logic and the start are partition 1; every later
@@ -24,9 +24,8 @@
 // clauses and clauses that only define fresh variables (frames past a
 // shorter query's target, the Tseitin definitions of earlier starts).  When
 // queries can be shorter than the unrolling (SITPSEQ's serial steps), the
-// constraints, lemma clauses and good clauses of every frame are guarded
-// per frame and assumed only up to the query's target; every target is
-// guarded.  So every SAT/UNSAT answer is the one-shot answer; only the
+// constraints and good clauses of every frame are guarded per frame and
+// assumed only up to the query's target; every target is guarded.  So every SAT/UNSAT answer is the one-shot answer; only the
 // proofs differ.
 //
 // Used activations are retired with a permanent negative unit, so level-0
@@ -46,7 +45,6 @@
 
 #include "aig/aig.hpp"
 #include "cnf/unroller.hpp"
-#include "mc/lemma_exchange.hpp"
 #include "mc/result.hpp"
 #include "sat/solver.hpp"
 
@@ -82,10 +80,8 @@ class ItpSession {
   /// Solve start(V^0) ∧ (unrolling of length n) ∧ target (see the layouts
   /// above).  `start`: aig::kNullLit for the initial states, aig::kTrue for
   /// none, otherwise a predicate of `sets`, whose input i is model latch i.
-  /// `lemmas` are invariants asserted at every frame; the vector may only
-  /// grow between queries.
   sat::Status query(const aig::Aig& sets, aig::Lit start, unsigned n,
-                    const std::vector<Lemma>& lemmas, const sat::Budget& budget);
+                    const sat::Budget& budget);
 
   /// After query() == kUnsat: that query's empty clause in proof().
   sat::ClauseId final() const { return final_; }
@@ -112,9 +108,9 @@ class ItpSession {
   /// shorter, else kNoLit (the frame's clauses are unguarded).
   sat::Lit frame_guard(std::vector<sat::Lit>& slots, unsigned t);
   void freeze_latches(unsigned t);
-  /// Transitions up to frame n, then the constraints, lemma clauses and
-  /// good clauses the session does not have yet.
-  void encode(unsigned n, const std::vector<Lemma>& lemmas);
+  /// Transitions up to frame n, then the constraints and good clauses the
+  /// session does not have yet.
+  void encode(unsigned n);
   /// The target's activation (created and its clause added on first use).
   sat::Lit target(unsigned n);
 
@@ -128,9 +124,8 @@ class ItpSession {
   sat::Lit init_act_ = sat::kNoLit;
   bool init_encoded_ = false;
   unsigned constrained_ = 0;  // frames [0, constrained_) have constraints
-  std::size_t lemmas_ = 0;    // lemmas [0, lemmas_) are at those frames
   unsigned good_ = 1;         // frames [1, good_) have a good clause
-  std::vector<sat::Lit> frame_act_;   // per frame: constraints + lemmas
+  std::vector<sat::Lit> frame_act_;   // per frame: constraints
   std::vector<sat::Lit> good_act_;    // per frame: the good clause
   std::vector<sat::Lit> target_act_;  // per length
   unsigned last_n_ = 0;               // length of the previous query

@@ -4,38 +4,12 @@
 #include <unordered_map>
 
 #include "itp/interpolate.hpp"
-#include "mc/lemma_exchange.hpp"
 #include "obs/trace.hpp"
 
 namespace itpseq::mc {
 
 void ItpVerifEngine::execute(EngineResult& out) {
   aig::Aig& G = space_.graph();
-
-  // Lemma exchange: consumed kInvariant lemmas behave exactly like model
-  // invariant constraints (they hold in every reachable state and are
-  // inductive), so they are asserted wherever constraints are — every
-  // frame of every instance — and conjoined into the fixpoint target and
-  // the PASS certificate.  kFrame lemmas are NOT used here: they would cut
-  // A-side models of the over-approximate iterations and break the image
-  // closure the fixpoint argument needs.  Freshly extracted interpolants
-  // are published as kCandidate latch clauses (PDR verifies before use).
-  LemmaFeed feed{opts_.exchange, opts_.exchange_source};
-  aig::Lit inv = aig::kTrue;  // conjunction of consumed invariant lemmas
-  std::size_t inv_used = 0;
-  auto poll_exchange = [&] {
-    feed.poll();
-    for (; inv_used < feed.invariants.size(); ++inv_used) {
-      inv = G.make_and(
-          inv, latch_clause_pred(G, feed.invariants[inv_used].clause));
-      ++out.stats.lemmas_consumed;
-    }
-  };
-  auto publish_terms = [&](aig::Lit term) {
-    out.stats.lemmas_published += publish_candidates(
-        opts_.exchange, G, term, /*quota=*/8, /*max_len=*/6,
-        opts_.exchange_source);
-  };
 
   // One session answers every query of the run: A = front ∧ T(V^0,V^1)
   // (label 1) and the bound-k B = T^{k-1} ∧ (bad at some frame 1..k)
@@ -89,12 +63,10 @@ void ItpVerifEngine::execute(EngineResult& out) {
       obs::emit("bound_start", {{"k", k}});
     }
     obs::Span obs_bound("bound", {{"k", k}});
-    poll_exchange();
     // Nothing survives an outer restart, so the state-set AIG can be
-    // garbage-collected wholesale once it grows (the invariant-lemma
-    // conjunction is the only literal that must survive).
+    // garbage-collected wholesale once it grows.
     if (opts_.compact_threshold > 0 && G.num_ands() > opts_.compact_threshold)
-      space_.compact({&inv});
+      space_.compact({});
     if (!session || session->proof().size() > ItpSession::kProofCap)
       session = std::make_unique<ItpSession>(model_, prop_, opts_, shape);
 
@@ -102,8 +74,7 @@ void ItpVerifEngine::execute(EngineResult& out) {
     aig::Lit front = aig::kNullLit;  // null = S0 (exact initial states)
 
     for (unsigned j = 0;; ++j) {
-      const sat::Status st =
-          solve_query(*session, front, k, feed.invariants, out);
+      const sat::Status st = solve_query(*session, front, k, out);
       if (st == sat::Status::kUnknown) {
         out.verdict = Verdict::kUnknown;
         return;
@@ -125,16 +96,12 @@ void ItpVerifEngine::execute(EngineResult& out) {
                                 {"itp_nodes", G.cone_size(I)}});
       }
       out.stats.max_itp_nodes = std::max(out.stats.max_itp_nodes, G.cone_size(I));
-      publish_terms(I);
-      // Fixpoint modulo the invariant lemmas: new states within inv are
-      // already covered, and R ∧ inv is the inductive set (certificate).
-      Implication imp =
-          space_.implies(G.make_and(I, inv), R, remaining(), opts_.cancel);
+      Implication imp = space_.implies(I, R, remaining(), opts_.cancel);
       if (imp == Implication::kHolds) {
         out.verdict = Verdict::kPass;
         out.k_fp = k;
         out.j_fp = j + 1;
-        out.certificate = make_certificate(G.make_and(R, inv));
+        out.certificate = make_certificate(R);
         return;
       }
       if (imp == Implication::kUnknown) {

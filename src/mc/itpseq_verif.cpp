@@ -41,10 +41,6 @@ ItpSeqEngine::ItpSeqEngine(const aig::Aig& model, std::size_t prop,
     // Initial abstraction: exactly the property support.
     visible_ = prop_support_;
   }
-  if (mode_ == AbstractionMode::kNone) {
-    feed_.hub = opts_.exchange;
-    feed_.self = opts_.exchange_source;
-  }
 }
 
 const char* ItpSeqEngine::name() const {
@@ -214,22 +210,12 @@ void ItpSeqEngine::execute(EngineResult& out) {
     }
     obs::Span obs_bound("bound", {{"k", k}});
 
-    // Safe point for the lemma exchange: between bounds.  New invariant
-    // lemmas extend inv_ (constant within a bound).
-    feed_.poll();
-    for (; inv_used_ < feed_.invariants.size(); ++inv_used_) {
-      inv_ = G.make_and(
-          inv_, latch_clause_pred(G, feed_.invariants[inv_used_].clause));
-      ++out.stats.lemmas_consumed;
-    }
-
     // Bound the growth of the interpolant store: rebuild the state-set AIG
-    // keeping only the live matrix columns (and the invariant conjunction).
+    // keeping only the live matrix columns.
     if (opts_.compact_threshold > 0 &&
         G.num_ands() > opts_.compact_threshold) {
       std::vector<aig::Lit*> roots;
       for (unsigned j = 1; j < calI_.size(); ++j) roots.push_back(&calI_[j]);
-      roots.push_back(&inv_);
       space_.compact(std::move(roots));
     }
 
@@ -244,7 +230,7 @@ void ItpSeqEngine::execute(EngineResult& out) {
       // PBA: the concrete check decides SAT/UNSAT; its proof core sizes the
       // abstraction used for extraction.
       conc = one_query(/*concrete=*/true);
-      status = solve_query(*conc, aig::kNullLit, k, feed_.invariants, out);
+      status = solve_query(*conc, aig::kNullLit, k, out);
       if (status == sat::Status::kUnknown) {
         out.verdict = Verdict::kUnknown;
         return;
@@ -259,7 +245,7 @@ void ItpSeqEngine::execute(EngineResult& out) {
       visible_ = pba_needed(*conc, k);
       abs = one_query();
       first = abs.get();
-      status = solve_query(*abs, aig::kNullLit, k, feed_.invariants, out);
+      status = solve_query(*abs, aig::kNullLit, k, out);
       if (status != sat::Status::kUnsat) {
         // Variable-granular PBA was too coarse for this bound (or the
         // re-solve ran out of budget): extract from the concrete proof.
@@ -278,7 +264,7 @@ void ItpSeqEngine::execute(EngineResult& out) {
                                              shape(/*long_lived=*/true));
         first = run.get();
       }
-      status = solve_query(*first, aig::kNullLit, k, feed_.invariants, out);
+      status = solve_query(*first, aig::kNullLit, k, out);
       while (cba && status == sat::Status::kSat) {
         bool refined = false;
         if (extend_or_refine(*first, k, out, refined)) return;  // real FAIL
@@ -290,7 +276,7 @@ void ItpSeqEngine::execute(EngineResult& out) {
         }
         abs = one_query();
         first = abs.get();
-        status = solve_query(*first, aig::kNullLit, k, feed_.invariants, out);
+        status = solve_query(*first, aig::kNullLit, k, out);
       }
     }
     if (!visible_.empty())
@@ -334,7 +320,7 @@ void ItpSeqEngine::execute(EngineResult& out) {
       terms[1] = extract_terms(*first, first_final, 1)[0];
       for (unsigned j = 2; j <= ns && !fallback; ++j) {
         ItpSession& s = shifted_session();
-        status = solve_query(s, terms[j - 1], k - (j - 1), feed_.invariants, out);
+        status = solve_query(s, terms[j - 1], k - (j - 1), out);
         if (status == sat::Status::kUnknown) {
           out.verdict = Verdict::kUnknown;
           return;
@@ -348,7 +334,7 @@ void ItpSeqEngine::execute(EngineResult& out) {
       if (!fallback && ns < k) {
         // Parallel suffix from one more proof (Fig. 4, last line).
         ItpSession& s = shifted_session();
-        status = solve_query(s, terms[ns], k - ns, feed_.invariants, out);
+        status = solve_query(s, terms[ns], k - ns, out);
         if (status == sat::Status::kUnknown) {
           out.verdict = Verdict::kUnknown;
           return;
@@ -378,19 +364,6 @@ void ItpSeqEngine::execute(EngineResult& out) {
                                    {"seq_nodes", total_nodes}});
     }
 
-    // Share the syntactic latch clauses of the fresh terms as candidates
-    // (quota per bound, spent across the terms in sequence order).
-    if (feed_.hub != nullptr) {
-      std::size_t quota = 16;
-      for (unsigned j = 1; j <= k && quota > 0; ++j) {
-        std::size_t accepted = publish_candidates(
-            feed_.hub, G, terms[j], quota, /*max_len=*/6,
-            opts_.exchange_source);
-        out.stats.lemmas_published += accepted;
-        quota -= std::min(quota, accepted);
-      }
-    }
-
     // --- matrix update and fixpoint checks (Fig. 2) ----------------------
     calI_.resize(k + 1, aig::kTrue);
     for (unsigned j = 1; j < k; ++j) calI_[j] = G.make_and(calI_[j], terms[j]);
@@ -398,15 +371,13 @@ void ItpSeqEngine::execute(EngineResult& out) {
 
     aig::Lit R = space_.init_pred(visible_);
     for (unsigned j = 1; j <= k; ++j) {
-      // Fixpoint modulo the invariant lemmas (inv_ = kTrue without a hub):
-      // R ∧ inv_ is the inductive set the certificate reports.
-      Implication imp = space_.implies(G.make_and(calI_[j], inv_), R,
-                                       remaining(), opts_.cancel);
+      Implication imp =
+          space_.implies(calI_[j], R, remaining(), opts_.cancel);
       if (imp == Implication::kHolds) {
         out.verdict = Verdict::kPass;
         out.k_fp = k;
         out.j_fp = j;
-        out.certificate = make_certificate(G.make_and(R, inv_));
+        out.certificate = make_certificate(R);
         return;
       }
       if (imp == Implication::kUnknown) {

@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "mc/engine.hpp"
-#include "mc/lemma_exchange.hpp"
 
 namespace itpseq::mc {
 
@@ -94,16 +93,6 @@ class ItpSeqEngine : public Engine {
   std::vector<bool> prop_support_;     // latches in the bad signal's support
   std::vector<bool> visible_;          // abstraction mask; empty = concrete
   std::vector<aig::Lit> calI_;         // calI_[j], j >= 1; index 0 unused
-
-  // Lemma exchange (concrete mode only — on the abstract transition
-  // relation even invariant lemmas are not inductive, so the abstraction
-  // engines neither consume nor rely on foreign facts).  Consumed
-  // kInvariant lemmas are asserted like model constraints in every query
-  // and conjoined into the fixpoint target / PASS certificate; sequence
-  // terms are published back as kCandidate latch clauses.
-  LemmaFeed feed_;
-  aig::Lit inv_ = aig::kTrue;          // conjunction of consumed invariants
-  std::size_t inv_used_ = 0;
 };
 
 }  // namespace itpseq::mc

@@ -1,8 +1,5 @@
 #include "mc/kinduction.hpp"
 
-#include <algorithm>
-
-#include "mc/lemma_exchange.hpp"
 #include "obs/trace.hpp"
 
 namespace itpseq::mc {
@@ -33,14 +30,6 @@ void KInductionEngine::execute(EngineResult& out) {
   cnf::Unroller step_unr(model_, step);
   step_unr.assert_constraints(0, 0);
 
-  // Exchanged lemmas: the concrete base case takes invariant lemmas at
-  // every frame and kFrame lemmas at frames <= bound (frame-t states are
-  // reachable in exactly t steps).  The step case runs on *arbitrary*
-  // states, where only invariant lemmas are sound — they strengthen the
-  // induction hypothesis (classic invariant-strengthened k-induction);
-  // real traces satisfy them everywhere, so PASS remains sound.
-  LemmaFeed feed{opts_.exchange, opts_.exchange_source};
-  std::vector<unsigned> step_next;  // per-invariant next step frame to assert
   // The step solver is long-lived and its counters are cumulative, so it is
   // absorbed once per exit path (a per-bound absorb would sum prefixes
   // quadratically); the per-bound base solvers are fresh and absorb inline.
@@ -63,7 +52,6 @@ void KInductionEngine::execute(EngineResult& out) {
       obs::emit("bound_start", {{"k", k}});
     }
     obs::Span obs_bound("bound", {{"k", k}});
-    feed.poll();
 
     // --- base(k): counterexample of exact depth k ------------------------
     {
@@ -75,12 +63,6 @@ void KInductionEngine::execute(EngineResult& out) {
       for (unsigned t = 0; t < k; ++t) unr.add_transition(t, 0);
       for (unsigned t = 0; t <= k; ++t) unr.assert_constraints(t, 0);
       solver.add_clause({unr.bad_lit(k, 0, prop_)}, 0);
-      for (const Lemma& l : feed.invariants)
-        for (unsigned t = 0; t <= k; ++t) assert_lemma_clause(unr, l, t, 0);
-      for (const Lemma& l : feed.frames)
-        for (unsigned t = 0; t <= std::min(l.bound, k); ++t)
-          assert_lemma_clause(unr, l, t, 0);
-      out.stats.lemmas_consumed = feed.invariants.size() + feed.frames.size();
       sat::Status st = solver.solve(sat_budget());
       absorb_stats(out, solver);
       if (st == sat::Status::kUnknown) {
@@ -101,10 +83,6 @@ void KInductionEngine::execute(EngineResult& out) {
     obs::Span obs_step("step", {{"k", k}});
     step_unr.add_transition(k - 1, 0);
     step_unr.assert_constraints(k, 0);
-    step_next.resize(feed.invariants.size(), 0);
-    for (std::size_t i = 0; i < feed.invariants.size(); ++i)
-      for (unsigned& t = step_next[i]; t <= k; ++t)
-        assert_lemma_clause(step_unr, feed.invariants[i], t, 0);
     // p at frame k-1 becomes a permanent constraint (it was the assumed
     // target at the previous bound), and the newly created frame k joins
     // the pairwise simple-path constraints.

@@ -25,7 +25,6 @@
 #include <queue>
 #include <tuple>
 
-#include "mc/lemma_exchange.hpp"
 #include "mc/ternary.hpp"
 #include "obs/trace.hpp"
 
@@ -167,11 +166,8 @@ class PdrContext {
 
     // F_inf: clauses proven inductive (relative to F_inf itself), i.e. part
     // of every frame forever.  Guarded by one activation literal that every
-    // query assumes.  Locally proven clauses land here via propagation;
-    // foreign invariant/frame/candidate lemmas via consume_foreign().
+    // query assumes.  Clauses land here via propagation.
     act_inf_ = new_act();
-    feed_.hub = opts_.exchange;
-    feed_.self = opts_.exchange_source;
 
     // Lifting cones: a bad-state cube must preserve bad and the frame-0
     // constraints; a predecessor cube must preserve the successor's
@@ -538,7 +534,7 @@ class PdrContext {
     return lvl;
   }
 
-  // --- F_inf and the lemma exchange ----------------------------------------
+  // --- F_inf ---------------------------------------------------------------
 
   /// Is clause ¬g inductive on its own (relative to F_inf):
   /// F_inf ∧ ¬g ∧ T ∧ g' unsatisfiable?  Such a clause holds in every
@@ -578,95 +574,6 @@ class PdrContext {
                  list.end());
       stats_.subsumed += before - list.size();
     }
-  }
-
-  /// Publish a lemma (clause over latches) to the hub.  The cube and the
-  /// clause use the same literal packing: cube "latch=value" negates to
-  /// clause literal latch^value.
-  void publish(const Cube& c, LemmaGrade grade, unsigned bound) {
-    if (opts_.exchange == nullptr) return;
-    Lemma l;
-    l.grade = grade;
-    l.bound = bound;
-    l.source = opts_.exchange_source;
-    l.clause.reserve(c.size());
-    for (CubeLit cl : c)
-      l.clause.push_back(mk_latch_lit(cl_index(cl), cl_value(cl)));
-    if (opts_.exchange->publish(std::move(l))) ++stats_.exch_published;
-  }
-
-  enum class Adopt { kAdopted, kRejected, kRetry };
-
-  /// Try to take one foreign lemma.  Every grade funnels through a SAT
-  /// check of our own (inductive_check or consecution), so a bogus
-  /// candidate can cost a query but can never corrupt the frame trace.
-  Adopt adopt(const Lemma& l) {
-    Cube cube;
-    cube.reserve(l.clause.size());
-    for (LatchLit ll : l.clause)
-      cube.push_back(mk_cl(latch_lit_index(ll), latch_lit_sign(ll)));
-    std::sort(cube.begin(), cube.end());
-    if (cube.empty() || intersects_init(cube)) return Adopt::kRejected;
-    // Subsumed or not (yet) inductive here: both may change as the frontier
-    // moves, so the caller keeps the lemma for a bounded number of retries.
-    if (is_blocked(cube, k_)) return Adopt::kRetry;
-    if (inductive_check(cube)) {
-      add_to_inf(cube);
-      ++stats_.exch_consumed;
-      if (obs::enabled()) {
-        obs::emit("lemma_adopt", {{"as", "invariant"}, {"lits", cube.size()}});
-      }
-      publish(cube, LemmaGrade::kInvariant, 0);  // strength upgrade
-      return Adopt::kAdopted;
-    }
-    // Defensive frontier guard: setup() opens frame 1 before run() ever
-    // drains the hub, so k_ >= 1 here today — but adopt() computing
-    // `k_ - 1` on an unsigned would silently wrap to a huge frame index if
-    // a future refactor called it before the first frame exists.  Make
-    // that invariant explicit instead of latent.
-    if (k_ == 0) return Adopt::kRetry;
-    if (consecution(k_ - 1, cube, nullptr, nullptr) == sat::Status::kUnsat) {
-      add_blocked(cube, k_);
-      ++stats_.exch_consumed;
-      if (obs::enabled()) {
-        obs::emit("lemma_adopt", {{"as", "frame"}, {"lits", cube.size()}});
-      }
-      return Adopt::kAdopted;
-    }
-    return Adopt::kRetry;
-  }
-
-  /// Safe point: drain the hub into the pending list and attempt adoption;
-  /// lemmas that could not be used yet are retried at later frontiers a few
-  /// times before being dropped.
-  void consume_foreign() {
-    if (feed_.hub == nullptr) return;
-    feed_.poll();
-    auto take = [&](const std::vector<Lemma>& bucket, std::size_t& done) {
-      for (; done < bucket.size(); ++done)
-        pending_.push_back({bucket[done], 0});
-    };
-    take(feed_.invariants, inv_done_);
-    take(feed_.frames, fr_done_);
-    take(feed_.candidates, cand_done_);
-
-    constexpr unsigned kMaxTries = 3;
-    std::size_t w = 0;
-    auto retain = [&](std::size_t r) {
-      // Self-move-assignment would empty the element's clause vector.
-      if (w != r) pending_[w] = std::move(pending_[r]);
-      ++w;
-    };
-    for (std::size_t r = 0; r < pending_.size(); ++r) {
-      if (out_of_time()) {
-        // Keep everything unattempted for the next safe point.
-        for (; r < pending_.size(); ++r) retain(r);
-        break;
-      }
-      Adopt o = adopt(pending_[r].lemma);
-      if (o == Adopt::kRetry && ++pending_[r].tries < kMaxTries) retain(r);
-    }
-    pending_.resize(w);
   }
 
   // --- counterexamples -----------------------------------------------------
@@ -789,12 +696,10 @@ class PdrContext {
           ++stats_.propagated;
           if (i + 1 == k_ && inductive_check(c)) {
             // Reached the frontier and inductive on its own: promote to
-            // F_inf and share as a proven invariant.
+            // F_inf.
             add_to_inf(c);
-            publish(c, LemmaGrade::kInvariant, 0);
           } else {
             add_blocked(c, i + 1);
-            publish(c, LemmaGrade::kFrame, i + 1);
           }
         }
       }
@@ -809,16 +714,21 @@ class PdrContext {
       if (!stored_[i].empty()) continue;
       std::vector<aig::Lit> clauses;
       aig::Aig& g = space_.graph();
-      // A blocked cube's clause reuses the cube's packing verbatim: the
-      // clause literal for "latch = value" is latch^value, i.e. sign bit =
-      // value bit, so latch_clause_pred applies directly.
+      // The clause of a blocked cube: the literal for "latch = value" is
+      // the latch's state-space input negated iff value is 1.
+      auto clause_pred = [&](const Cube& b) {
+        std::vector<aig::Lit> lits;
+        lits.reserve(b.size());
+        for (CubeLit cl : b)
+          lits.push_back(
+              aig::lit_xor(space_.latch_input(cl_index(cl)), cl_value(cl)));
+        return g.make_or_many(lits);
+      };
       // F_i = F_inf clauses plus everything stored above i; both parts are
       // needed for the certificate to be inductive on its own.
-      for (const Cube& b : inf_cubes_)
-        clauses.push_back(latch_clause_pred(g, b));
+      for (const Cube& b : inf_cubes_) clauses.push_back(clause_pred(b));
       for (std::size_t j = i + 1; j < stored_.size(); ++j)
-        for (const Cube& b : stored_[j])
-          clauses.push_back(latch_clause_pred(g, b));
+        for (const Cube& b : stored_[j]) clauses.push_back(clause_pred(b));
       invariant_ = g.make_and_many(clauses);
       out.verdict = Verdict::kPass;
       out.j_fp = i;
@@ -848,14 +758,6 @@ class PdrContext {
   std::vector<std::vector<Cube>> stored_;
   std::vector<Cube> inf_cubes_;  // F_inf: clauses in every frame forever
 
-  LemmaFeed feed_;  // exchange subscription (inactive without a hub)
-  std::size_t inv_done_ = 0, fr_done_ = 0, cand_done_ = 0;
-  struct PendingLemma {
-    Lemma lemma;
-    unsigned tries = 0;
-  };
-  std::vector<PendingLemma> pending_;  // foreign lemmas awaiting adoption
-
   std::vector<ObNode> nodes_;
   std::priority_queue<Obligation, std::vector<Obligation>, ObOrder> queue_;
   std::uint64_t seq_ = 0;
@@ -879,7 +781,6 @@ void PdrContext::run(EngineResult& out) {
       obs::emit("pdr_frame", {{"k", k_}, {"lemmas", lemmas}});
     }
     obs::Span obs_frontier("frontier", {{"k", k_}});
-    consume_foreign();  // safe point: between frontiers, queue empty
     StepOutcome r = strengthen(out);
     if (r == StepOutcome::kFailed) return;
     if (r == StepOutcome::kTimeout) {
@@ -912,8 +813,6 @@ void PdrEngine::execute(EngineResult& out) {
     absorb_stats(out, ctx.solver());
     out.stats.sat_calls += pstats_.queries - 1;
   }
-  out.stats.lemmas_published += pstats_.exch_published;
-  out.stats.lemmas_consumed += pstats_.exch_consumed;
   if (out.verdict == Verdict::kPass && !out.certificate.has_value())
     out.certificate = make_certificate(ctx.invariant());
 }

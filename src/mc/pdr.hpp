@@ -64,8 +64,6 @@ struct PdrStats {
   std::uint64_t subsumed = 0;        ///< lemmas deleted by subsumption
   std::uint64_t propagated = 0;      ///< lemmas pushed forward a frame
   std::uint64_t invariant_lemmas = 0;  ///< clauses proven inductive (F_inf)
-  std::uint64_t exch_published = 0;  ///< lemmas handed to the exchange hub
-  std::uint64_t exch_consumed = 0;   ///< foreign lemmas accepted into frames
   unsigned frames = 0;               ///< final frontier K
 };
 

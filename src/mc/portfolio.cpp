@@ -1,7 +1,7 @@
-// portfolio.cpp — the portfolio in three parts: a member runner (run,
-// contain, relaunch after OOM), one scheduler (a worker pool; jobs = 1 is a
-// pool of one) and a checkpoint observer.  See portfolio.hpp for the
-// scheduler/cancellation/exchange contracts.
+// portfolio.cpp — the portfolio in two parts: a member runner (run,
+// contain, relaunch after OOM) and one scheduler (a worker pool; jobs = 1 is
+// a pool of one).  See portfolio.hpp for the scheduler/cancellation
+// contracts.
 #include "mc/portfolio.hpp"
 
 #include <algorithm>
@@ -11,10 +11,7 @@
 #include <thread>
 
 #include "mc/kinduction.hpp"
-#include "mc/lemma_exchange.hpp"
-#include "mc/lemma_store.hpp"
 #include "obs/trace.hpp"
-#include "util/mem_budget.hpp"
 #include "util/retry.hpp"
 
 namespace itpseq::mc {
@@ -69,8 +66,8 @@ std::uint64_t next_word(std::uint64_t& state) {
 /// but never change which witness is reported.
 constexpr unsigned kSimSweepRounds = 4096;
 
-/// Run one member to completion under `eo` (budget, cancellation token and
-/// exchange hub are all inside).
+/// Run one member to completion under `eo` (budget and cancellation token
+/// are both inside).
 ///
 /// Containment boundary: a member that throws (engine construction, the
 /// self-scheduled random-sim sweep — Engine::run() has its own boundary for
@@ -245,8 +242,7 @@ namespace {
 /// once schedule() has joined every thread they belong to the caller.
 struct Run {
   Run(const aig::Aig& g, std::size_t p, const PortfolioOptions& o)
-      : model(g), prop(p), opts(o), hub(g.num_latches()),
-        exchange(o.exchange ? &hub : nullptr), pub_slot(o.members.size()) {}
+      : model(g), prop(p), opts(o) {}
 
   double elapsed() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -258,13 +254,7 @@ struct Run {
   const PortfolioOptions& opts;
   const std::chrono::steady_clock::time_point t0 =
       std::chrono::steady_clock::now();
-  LemmaExchange hub;
-  LemmaExchange* const exchange;  ///< &hub, or null with exchange off
   std::atomic<bool> cancel{false};
-  /// Publisher slots for relaunched members, past the initial assignment:
-  /// a relaunch gets a *fresh* slot so the hub treats its previous
-  /// publications as foreign — re-reading them is exactly the warm start.
-  std::atomic<std::size_t> pub_slot;
   bool watchdog_fired = false;  ///< written by the guard thread only
 
   std::mutex mu;
@@ -287,14 +277,9 @@ EngineResult run_and_relaunch(Run& run, std::size_t slot, double budget,
   EngineOptions base = opts.engine_defaults;
   EngineResult r;
   for (unsigned attempt = 0;; ++attempt) {
-    std::size_t pub =
-        attempt == 0 ? slot
-                     : run.pub_slot.fetch_add(1, std::memory_order_relaxed);
     EngineOptions eo = base;
     eo.time_limit_sec = budget;
     eo.cancel = &run.cancel;
-    eo.exchange = run.exchange;
-    eo.exchange_source = static_cast<std::uint8_t>((pub % 250) + 1);
     if (opts.active_probe != nullptr) opts.active_probe->fetch_add(1);
     if (obs::enabled()) {
       obs::emit("worker_start", {{"member", to_string(m)},
@@ -338,81 +323,15 @@ EngineResult run_and_relaunch(Run& run, std::size_t slot, double budget,
   return r;
 }
 
-/// Checkpoint observer: snapshots the hub plus the member roster to
-/// opts.checkpoint_path — from the guard thread every
-/// checkpoint_interval_sec, on memory-budget escalation (while the
-/// allocator still can) and on watchdog escalation, then once by the caller
-/// at the end of the run, after the guard is joined.  So writes never
-/// overlap.  Checkpointing only observes: an injected or real I/O failure
-/// is reported by the `checkpoint` event and dropped, never surfaced into
-/// the verdict path.
-class CheckpointObserver {
- public:
-  explicit CheckpointObserver(Run& run)
-      : run_(run),
-        on_(!run.opts.checkpoint_path.empty() && run.exchange != nullptr),
-        design_(on_ ? design_hash(run.model) : 0) {}
-  CheckpointObserver(const CheckpointObserver&) = delete;
-  CheckpointObserver& operator=(const CheckpointObserver&) = delete;
-
-  bool on() const { return on_; }
-
-  /// The guard thread's periodic duty.
-  void poll() {
-    if (!on_) return;
-    util::MemoryBudget& mb = util::MemoryBudget::instance();
-    if (mb.limited()) mb.poll();
-    if (mb.soft() && !mem_done_) {
-      mem_done_ = true;
-      write("mem-budget");
-    } else if (run_.elapsed() - last_ >= run_.opts.checkpoint_interval_sec) {
-      write("interval");
-    }
-  }
-
-  void write(const char* reason) {
-    if (!on_) return;
-    last_ = run_.elapsed();
-    try {
-      LemmaSnapshot snap;
-      snap.design = design_;
-      snap.num_latches = run_.model.num_latches();
-      {
-        std::lock_guard<std::mutex> lock(run_.mu);
-        snap.progress.reserve(run_.outcomes.size());
-        for (const MemberOutcome& o : run_.outcomes)
-          snap.progress.push_back({o.member, o.k_fp});
-      }
-      snap.lemmas = run_.hub.export_lemmas();
-      std::string werr;
-      bool ok = write_snapshot_file(run_.opts.checkpoint_path, snap, &werr);
-      if (obs::enabled()) {
-        obs::emit("checkpoint", {{"reason", reason},
-                                 {"lemmas", snap.lemmas.size()},
-                                 {"ok", ok ? 1u : 0u}});
-      }
-    } catch (...) {
-      if (obs::enabled()) obs::emit("checkpoint", {{"reason", reason}, {"ok", 0u}});
-    }
-  }
-
- private:
-  Run& run_;
-  const bool on_;
-  const std::uint64_t design_;
-  double last_ = 0.0;
-  bool mem_done_ = false;
-};
-
 /// Scheduler: a pool of `jobs` workers drains the member queue in list
 /// order; the first definite verdict (kPass/kFail) flips the cancellation
 /// token and every peer winds down cooperatively.  Each member is capped at
 /// its fair share of the pool's remaining capacity, remaining * jobs /
 /// members still queued, so the queue behind it still gets its turn.  A
-/// guard thread relays external cancellation, runs the watchdog and drives
-/// the checkpoint observer.  Every thread, the guard included, is joined
-/// before returning (engines never detach work — see engine.hpp).
-void schedule(Run& run, unsigned jobs, CheckpointObserver& ckpt) {
+/// guard thread relays external cancellation and runs the watchdog.  Every
+/// thread, the guard included, is joined before returning (engines never
+/// detach work — see engine.hpp).
+void schedule(Run& run, unsigned jobs) {
   const PortfolioOptions& opts = run.opts;
   std::atomic<std::size_t> next{0};
   auto worker = [&] {
@@ -482,7 +401,7 @@ void schedule(Run& run, unsigned jobs, CheckpointObserver& ckpt) {
   const bool watchdog_on =
       opts.watchdog_grace_sec > 0 && opts.time_limit_sec >= 0;
   std::thread guard;
-  if (external != nullptr || watchdog_on || ckpt.on()) {
+  if (external != nullptr || watchdog_on) {
     guard = std::thread([&] {
       try {
         const double deadline = opts.time_limit_sec + opts.watchdog_grace_sec;
@@ -493,12 +412,10 @@ void schedule(Run& run, unsigned jobs, CheckpointObserver& ckpt) {
               external->load(std::memory_order_relaxed)) {
             run.cancel.store(true, std::memory_order_relaxed);
           }
-          ckpt.poll();
           if (watchdog_on && !run.watchdog_fired &&
               run.elapsed() >= deadline) {
             run.watchdog_fired = true;
             run.cancel.store(true, std::memory_order_relaxed);
-            ckpt.write("watchdog");
             if (obs::enabled()) {
               obs::emit("watchdog", {{"grace_sec", opts.watchdog_grace_sec},
                                      {"elapsed_sec", run.elapsed()}});
@@ -557,25 +474,6 @@ EngineResult check_portfolio(const aig::Aig& model, std::size_t prop,
     return none;
   }
   Run run(model, prop, opts);
-  // Seed the hub from a restored snapshot.  The demotion to kCandidate
-  // happens HERE, unconditionally — callers cannot opt out — so restored
-  // lemmas only ever re-enter proofs through consumers' own soundness
-  // checks (PDR's relative-induction query), exactly like any other
-  // candidate.  A forged snapshot can waste work, never flip a verdict.
-  std::uint64_t restored = 0;
-  if (run.exchange != nullptr && !opts.seed_lemmas.empty()) {
-    for (const Lemma& l : opts.seed_lemmas) {
-      Lemma c;
-      c.clause = l.clause;
-      c.grade = LemmaGrade::kCandidate;
-      if (run.hub.publish(std::move(c))) ++restored;
-    }
-    if (obs::enabled()) {
-      obs::emit("snapshot_restore",
-                {{"lemmas", opts.seed_lemmas.size()}, {"accepted", restored}});
-    }
-  }
-
   unsigned jobs = opts.jobs;
   if (jobs == 0) {
     // One thread per member by default.  Members are pure CPU burners, so
@@ -588,8 +486,7 @@ EngineResult check_portfolio(const aig::Aig& model, std::size_t prop,
   }
   jobs = static_cast<unsigned>(
       std::min<std::size_t>(jobs, opts.members.size()));
-  CheckpointObserver ckpt(run);
-  schedule(run, jobs, ckpt);
+  schedule(run, jobs);
 
   // Every thread is joined: the roster and result slots are ours alone.
   EngineResult r;
@@ -616,15 +513,7 @@ EngineResult check_portfolio(const aig::Aig& model, std::size_t prop,
     }
   }
   r.seconds = run.elapsed();
-  // Even a run shorter than the interval leaves a complete snapshot behind.
-  ckpt.write("final");
   r.members = std::move(run.outcomes);
-  if (run.exchange != nullptr) {
-    LemmaExchangeStats hs = run.hub.stats();
-    r.stats.lemmas_published = hs.published;
-    r.stats.lemmas_consumed = hs.fetched;
-    r.stats.lemmas_restored = restored;
-  }
   return r;
 }
 

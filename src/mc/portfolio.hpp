@@ -25,14 +25,10 @@
 // token in engine_defaults.cancel is relayed to the internal one, so a
 // caller can cancel the whole portfolio.
 //
-// Lemma exchange.  Unless disabled, members share a LemmaExchange hub
-// (EngineOptions::exchange): PDR publishes propagated frame clauses and
-// proven-invariant clauses, the interpolation engines publish candidate
-// latch clauses of their interpolants, and every subscriber injects
-// foreign lemmas only at the safe points documented in
-// mc/lemma_exchange.hpp — exchange accelerates members but can never
-// change a verdict.  The returned result carries the hub totals in
-// stats.lemmas_published / stats.lemmas_consumed.
+// Members share nothing but the cancellation token.  The paper proposes no
+// lemma sharing, and a measured cross-engine lemma exchange decided no
+// design of the generator suite that the members did not decide alone
+// (ROADMAP, item 5).
 //
 // Failure containment.  A member that dies (bad_alloc, internal error) is
 // a *result*, not a process death: run_member converts the exception into
@@ -49,21 +45,10 @@
 // changes the configuration for it.  A deterministic engine relaunched
 // after kInternal/kIoError would replay the same failure, so those stay
 // the member's outcome.  At most util::kMaxRelaunches relaunches, each
-// after a jittered exponential backoff (util/retry.hpp) and under a fresh
-// publisher slot, so it warm-starts by re-reading the whole exchange — its
-// own prior publications included.  Retry history (restarts / last_error)
+// after a jittered exponential backoff (util/retry.hpp); a relaunch starts
+// cold under the degraded options.  Retry history (restarts / last_error)
 // is kept per member in EngineResult::members; each relaunch emits a
 // member_restart obs event.
-//
-// Checkpointing.  With checkpoint_path set, the hub (plus per-member
-// progress) is snapshotted to a versioned, checksummed file via atomic
-// temp+rename — periodically (checkpoint_interval_sec, from the guard
-// thread), on watchdog or memory-budget escalation, and once at the end of
-// the run, after the guard thread is joined.  seed_lemmas feeds a restored
-// snapshot back in; every seeded lemma is demoted to kCandidate first
-// (mc/lemma_store.hpp's trust model), so a corrupt or forged snapshot can
-// never change a verdict.  Checkpoint I/O failures are contained: they are
-// counted, never propagated.
 //
 // Determinism.  For a fixed sim_seed the random-simulation member explores
 // one fixed trace enumeration of a fixed size for every `jobs` value
@@ -76,11 +61,9 @@
 #pragma once
 
 #include <atomic>
-#include <string>
 #include <vector>
 
 #include "mc/engine.hpp"
-#include "mc/lemma_exchange.hpp"
 
 namespace itpseq::mc {
 
@@ -112,8 +95,6 @@ struct PortfolioOptions {
   /// concurrency) are capped there), N = pool of N threads; 1 runs the
   /// members one at a time in list order.
   unsigned jobs = 0;
-  /// Cross-engine lemma exchange between members (see header comment).
-  bool exchange = true;
   /// Seed of the random-simulation member; fixes its trace enumeration so
   /// verdicts are reproducible regardless of jobs/interleaving.
   std::uint64_t sim_seed = 1;
@@ -124,18 +105,6 @@ struct PortfolioOptions {
   /// fires when a member misses its own deadline polls.  <= 0 disables.
   double watchdog_grace_sec = 5.0;
   EngineOptions engine_defaults;
-  /// Lemma checkpointing: snapshot the exchange hub to this path ("" =
-  /// off) every checkpoint_interval_sec, on watchdog/mem-budget
-  /// escalation, and at the end of the run.  Written atomically
-  /// (temp+rename), so readers only ever see complete snapshots.
-  std::string checkpoint_path;
-  double checkpoint_interval_sec = 5.0;
-  /// Lemmas restored from a --resume snapshot, seeded into the hub before
-  /// any member starts.  Every entry is demoted to kCandidate regardless
-  /// of its recorded grade — snapshots are untrusted input, and candidates
-  /// re-enter proofs only through consumers' own soundness checks.  The
-  /// count accepted is reported in stats.lemmas_restored.
-  std::vector<Lemma> seed_lemmas;
   /// Test instrumentation: incremented when a member starts, decremented
   /// when it returns.  After check_portfolio() returns it reads 0 — the
   /// join-all guarantee made observable.

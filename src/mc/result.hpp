@@ -14,8 +14,6 @@
 
 namespace itpseq::mc {
 
-class LemmaExchange;  // mc/lemma_exchange.hpp
-
 /// A PASS certificate: `root` is a predicate over `graph`, whose input i
 /// stands for model latch i.  The set R it denotes satisfies the four
 /// conditions documented in mc/certify.hpp, making R AND NOT bad an
@@ -61,8 +59,8 @@ struct ErrorInfo {
 };
 
 /// Map a caught exception onto the taxonomy: bad_alloc -> kOutOfMemory,
-/// parser failures (ios_base::failure or an "aiger:"/"blif:"/"snapshot:"
-/// message prefix) -> kIoError, anything else -> kInternal.
+/// parser failures (ios_base::failure or an "aiger:"/"blif:" message
+/// prefix) -> kIoError, anything else -> kInternal.
 ErrorInfo classify_exception(const std::exception& e);
 
 /// One portfolio member's fate, reported even when another member won.
@@ -152,12 +150,6 @@ struct EngineOptions {
   /// returned, no engine-owned computation is still executing, which is
   /// what lets the portfolio join all member threads after a winner.
   std::atomic<bool>* cancel = nullptr;
-  /// Cross-engine lemma-exchange hub (non-owning; may be null).  Engines
-  /// publish/consume at documented safe points only; the soundness rules
-  /// per lemma grade live in mc/lemma_exchange.hpp.
-  LemmaExchange* exchange = nullptr;
-  /// Publisher slot recorded on published lemmas (attribution in stats).
-  std::uint8_t exchange_source = 0;
 
   /// Apply the SAT-core knobs above to a solver the engine created.  This
   /// is the single place that knows the full knob list — engines call it
@@ -194,11 +186,6 @@ struct EngineStats {
   std::size_t state_aig_nodes = 0;     // final state-set AIG size
   unsigned cba_visible_latches = 0;    // CBA only: final abstraction size
   unsigned cba_refinements = 0;        // CBA only
-  std::uint64_t lemmas_published = 0;  // lemmas this engine gave the hub
-  std::uint64_t lemmas_consumed = 0;   // foreign lemmas this engine used
-  /// Portfolio only: snapshot lemmas seeded into the hub on --resume (all
-  /// demoted to kCandidate; see mc/lemma_store.hpp's trust model).
-  std::uint64_t lemmas_restored = 0;
 
   /// Cross-run aggregation for benchmark tables: counters are summed,
   /// high-water / size fields take the maximum.  Keep this the single
@@ -225,9 +212,6 @@ struct EngineStats {
     if (s.cba_visible_latches > cba_visible_latches)
       cba_visible_latches = s.cba_visible_latches;
     cba_refinements += s.cba_refinements;
-    lemmas_published += s.lemmas_published;
-    lemmas_consumed += s.lemmas_consumed;
-    lemmas_restored += s.lemmas_restored;
     return *this;
   }
 };

@@ -141,10 +141,7 @@ std::string stats_json(const EngineResult& r, const obs::TraceSink* sink,
   kv_u64(out, "max_itp_nodes", s.max_itp_nodes);
   kv_u64(out, "state_aig_nodes", s.state_aig_nodes);
   kv_u64(out, "cba_visible_latches", s.cba_visible_latches);
-  kv_u64(out, "cba_refinements", s.cba_refinements);
-  kv_u64(out, "lemmas_published", s.lemmas_published);
-  kv_u64(out, "lemmas_consumed", s.lemmas_consumed);
-  kv_u64(out, "lemmas_restored", s.lemmas_restored, /*comma=*/false);
+  kv_u64(out, "cba_refinements", s.cba_refinements, /*comma=*/false);
   out += '}';
 
   if (sink != nullptr) {
@@ -174,18 +171,6 @@ std::string stats_json(const EngineResult& r, const obs::TraceSink* sink,
       kv_str(out, "engine", key.first);
       kv_str(out, "kind", key.second);
       kv_u64(out, "count", count, /*comma=*/false);
-      out += '}';
-    }
-    out += "],\"exchange\":[";
-    first = true;
-    for (const auto& [key, cell] : sum.exchange) {
-      if (!first) out += ',';
-      first = false;
-      out += '{';
-      kv_str(out, "engine", key.first);
-      kv_str(out, "grade", key.second);
-      kv_u64(out, "published", cell.published);
-      kv_u64(out, "fetched", cell.fetched, /*comma=*/false);
       out += '}';
     }
     out += "]}";

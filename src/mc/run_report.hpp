@@ -2,8 +2,8 @@
 //
 // One JSON object per run: the verdict and depth measures, the full
 // EngineStats block, and — when a TraceSink was active — the aggregated
-// span totals, event counts and the lemma-exchange matrix its drainer
-// accumulated.  Scripts consume this instead of scraping "c ..." lines.
+// span totals and event counts its drainer accumulated.  Scripts consume
+// this instead of scraping "c ..." lines.
 #pragma once
 
 #include <string>

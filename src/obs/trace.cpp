@@ -177,25 +177,6 @@ void format_chrome(std::string& out, const Event& e) {
   out += "}}";
 }
 
-const char* arg_str(const Event& e, const char* key, const char* dflt) {
-  for (std::uint8_t i = 0; i < e.nargs; ++i)
-    if (e.args[i].type == Arg::Type::kStr && e.args[i].key != nullptr &&
-        std::strcmp(e.args[i].key, key) == 0)
-      return e.args[i].s;
-  return dflt;
-}
-
-std::uint64_t arg_u64(const Event& e, const char* key) {
-  for (std::uint8_t i = 0; i < e.nargs; ++i) {
-    if (e.args[i].key == nullptr || std::strcmp(e.args[i].key, key) != 0)
-      continue;
-    if (e.args[i].type == Arg::Type::kU64) return e.args[i].u;
-    if (e.args[i].type == Arg::Type::kI64 && e.args[i].i >= 0)
-      return static_cast<std::uint64_t>(e.args[i].i);
-  }
-  return 0;
-}
-
 }  // namespace
 
 struct TraceSink::Impl {
@@ -242,20 +223,6 @@ struct TraceSink::Impl {
         a.total_us += e.dur_us;
       } else {
         ++summary.kinds[{e.engine, e.kind}];
-        if (std::strcmp(e.kind, "lemma_publish") == 0) {
-          if (arg_u64(e, "accepted") != 0)
-            ++summary.exchange[{e.engine, arg_str(e, "grade", "?")}].published;
-        } else if (std::strcmp(e.kind, "lemma_fetch") == 0) {
-          for (const char* grade : {"invariant", "frame", "candidate"}) {
-            std::uint64_t n = arg_u64(e, grade);
-            if (n != 0) summary.exchange[{e.engine, grade}].fetched += n;
-          }
-        } else if (std::strcmp(e.kind, "member_restart") == 0) {
-          // Self-healing relaunches get their own matrix row, keyed by the
-          // member's name from the payload — the event is emitted by the
-          // scheduler thread, outside any ScopedEngine tag.
-          ++summary.exchange[{arg_str(e, "member", "?"), "restart"}].published;
-        }
       }
       if (file != nullptr) {
         line.clear();
@@ -295,7 +262,7 @@ TraceSink::TraceSink(TraceConfig cfg) : impl_(std::make_unique<Impl>()) {
       try {
       ScopedEngine tag("sampler");
       Counters& c = counters();
-      std::uint64_t last[8] = {};
+      std::uint64_t last[6] = {};
       auto snap = [&](std::uint64_t* out) {
         out[0] = c.conflicts.load(std::memory_order_relaxed);
         out[1] = c.propagations.load(std::memory_order_relaxed);
@@ -303,8 +270,6 @@ TraceSink::TraceSink(TraceConfig cfg) : impl_(std::make_unique<Impl>()) {
         out[3] = c.restarts.load(std::memory_order_relaxed);
         out[4] = c.gc_runs.load(std::memory_order_relaxed);
         out[5] = c.obligations.load(std::memory_order_relaxed);
-        out[6] = c.lemmas_published.load(std::memory_order_relaxed);
-        out[7] = c.lemmas_fetched.load(std::memory_order_relaxed);
       };
       snap(last);
       const auto t0 = std::chrono::steady_clock::now();
@@ -316,7 +281,7 @@ TraceSink::TraceSink(TraceConfig cfg) : impl_(std::make_unique<Impl>()) {
                              [&] { return impl_->stop; });
           if (impl_->stop) return;
         }
-        std::uint64_t now[8];
+        std::uint64_t now[6];
         snap(now);
         if (impl_->cfg.sample_interval_sec > 0)
           emit("sample", {{"conflicts", now[0] - last[0]},
@@ -324,9 +289,7 @@ TraceSink::TraceSink(TraceConfig cfg) : impl_(std::make_unique<Impl>()) {
                           {"decisions", now[2] - last[2]},
                           {"restarts", now[3] - last[3]},
                           {"gc_runs", now[4] - last[4]},
-                          {"obligations", now[5] - last[5]},
-                          {"lemmas_pub", now[6] - last[6]},
-                          {"lemmas_fetch", now[7] - last[7]}});
+                          {"obligations", now[5] - last[5]}});
         auto t = std::chrono::steady_clock::now();
         if (impl_->cfg.progress &&
             std::chrono::duration<double>(t - last_progress).count() >=
@@ -336,11 +299,10 @@ TraceSink::TraceSink(TraceConfig cfg) : impl_(std::make_unique<Impl>()) {
           std::fprintf(stderr,
                        "c [obs t=%.1fs] conflicts=%" PRIu64 " (%.0f/s) props=%"
                        PRIu64 " (%.2gM/s) restarts=%" PRIu64 " gc=%" PRIu64
-                       " obligations=%" PRIu64 " lemmas pub=%" PRIu64
-                       " fetch=%" PRIu64 "\n",
+                       " obligations=%" PRIu64 "\n",
                        el, now[0], (now[0] - last[0]) / win,
                        now[1], (now[1] - last[1]) / win / 1e6, now[3], now[4],
-                       now[5], now[6], now[7]);
+                       now[5]);
           last_progress = t;
         }
         std::memcpy(last, now, sizeof last);

@@ -1,7 +1,7 @@
 // trace.hpp — structured tracing & telemetry for every layer of the stack.
 //
 // The subsystem answers "where did a run spend its time" for concurrent
-// portfolio runs: engines, the SAT core and the lemma hub emit *events*
+// portfolio runs: engines, the SAT core and the scheduler emit *events*
 // (instants) and *spans* (RAII-timed phases) into per-thread buffers that a
 // central drainer serializes — as JSONL (one event per line) or as Chrome
 // trace-event JSON that Perfetto / chrome://tracing renders as per-thread
@@ -13,7 +13,7 @@
 //    "tid":N,            small dense thread id (1, 2, ...)
 //    "engine":"PDR",     thread's engine tag (ScopedEngine), "main" outside
 //    "kind":"span",      event kind ("span" for phases, else an instant
-//                        kind like "sat_restart", "lemma_publish", ...)
+//                        kind like "sat_restart", "pdr_blocked", ...)
 //    "payload":{...}}    kind-specific fields; spans carry "name" and
 //                        "dur_us"
 //
@@ -170,8 +170,6 @@ struct Counters {
   std::atomic<std::uint64_t> inprocess_rounds{0};
   std::atomic<std::uint64_t> obligations{0};
   std::atomic<std::uint64_t> bounds{0};
-  std::atomic<std::uint64_t> lemmas_published{0};
-  std::atomic<std::uint64_t> lemmas_fetched{0};
 };
 Counters& counters();
 
@@ -213,20 +211,15 @@ class TraceSink {
   void flush();
 
   /// Running aggregation over every drained event, for the end-of-run
-  /// report: span totals per (engine, name), instant counts per
-  /// (engine, kind), and the lemma-exchange matrix per (engine, grade).
+  /// report: span totals per (engine, name) and instant counts per
+  /// (engine, kind).
   struct SpanAgg {
     std::uint64_t count = 0;
     std::uint64_t total_us = 0;
   };
-  struct ExchangeCell {
-    std::uint64_t published = 0;
-    std::uint64_t fetched = 0;
-  };
   struct Summary {
     std::map<std::pair<std::string, std::string>, SpanAgg> spans;
     std::map<std::pair<std::string, std::string>, std::uint64_t> kinds;
-    std::map<std::pair<std::string, std::string>, ExchangeCell> exchange;
     std::uint64_t events = 0;   // drained (== written when a file is set)
     std::uint64_t dropped = 0;  // lost to the per-thread buffer cap
   };

@@ -438,12 +438,11 @@ bool Solver::inprocess_subsume_eliminate() {
       if (ix.dead[i]) continue;
       if (!subsume_with(ix, i, ticks)) return false;
     }
-    if (!std::getenv("DBG_NOBVE"))
-      for (Var v = 0;
-           v < static_cast<Var>(num_vars()) && ticks < kSubsumeTicks; ++v) {
-        ticks += 8;  // baseline cost of considering a variable
-        if (!try_eliminate(ix, v)) return false;
-      }
+    for (Var v = 0;
+         v < static_cast<Var>(num_vars()) && ticks < kSubsumeTicks; ++v) {
+      ticks += 8;  // baseline cost of considering a variable
+      if (!try_eliminate(ix, v)) return false;
+    }
     if (stats_.subsumed + stats_.strengthened + stats_.vars_eliminated ==
         before)
       break;

@@ -1,6 +1,6 @@
 // atomic_write.hpp — crash-safe file publication (write-temp-then-rename).
 //
-// Writing a checkpoint (or any file another process may read back) straight
+// Writing a report (or any file another process may read back) straight
 // into its final path lets a crash — or a reader racing the writer —
 // observe a partial file.  This helper makes publication atomic at the
 // filesystem level: the body goes to a sibling temp file first (same

@@ -11,11 +11,7 @@
 //   itp.extract       interpolant extraction from a resolution proof
 //   aig.load          AIGER parsing (read_aiger)
 //   blif.load         BLIF parsing (read_blif)
-//   exchange.publish  LemmaExchange::publish
-//   exchange.fetch    LemmaExchange::fetch
 //   obs.drain         trace-sink drainer batch processing
-//   snapshot.write    lemma-checkpoint publication (write_snapshot_file)
-//   snapshot.read     lemma-checkpoint load (read_snapshot_file)
 //
 // A plan is a comma/space-separated list of specs:
 //

@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <new>
 #include <sstream>
@@ -19,7 +20,6 @@
 #include "bench_circuits/generators.hpp"
 #include "io/blif.hpp"
 #include "mc/engine.hpp"
-#include "mc/lemma_store.hpp"
 #include "mc/portfolio.hpp"
 #include "obs/trace.hpp"
 #include "util/atomic_write.hpp"
@@ -205,21 +205,6 @@ TEST_F(Containment, ItpExtractionFaultLetsBmcWin) {
   }
 }
 
-TEST_F(Containment, ExchangeFaultsNeverPoisonTheVerdict) {
-  // Both hub entry points throw on every call: any member that shares
-  // lemmas dies, and the portfolio still has to produce the right answer
-  // from whatever survives.
-  util::fault::configure(
-      "exchange.publish:1:1000000 exchange.fetch:1:1000000");
-  mc::PortfolioOptions po;
-  po.time_limit_sec = 30.0;
-  po.members = {mc::PortfolioMember::kRandomSim, mc::PortfolioMember::kItp,
-                mc::PortfolioMember::kPdr};
-  mc::EngineResult r = mc::check_portfolio(bench::counter(4, 12, 7), 0, po);
-  EXPECT_EQ(r.verdict, mc::Verdict::kFail);
-  EXPECT_EQ(r.error.kind, mc::ErrorKind::kNone);
-}
-
 TEST_F(Containment, AllMembersDeadIsAnErrorVerdictWithTheTaxonomy) {
   // PASS instance + every SAT allocation throwing: no member can survive,
   // so this is the one case where the portfolio itself reports kError.
@@ -273,47 +258,6 @@ TEST_F(Containment, WatchdogEscalatesAMissedDeadline) {
   }
 }
 
-TEST_F(Containment, SnapshotWriteFaultNeverPoisonsTheVerdict) {
-  // Every checkpoint publication throws, and the portfolio must treat that
-  // as a lost checkpoint — not a lost run: the verdict is unchanged and a
-  // stale snapshot at the target path survives untouched (the fault fires
-  // before the temp file is even created, which is the atomicity story:
-  // the final path only ever holds a complete snapshot).
-  const std::string ck = std::string(::testing::TempDir()) +
-                         "itpseq_fault_ckpt.its";
-  const std::string stale = "stale snapshot body — must survive\n";
-  ASSERT_TRUE(util::atomic_write_file(ck, stale));
-  util::fault::configure("snapshot.write:1:1000000:error");
-  mc::PortfolioOptions po;
-  po.time_limit_sec = 30.0;
-  po.checkpoint_path = ck;
-  po.checkpoint_interval_sec = 0.01;  // force periodic attempts, all fatal
-  po.members = {mc::PortfolioMember::kRandomSim, mc::PortfolioMember::kBmc};
-  mc::EngineResult r = mc::check_portfolio(bench::counter(4, 12, 7), 0, po);
-  EXPECT_EQ(r.verdict, mc::Verdict::kFail);
-  EXPECT_EQ(r.error.kind, mc::ErrorKind::kNone);
-  std::ifstream f(ck);
-  std::stringstream body;
-  body << f.rdbuf();
-  EXPECT_EQ(body.str(), stale) << "a failed checkpoint tore the old file";
-  std::remove(ck.c_str());
-}
-
-TEST_F(Containment, SnapshotReadFaultSiteFires) {
-  // The read site lets CI rehearse resume-time I/O failure on a perfectly
-  // valid file: armed, the load must raise instead of parse.
-  const std::string ck = std::string(::testing::TempDir()) +
-                         "itpseq_fault_read.its";
-  mc::LemmaSnapshot snap;
-  snap.design = 0x1234;
-  snap.num_latches = 4;
-  ASSERT_TRUE(mc::write_snapshot_file(ck, snap));
-  EXPECT_EQ(mc::read_snapshot_file(ck).design, 0x1234u);  // sanity: readable
-  util::fault::configure("snapshot.read:1");
-  EXPECT_THROW(mc::read_snapshot_file(ck), std::bad_alloc);
-  std::remove(ck.c_str());
-}
-
 TEST_F(Containment, DrainerSwallowsInjectedFaultsAndStaysAlive) {
   // A fault inside the trace drainer must never take the process (or the
   // run's verdict) with it: finish() absorbs it and accounts the loss.
@@ -323,6 +267,49 @@ TEST_F(Containment, DrainerSwallowsInjectedFaultsAndStaysAlive) {
   obs::TraceSink sink(cfg);
   obs::emit("fault_test_event", {{"n", 1u}});
   EXPECT_NO_THROW(sink.finish());
+}
+
+// --- crash-safe publication: util::atomic_write_file ----------------------
+
+std::string read_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::stringstream body;
+  body << f.rdbuf();
+  return body.str();
+}
+
+TEST(AtomicWrite, OverwritesWithTheWholeNewBody) {
+  // --stats-json publishes through this helper.  Each write must replace
+  // the file as a whole: a shorter body leaves no tail of the longer one,
+  // and no temp sibling survives a successful write.
+  const std::string path =
+      std::string(::testing::TempDir()) + "itpseq_atomic_overwrite.json";
+  std::string err;
+  ASSERT_TRUE(util::atomic_write_file(path, "{\"first\":\"a longer body\"}\n",
+                                      &err))
+      << err;
+  EXPECT_EQ(read_file(path), "{\"first\":\"a longer body\"}\n");
+  ASSERT_TRUE(util::atomic_write_file(path, "{}\n", &err)) << err;
+  EXPECT_EQ(read_file(path), "{}\n");
+  ASSERT_TRUE(util::atomic_write_file(path, "", &err)) << err;
+  EXPECT_EQ(read_file(path), "");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+TEST(AtomicWrite, FailedWriteLeavesTheOldFileIntact) {
+  // The temp sibling cannot be opened (a directory sits at its name): the
+  // write reports the failure and the final path keeps its old body.
+  const std::string path =
+      std::string(::testing::TempDir()) + "itpseq_atomic_blocked.json";
+  ASSERT_TRUE(util::atomic_write_file(path, "old body\n"));
+  std::filesystem::create_directory(path + ".tmp");
+  std::string err;
+  EXPECT_FALSE(util::atomic_write_file(path, "new body\n", &err));
+  EXPECT_NE(err.find(".tmp"), std::string::npos) << err;
+  EXPECT_EQ(read_file(path), "old body\n");
+  std::filesystem::remove(path + ".tmp");
+  std::remove(path.c_str());
 }
 
 // --- hostile inputs: parsers fail fast, never allocate the lie -------------

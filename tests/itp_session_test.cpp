@@ -154,7 +154,7 @@ class SessionChecker {
                  std::to_string(n) + ")");
     ++queries_;
     const sat::Status got =
-        session_.query(space_.graph(), start, n, {}, sat::Budget{});
+        session_.query(space_.graph(), start, n, sat::Budget{});
     const OneShot want = one_shot(model_, space_.graph(), shape_.layout, start,
                                   n, shape_.assume_k);
     EXPECT_NE(got, sat::Status::kUnknown);
@@ -309,11 +309,11 @@ TEST(ItpSession, ShorterQueryIgnoresConstraintsPastItsTarget) {
   }
   // The session has encoded frames 0..3 when the length-1 query comes.
   ItpSession session(g, 0, EngineOptions{}, sequence_shape(/*serial=*/true));
-  EXPECT_EQ(session.query(space.graph(), aig::kNullLit, 3, {}, {}),
+  EXPECT_EQ(session.query(space.graph(), aig::kNullLit, 3, {}),
             sat::Status::kSat);
-  EXPECT_EQ(session.query(space.graph(), aig::kNullLit, 1, {}, {}),
+  EXPECT_EQ(session.query(space.graph(), aig::kNullLit, 1, {}),
             sat::Status::kSat);
-  EXPECT_EQ(session.query(space.graph(), aig::kNullLit, 2, {}, {}),
+  EXPECT_EQ(session.query(space.graph(), aig::kNullLit, 2, {}),
             sat::Status::kSat);
 }
 

@@ -438,12 +438,12 @@ TEST(ObsTest, StatsJsonRoundTripsEngineStats) {
             r.stats.sat_conflicts);
 }
 
-TEST(ObsTest, PortfolioProducesNoTornLinesAndAnExchangeMatrix) {
+TEST(ObsTest, PortfolioProducesNoTornLines) {
   aig::Aig pass = bench::token_ring(8, false);
   // jobs=1 is a one-worker pool: the same scheduler, the same events.
   for (unsigned jobs : {4u, 1u}) {
     std::string path = temp_path("portfolio.jsonl");
-    obs::TraceSink::Summary sum;
+    std::uint64_t drained = 0;
     {
       obs::TraceConfig cfg;
       cfg.path = path;
@@ -455,28 +455,20 @@ TEST(ObsTest, PortfolioProducesNoTornLinesAndAnExchangeMatrix) {
       mc::EngineResult r = mc::check_portfolio(pass, 0, po);
       EXPECT_EQ(r.verdict, mc::Verdict::kPass) << "jobs=" << jobs;
       sink.finish();
-      sum = sink.summary();
+      drained = sink.summary().events;
     }
     bool all_ok = false;
     std::vector<Json> events = parse_jsonl(path, &all_ok);
     EXPECT_TRUE(all_ok) << "cancelled workers must never tear an output line";
-    EXPECT_EQ(sum.events, events.size());  // drained == written
+    EXPECT_EQ(drained, events.size());  // drained == written
     // Worker lifecycle events flow through the main scheduler threads.
     std::uint64_t starts = 0, dones = 0;
-    bool saw_publish = false;
     for (const Json& e : events) {
       if (e.at("kind").str == "worker_start") ++starts;
       if (e.at("kind").str == "worker_done") ++dones;
-      if (e.at("kind").str == "lemma_publish") saw_publish = true;
     }
     EXPECT_GE(starts, 1u) << "jobs=" << jobs;
     EXPECT_EQ(starts, dones) << "jobs=" << jobs;  // every start reported back
-    if (saw_publish) {
-      // The drainer folds publish/fetch events into the exchange matrix.
-      std::uint64_t published = 0;
-      for (const auto& [key, cell] : sum.exchange) published += cell.published;
-      EXPECT_GE(published, 1u) << "jobs=" << jobs;
-    }
   }
 }
 

@@ -7,7 +7,6 @@
 #include "bench_circuits/generators.hpp"
 #include "bench_circuits/suite.hpp"
 #include "mc/certify.hpp"
-#include "mc/lemma_exchange.hpp"
 #include "mc/pdr.hpp"
 #include "mc/portfolio.hpp"
 #include "mc/sim.hpp"
@@ -226,33 +225,6 @@ TEST(Pdr, LiftCtgOnOffCrosscheck) {
     ++compared;
   }
   EXPECT_GT(compared, 20u);
-}
-
-TEST(Pdr, AdoptsForeignLemmaPublishedBeforeFirstFrame) {
-  // Pins the adopt() frontier behavior: a foreign lemma already waiting in
-  // the hub when the engine starts is consumed at the very first safe
-  // point (frontier k = 1, consecution level 0, where the init cube is
-  // part of the frame) — the earliest level adopt() can ever query, and
-  // the one the defensive k_ == 0 guard sits in front of.
-  aig::Aig g = bench::token_ring(8, /*fail_reach=*/false);
-  LemmaExchange hub(g.num_latches());
-  // "never two tokens in stages 0 and 1" — a true invariant clause
-  // (¬l0 ∨ ¬l1), published as a candidate so PDR must verify it itself.
-  Lemma l;
-  l.grade = LemmaGrade::kCandidate;
-  l.source = 2;
-  l.clause = {mk_latch_lit(0, true), mk_latch_lit(1, true)};
-  ASSERT_TRUE(hub.publish(l));
-  EngineOptions o = quick_opts();
-  o.exchange = &hub;
-  o.exchange_source = 1;
-  PdrEngine eng(g, 0, o);
-  EngineResult r = eng.run();
-  ASSERT_EQ(r.verdict, Verdict::kPass);
-  ASSERT_TRUE(r.certificate.has_value());
-  CertifyResult c = check_certificate(g, 0, *r.certificate);
-  EXPECT_TRUE(c.ok) << c.error;
-  EXPECT_GE(eng.pdr_stats().exch_consumed, 1u);
 }
 
 TEST(Pdr, InitFreeModelFailsAtDepthZeroWhenBadIsSatisfiable) {

@@ -1,21 +1,19 @@
 // portfolio_test.cpp — the portfolio scheduler: jobs=1 vs wide-pool
 // verdict agreement, winner attribution, the join-all cancellation
-// guarantee, exchange-on/off verdict crosschecks, determinism of verdict +
-// trace under a fixed seed regardless of --jobs, one roster entry per
-// member, the out-of-memory-only relaunch rule, and the final checkpoint.
+// guarantee, certified PASS verdicts, determinism of verdict + trace under
+// a fixed seed regardless of --jobs, one roster entry per member, and the
+// out-of-memory-only relaunch rule.
 // Runs under TSan via the `concurrency` ctest label
 // (ITPSEQ_SANITIZE=thread).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <thread>
 
 #include "bench_circuits/generators.hpp"
 #include "bench_circuits/suite.hpp"
 #include "mc/certify.hpp"
-#include "mc/lemma_store.hpp"
 #include "mc/portfolio.hpp"
 #include "mc/sim.hpp"
 #include "obs/trace.hpp"
@@ -135,30 +133,9 @@ TEST(Portfolio, ExternalCancelTearsDownAllMembers) {
   EXPECT_LT(secs, 10.0) << "external cancellation was not honored promptly";
 }
 
-TEST(Portfolio, ExchangeNeverChangesTheVerdict) {
-  unsigned compared = 0;
-  for (const auto& inst : bench::make_academic_suite(14)) {
-    PortfolioOptions with = quick(8.0);
-    PortfolioOptions without = quick(8.0);
-    without.exchange = false;
-    EngineResult a = check_portfolio(inst.model, 0, with);
-    EngineResult b = check_portfolio(inst.model, 0, without);
-    if (a.verdict == Verdict::kUnknown || b.verdict == Verdict::kUnknown)
-      continue;
-    EXPECT_EQ(a.verdict, b.verdict) << inst.name;
-    if (a.verdict == Verdict::kFail) {
-      EXPECT_TRUE(trace_is_cex(inst.model, a.cex, 0)) << inst.name;
-      EXPECT_TRUE(trace_is_cex(inst.model, b.cex, 0)) << inst.name;
-    }
-    ++compared;
-    if (compared >= 10) break;
-  }
-  EXPECT_GE(compared, 5u);
-}
-
-TEST(Portfolio, ExchangeDeliversCertifiablePass) {
-  // The exchange path must not poison certificates: a PASS out of the
-  // racing+sharing portfolio still has to survive the independent checker.
+TEST(Portfolio, RacingPassCarriesACheckedCertificate) {
+  // A PASS out of the racing portfolio is the winner's own certificate and
+  // still has to survive the independent checker.
   aig::Aig g = bench::token_ring(10, /*fail_reach=*/false);
   PortfolioOptions po = quick(20.0);
   po.members = {PortfolioMember::kSItpSeq, PortfolioMember::kPdr,
@@ -292,12 +269,11 @@ TEST(Portfolio, FaultedMemberIsRelaunchedAndRecovers) {
   // member finished healthy.
   EXPECT_EQ(itp->last_error.kind, ErrorKind::kOutOfMemory);
   EXPECT_EQ(itp->error.kind, ErrorKind::kNone);
-  // The relaunch is observable: member_restart lands in the exchange
-  // matrix as a (member, "restart") row.
-  obs::TraceSink::Summary sum = sink.summary();
-  auto it = sum.exchange.find({"ITP", "restart"});
-  ASSERT_NE(it, sum.exchange.end()) << "member_restart row missing";
-  EXPECT_GE(it->second.published, 1u);
+  // The relaunch is observable in the trace as a member_restart event.
+  std::uint64_t restart_events = 0;
+  for (const auto& [key, count] : sink.summary().kinds)
+    if (key.second == "member_restart") restart_events += count;
+  EXPECT_GE(restart_events, 1u);
 }
 
 TEST(Portfolio, ExhaustedRetriesReportTheLastError) {
@@ -383,38 +359,6 @@ TEST(Portfolio, OneWorkerPoolRespectsBudget) {
           .count();
   EXPECT_EQ(r.verdict, Verdict::kUnknown);
   EXPECT_LT(secs, 10.0);
-}
-
-TEST(Portfolio, FinalCheckpointListsEveryMember) {
-  // Regression: the guard thread's periodic snapshot could land after the
-  // final one, reading a roster that had already been moved into the
-  // result, and leave a snapshot with no progress lines at the path.  A
-  // zero interval makes the guard write on every wake-up.
-  const std::string ck =
-      std::string(::testing::TempDir()) + "itpseq_final_ckpt.its";
-  aig::Aig g = bench::token_ring(6, /*fail_reach=*/false);
-  for (int run = 0; run < 100; ++run) {
-    PortfolioOptions po = quick(30.0);
-    po.jobs = 2;
-    po.members = {PortfolioMember::kPdr, PortfolioMember::kItp};
-    po.checkpoint_path = ck;
-    po.checkpoint_interval_sec = 0;
-    EngineResult r = check_portfolio(g, 0, po);
-    ASSERT_EQ(r.verdict, Verdict::kPass) << "run " << run;
-    // The snapshot left at the path is the final one: it lists every
-    // member on the returned roster (a member the winner cancelled before
-    // it was claimed never ran and is on neither).
-    LemmaSnapshot snap = read_snapshot_file(ck);
-    ASSERT_FALSE(r.members.empty()) << "run " << run;
-    ASSERT_EQ(snap.progress.size(), r.members.size()) << "run " << run;
-    for (const MemberOutcome& m : r.members) {
-      bool listed = false;
-      for (const EngineProgress& p : snap.progress)
-        if (p.engine == m.member) listed = true;
-      EXPECT_TRUE(listed) << m.member << " missing, run " << run;
-    }
-  }
-  std::remove(ck.c_str());
 }
 
 }  // namespace

@@ -34,7 +34,6 @@
 #include "mc/engine.hpp"
 #include "mc/itpseq_verif.hpp"
 #include "mc/kinduction.hpp"
-#include "mc/lemma_store.hpp"
 #include "mc/portfolio.hpp"
 #include "mc/run_report.hpp"
 #include "mc/sim.hpp"
@@ -99,19 +98,6 @@ void usage(const char* argv0) {
                "                    CTG-aware generalization in PDR (default on)\n"
                "  -j, --jobs N      portfolio worker threads (0 = auto,\n"
                "                    1 = members one at a time, in order)\n"
-               "      --no-exchange disable cross-engine lemma exchange\n"
-               "                    (portfolio engine only)\n"
-               "      --checkpoint F\n"
-               "                    portfolio only: snapshot the lemma-\n"
-               "                    exchange hub to F (atomic temp+rename)\n"
-               "                    periodically, on watchdog/memory\n"
-               "                    escalation, and at run end\n"
-               "      --checkpoint-interval S\n"
-               "                    seconds between snapshots (default 5)\n"
-               "      --resume F    portfolio only: seed the run from\n"
-               "                    checkpoint F; restored lemmas re-enter\n"
-               "                    as unverified candidates; a corrupt or\n"
-               "                    mismatched snapshot is a clean exit 2\n"
                "  -w, --witness F   write a FAIL witness to file F ('-' = stdout)\n"
                "      --no-minimize do not minimize counterexample traces\n"
                "      --validate    replay the counterexample before reporting\n"
@@ -126,8 +112,8 @@ void usage(const char* argv0) {
                "                    for Perfetto / chrome://tracing\n"
                "      --stats-json F\n"
                "                    write a machine-readable run report\n"
-               "                    (verdict, per-engine spans, counters,\n"
-               "                    lemma-exchange matrix) to F\n"
+               "                    (verdict, per-engine spans, counters)\n"
+               "                    to F\n"
                "      --progress    throttled one-line search-rate reports\n"
                "                    on stderr while engines run\n"
                "  -q, --quiet       suppress all 'c ...' comment lines;\n"
@@ -152,23 +138,8 @@ void usage(const char* argv0) {
                "  rates live.  JSONL traces (the default format) are one\n"
                "  self-describing object per line:\n"
                "    {\"ts_us\":..,\"tid\":..,\"engine\":\"PDR\",\n"
-               "     \"kind\":\"span\",\"payload\":{...}}\n"
-               "\n"
-               "Checkpoint & resume:\n"
-               "  %s -e portfolio -j 4 --checkpoint run.ckpt \\\n"
-               "      --checkpoint-interval 2 design.aig\n"
-               "  The run snapshots its lemma hub (graded clauses plus per-\n"
-               "  member progress, checksummed, renamed atomically into\n"
-               "  place) every 2 seconds, so a crash or SIGKILL loses at\n"
-               "  most one interval of learned clauses.  Pick the run back\n"
-               "  up with:\n"
-               "  %s -e portfolio -j 4 --resume run.ckpt design.aig\n"
-               "  Restored lemmas are demoted to candidates and re-verified\n"
-               "  by the consuming engines before use, so resuming can only\n"
-               "  speed a run up — never change its verdict.  A truncated,\n"
-               "  corrupted, or wrong-design snapshot is rejected with a\n"
-               "  'snapshot: ...' diagnostic and exit code 2.\n",
-               argv0, argv0, argv0, argv0);
+               "     \"kind\":\"span\",\"payload\":{...}}\n",
+               argv0, argv0);
 }
 
 /// Strict unsigned decimal for numeric flags: digits only, no sign, no
@@ -206,18 +177,12 @@ struct Args {
   std::string invariant_file;
   bool quiet = false;
   unsigned jobs = 0;        // portfolio workers: 0 = auto
-  bool exchange = true;     // portfolio: cross-engine lemma exchange
   std::string trace_out;
   obs::TraceConfig::Format trace_format = obs::TraceConfig::Format::kJsonl;
   std::string stats_json_file;
   bool progress = false;
   std::size_t mem_limit_mb = 0;  // 0 = unlimited
   std::string inject_fault;      // fault plan (validated in main)
-  std::string checkpoint_file;   // portfolio lemma checkpoint ("" = off)
-  double checkpoint_interval = 5.0;
-  std::string resume_file;       // checkpoint to restore ("" = fresh run)
-  /// Lemmas restored from resume_file (validated in main before dispatch).
-  std::vector<mc::Lemma> seed_lemmas;
   mc::EngineOptions opts;
 };
 
@@ -309,17 +274,6 @@ bool parse_args(int argc, char** argv, Args& a) {
     } else if (s == "-j" || s == "--jobs") {
       if (!(v = need(i))) return false;
       a.jobs = parse_uint<unsigned>(argv[i - 1], v);
-    } else if (s == "--no-exchange") {
-      a.exchange = false;
-    } else if (s == "--checkpoint") {
-      if (!(v = need(i))) return false;
-      a.checkpoint_file = v;
-    } else if (s == "--checkpoint-interval") {
-      if (!(v = need(i))) return false;
-      a.checkpoint_interval = std::stod(v);
-    } else if (s == "--resume") {
-      if (!(v = need(i))) return false;
-      a.resume_file = v;
     } else if (s == "-w" || s == "--witness") {
       if (!(v = need(i))) return false;
       a.witness_file = v;
@@ -366,13 +320,6 @@ bool parse_args(int argc, char** argv, Args& a) {
     std::fprintf(stderr, "no input file\n");
     return false;
   }
-  if ((!a.checkpoint_file.empty() || !a.resume_file.empty()) &&
-      a.engine != "portfolio") {
-    std::fprintf(stderr,
-                 "--checkpoint/--resume snapshot the portfolio's lemma "
-                 "exchange; rerun with -e portfolio\n");
-    return false;
-  }
   return true;
 }
 
@@ -393,11 +340,7 @@ mc::EngineResult dispatch(const Args& a, const aig::Aig& g) {
     mc::PortfolioOptions po;
     po.time_limit_sec = a.timeout;
     po.jobs = a.jobs;
-    po.exchange = a.exchange;
     po.engine_defaults = o;
-    po.checkpoint_path = a.checkpoint_file;
-    po.checkpoint_interval_sec = a.checkpoint_interval;
-    po.seed_lemmas = a.seed_lemmas;
     return mc::check_portfolio(g, a.property, po);
   }
   if (e == "bdd") {
@@ -460,40 +403,6 @@ int main(int argc, char** argv) {
     std::printf("c %s: %zu inputs, %zu latches, %zu ands, %zu outputs\n",
                 a.file.c_str(), g.num_inputs(), g.num_latches(), g.num_ands(),
                 g.num_outputs());
-
-  // Resume: load and validate the snapshot *before* any engine runs — a
-  // corrupt, truncated, or wrong-design checkpoint is a usage/input error
-  // (exit 2), exactly like a corrupt model file.  Lemmas that survive
-  // decoding are still untrusted: check_portfolio demotes every one to
-  // kCandidate, so they re-enter proofs only through consumers' own
-  // soundness checks.
-  if (!a.resume_file.empty()) {
-    mc::LemmaSnapshot snap;
-    try {
-      snap = mc::read_snapshot_file(a.resume_file);
-    } catch (const std::exception& ex) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], ex.what());
-      return 2;
-    }
-    if (snap.design != mc::design_hash(g) ||
-        snap.num_latches != g.num_latches()) {
-      std::fprintf(stderr,
-                   "%s: snapshot: design mismatch (snapshot %016" PRIx64
-                   " with %zu latches, model %016" PRIx64
-                   " with %zu latches)\n",
-                   argv[0], snap.design, snap.num_latches,
-                   mc::design_hash(g), g.num_latches());
-      return 2;
-    }
-    a.seed_lemmas = std::move(snap.lemmas);
-    if (!a.quiet)
-      std::printf(
-          "c resume: restored %zu lemmas from %s (re-entering as candidates)\n",
-          a.seed_lemmas.size(), a.resume_file.c_str());
-  }
-  if (!a.quiet && !a.checkpoint_file.empty())
-    std::printf("c checkpoint: %s every %.3gs\n", a.checkpoint_file.c_str(),
-                a.checkpoint_interval);
 
   // Tracing covers exactly the engine run: install before dispatch, finish
   // (drain + close) after every engine thread has joined — check_portfolio
@@ -577,11 +486,6 @@ int main(int argc, char** argv) {
     if (r.stats.cba_visible_latches > 0)
       std::printf("c abstraction: visible=%u refinements=%u\n",
                   r.stats.cba_visible_latches, r.stats.cba_refinements);
-    if (r.stats.lemmas_published > 0 || r.stats.lemmas_consumed > 0)
-      std::printf("c exchange: published=%" PRIu64 " consumed=%" PRIu64
-                  " restored=%" PRIu64 "\n",
-                  r.stats.lemmas_published, r.stats.lemmas_consumed,
-                  r.stats.lemmas_restored);
     // Per-member fates (portfolio): lets a user see which member won, which
     // ran out of budget, which crashed with what error, and which had to be
     // relaunched by the self-healing policy on the way to its verdict.
