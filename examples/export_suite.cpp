@@ -13,12 +13,16 @@
 using namespace itpseq;
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
+  // A flag-like directory, an unknown format or an extra argument is a
+  // usage error, reported before anything is written.
+  const std::string format = argc > 2 ? argv[2] : "binary";
+  if (argc < 2 || argc > 3 || argv[1][0] == '-' ||
+      (format != "ascii" && format != "binary")) {
     std::fprintf(stderr, "usage: %s <output_dir> [ascii|binary]\n", argv[0]);
-    return 1;
+    return 2;
   }
   std::string dir = argv[1];
-  bool ascii = argc > 2 && std::string(argv[2]) == "ascii";
+  bool ascii = format == "ascii";
   std::filesystem::create_directories(dir);
 
   unsigned n = 0;

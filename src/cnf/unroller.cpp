@@ -17,12 +17,12 @@ const char* to_string(TargetScheme s) {
   return "?";
 }
 
-Unroller::Unroller(const aig::Aig& model, sat::Solver& solver,
-                   std::vector<bool> visible)
-    : model_(model), solver_(solver), visible_(std::move(visible)) {
-  if (!visible_.empty() && visible_.size() != model_.num_latches())
-    throw std::invalid_argument("Unroller: visibility mask size mismatch");
-  ensure_frame0();
+Unroller::Unroller(const aig::Aig& model, sat::Solver& solver)
+    : model_(model), solver_(solver) {
+  // Latches at frame 0 are fresh SAT variables; inputs get theirs on demand.
+  frames_.push_back({std::vector<sat::Lit>(model_.num_vars(), sat::kNoLit)});
+  for (std::size_t i = 0; i < model_.num_latches(); ++i)
+    frames_[0].map[aig::lit_var(model_.latch(i))] = fresh();
 }
 
 sat::Lit Unroller::true_lit(std::uint32_t label) {
@@ -33,15 +33,6 @@ sat::Lit Unroller::true_lit(std::uint32_t label) {
   return true_;
 }
 
-void Unroller::ensure_frame0() {
-  Frame f;
-  f.map.assign(model_.num_vars(), sat::kNoLit);
-  // Latches and inputs at frame 0 are fresh SAT variables.
-  for (std::size_t i = 0; i < model_.num_latches(); ++i)
-    f.map[aig::lit_var(model_.latch(i))] = fresh();
-  frames_.push_back(std::move(f));
-}
-
 sat::Lit Unroller::lit(aig::Lit l, unsigned t, std::uint32_t label) {
   if (t >= frames_.size()) throw std::out_of_range("Unroller::lit: frame");
   aig::Var root = aig::lit_var(l);
@@ -49,7 +40,7 @@ sat::Lit Unroller::lit(aig::Lit l, unsigned t, std::uint32_t label) {
     sat::Lit tl = true_lit(label);
     return aig::lit_sign(l) ? tl : sat::neg(tl);
   }
-  // Every frame maps all its latches up front (ensure_frame0,
+  // Every frame maps all its latches up front (constructor,
   // add_transition), so the only leaves the walk reaches are inputs.
   sat::Lit s = encode_cone(
       model_, root, label, solver_, frames_[t].map, stack_,
@@ -70,51 +61,54 @@ sat::Lit Unroller::lookup(aig::Lit l, unsigned t) const {
   return aig::lit_sign(l) ? sat::neg(s) : s;
 }
 
-sat::Lit Unroller::input_lit(std::size_t i, unsigned t, std::uint32_t label) {
-  return lit(model_.input(i), t, label);
+void Unroller::assert_init(std::uint32_t label) {
+  for (std::size_t i = 0; i < model_.num_latches(); ++i) init_latch(i, label);
 }
 
-void Unroller::assert_init(std::uint32_t label, sat::Lit guard) {
-  for (std::size_t i = 0; i < model_.num_latches(); ++i) {
-    if (!latch_visible(i)) continue;
-    aig::LatchInit init = model_.latch_init(i);
-    if (init == aig::LatchInit::kUndef) continue;  // free at reset
-    sat::Lit l = latch_lit(i, 0, label);
-    if (init != aig::LatchInit::kOne) l = sat::neg(l);
-    if (guard == sat::kNoLit)
-      solver_.add_clause({l}, label);
-    else
-      solver_.add_clause({sat::neg(guard), l}, label);
-  }
+void Unroller::init_latch(std::size_t i, std::uint32_t label, sat::Lit guard) {
+  aig::LatchInit init = model_.latch_init(i);
+  if (init == aig::LatchInit::kUndef) return;  // free at reset
+  sat::Lit l = latch_lit(i, 0, label);
+  if (init != aig::LatchInit::kOne) l = sat::neg(l);
+  if (guard == sat::kNoLit)
+    solver_.add_clause({l}, label);
+  else
+    solver_.add_clause({sat::neg(guard), l}, label);
 }
 
 void Unroller::add_transition(unsigned t, std::uint32_t label) {
   if (t + 1 != frames_.size())
     throw std::logic_error("add_transition: frames must be added in order");
-  Frame next;
-  next.map.assign(model_.num_vars(), sat::kNoLit);
-  // Every latch at frame t+1 gets a *fresh* SAT variable tied to its
-  // next-state function by equality clauses.  Aliasing the gate literal
-  // directly would be slightly cheaper, but fresh variables guarantee that
-  // the variables shared across a partition cut are exactly the frame's
-  // latch variables, one per latch — which interpolant extraction relies on
-  // to map shared variables back to state-space inputs.
+  frames_.push_back({std::vector<sat::Lit>(model_.num_vars(), sat::kNoLit)});
   for (std::size_t i = 0; i < model_.num_latches(); ++i) {
-    aig::Var lv = aig::lit_var(model_.latch(i));
-    sat::Lit v = fresh();
-    next.map[lv] = v;
-    if (!latch_visible(i)) continue;  // cutpoint: leave unconstrained
-    aig::Lit nx = model_.latch_next(i);
-    if (aig::lit_var(nx) == 0) {
-      // Constant next state: a unit clause, avoiding a constant-true var.
-      solver_.add_clause({aig::lit_sign(nx) ? v : sat::neg(v)}, label);
-    } else {
-      sat::Lit g = lit(nx, t, label);
-      solver_.add_clause({sat::neg(v), g}, label);
-      solver_.add_clause({v, sat::neg(g)}, label);
-    }
+    frames_.back().map[aig::lit_var(model_.latch(i))] = fresh();
+    const sat::Lit guard = tie_policy_ ? tie_policy_(i, t) : sat::kNoLit;
+    if (guard != kUntied) tie(i, t, label, guard);
   }
-  frames_.push_back(std::move(next));
+}
+
+void Unroller::tie(std::size_t i, unsigned t, std::uint32_t label,
+                   sat::Lit guard) {
+  if (t + 1 >= frames_.size()) throw std::out_of_range("Unroller::tie: frame");
+  const sat::Lit v = frames_[t + 1].map[aig::lit_var(model_.latch(i))];
+  // One clause of the tie, with ~guard when guarded.  add_clause drops a
+  // repeated literal, so add(u, u) is the unit u.
+  auto add = [&](sat::Lit a, sat::Lit b) {
+    if (guard == sat::kNoLit)
+      solver_.add_clause({a, b}, label);
+    else
+      solver_.add_clause({sat::neg(guard), a, b}, label);
+  };
+  const aig::Lit nx = model_.latch_next(i);
+  if (aig::lit_var(nx) == 0) {
+    // Constant next state: a unit clause, avoiding a constant-true var.
+    const sat::Lit u = aig::lit_sign(nx) ? v : sat::neg(v);
+    add(u, u);
+  } else {
+    const sat::Lit g = lit(nx, t, label);
+    add(sat::neg(v), g);
+    add(v, sat::neg(g));
+  }
 }
 
 void Unroller::assert_constraints(unsigned t, std::uint32_t label,

@@ -1,9 +1,11 @@
 // unroller.hpp — time-frame expansion of a sequential AIG into CNF.
 //
 // The unroller maintains, for each time frame t, a Tseitin map from AIG
-// variables to SAT literals.  Latches at frame 0 are fresh variables
-// (constrained by assert_init, or left free); latches at frame t+1 alias
-// the SAT literal of their next-state function at frame t.
+// variables to SAT literals.  Every latch gets a fresh SAT variable in every
+// frame: at frame 0 constrained by its reset value (init_latch) or free, at
+// frame t+1 *tied* to its next-state function at frame t by two equality
+// clauses.  So the variables shared across a partition cut are exactly the
+// frame's latch variables, which interpolant extraction relies on.
 //
 // Partition labels follow the interpolation-sequence convention of the
 // paper (Section II-C):
@@ -13,9 +15,10 @@
 // Callers are free to use any other monotone labeling (e.g. a two-label
 // A/B split for standard interpolation).
 //
-// Localization abstraction (CBA) is supported through a visibility mask:
-// invisible latches are cut — they get fresh unconstrained SAT variables in
-// every frame and are skipped by assert_init.
+// Localization abstraction (CBA, PBA) is a matter of which ties exist: a tie
+// may sit behind a guard literal (it holds only while the guard is assumed),
+// and an untied latch is a free cutpoint.  add_transition ties each latch of
+// the new frame as the tie policy says; tie() adds a tie later.
 //
 // Gate cones are encoded on demand by cnf::encode_cone (tseitin.hpp) over
 // the frame's map.  Pruning invariant: a node with a literal in a frame's
@@ -27,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -47,10 +51,7 @@ const char* to_string(TargetScheme s);
 
 class Unroller {
  public:
-  /// `visible`: per-latch flag; invisible latches become free cutpoints.
-  /// Empty mask = everything visible (no abstraction).
-  Unroller(const aig::Aig& model, sat::Solver& solver,
-           std::vector<bool> visible = {});
+  Unroller(const aig::Aig& model, sat::Solver& solver);
 
   const aig::Aig& model() const { return model_; }
   sat::Solver& solver() { return solver_; }
@@ -67,18 +68,29 @@ class Unroller {
   /// creates variables or clauses (safe after solve(), e.g. for reading
   /// counterexample values out of a model).
   sat::Lit lookup(aig::Lit l, unsigned t) const;
-  /// SAT literal of the i-th input at frame t.
-  sat::Lit input_lit(std::size_t i, unsigned t, std::uint32_t label);
 
-  /// Assert the reset state at frame 0 (unit clause per initialized,
-  /// visible latch) with partition `label`.  With a `guard` literal every
-  /// clause gets ~guard, so the clauses hold only while guard is assumed.
-  void assert_init(std::uint32_t label, sat::Lit guard = sat::kNoLit);
+  /// Assert the reset state at frame 0: init_latch for every latch.
+  void assert_init(std::uint32_t label);
+  /// Assert latch i's reset value at frame 0 (nothing for an undefined
+  /// reset) with partition `label`; with a `guard`, the unit gets ~guard.
+  void init_latch(std::size_t i, std::uint32_t label,
+                  sat::Lit guard = sat::kNoLit);
 
-  /// Extend the unrolling with transition t -> t+1: encodes every visible
-  /// latch's next-state cone at frame t (label) and aliases frame-(t+1)
-  /// latches to the results.  Must be called with t = num_frames()-1.
+  /// Extend the unrolling with frame t+1 (t = num_frames()-1): a fresh
+  /// variable per latch, tied (`label`) as the tie policy says.
   void add_transition(unsigned t, std::uint32_t label);
+  /// Tie latch i at frame t+1 to its next-state function, encoded at frame
+  /// t with `label`: two equality clauses (a unit for a constant), each
+  /// with ~guard unless guard is kNoLit.  At most once per latch and frame.
+  void tie(std::size_t i, unsigned t, std::uint32_t label,
+           sat::Lit guard = sat::kNoLit);
+
+  /// Tie policy of later add_transition calls: `guard(i, t)` guards latch
+  /// i's tie at frame t; kNoLit ties it unguarded (also the default when
+  /// no policy is set), kUntied leaves it a free cutpoint.
+  static constexpr sat::Lit kUntied = sat::kNoLit - 1;
+  using TiePolicy = std::function<sat::Lit(std::size_t i, unsigned t)>;
+  void set_tie_policy(TiePolicy guard) { tie_policy_ = std::move(guard); }
 
   /// Highest frame with latch literals available (0-based); frames
   /// 0..num_frames()-1 exist.
@@ -104,10 +116,6 @@ class Unroller {
   sat::Lit encode_state_pred(const aig::Aig& sets, aig::Lit root, unsigned t,
                              std::uint32_t label);
 
-  bool latch_visible(std::size_t i) const {
-    return visible_.empty() || visible_[i];
-  }
-
  private:
   struct Frame {
     std::vector<sat::Lit> map;  // aig var -> sat lit, kNoLit if unencoded
@@ -115,11 +123,10 @@ class Unroller {
 
   sat::Lit fresh() { return sat::mk_lit(solver_.new_var()); }
   sat::Lit true_lit(std::uint32_t label);
-  void ensure_frame0();
 
   const aig::Aig& model_;
   sat::Solver& solver_;
-  std::vector<bool> visible_;
+  TiePolicy tie_policy_;
   std::vector<Frame> frames_;
   std::vector<aig::Var> stack_;  // encode_cone's work stack
   sat::Lit true_ = sat::kNoLit;

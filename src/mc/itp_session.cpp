@@ -2,22 +2,63 @@
 
 namespace itpseq::mc {
 
+namespace {
+/// Latches in the sequential cone of influence of `roots`.
+std::vector<bool> latch_coi(const aig::Aig& m, std::vector<aig::Lit> roots) {
+  std::vector<bool> in(m.num_latches(), false);
+  while (!roots.empty()) {
+    std::vector<aig::Lit> next;
+    for (aig::Var v : m.cone(roots))
+      if (const std::size_t i = m.latch_index(v);
+          i != aig::Aig::kNoIndex && !in[i]) {
+        in[i] = true;
+        next.push_back(m.latch_next(i));
+      }
+    roots = std::move(next);
+  }
+  return in;
+}
+}  // namespace
+
+const char* to_string(AbstractionMode m) {
+  switch (m) {
+    case AbstractionMode::kNone: return "none";
+    case AbstractionMode::kCba: return "cba";
+    case AbstractionMode::kPba: return "pba";
+  }
+  return "?";
+}
+
 ItpSession::ItpSession(const aig::Aig& model, std::size_t prop,
-                       const EngineOptions& opts, Shape shape,
-                       std::vector<bool> visible)
-    : model_(model),
-      prop_(prop),
-      shape_(shape),
-      unr_(model, solver_, std::move(visible)) {
+                       const EngineOptions& opts, Shape shape)
+    : model_(model), prop_(prop), shape_(shape), unr_(model, solver_) {
   // The unroller's constructor only creates variables, so proof logging
   // still starts before the first clause.
   opts.apply_sat_options(solver_);
   solver_.enable_proof();
-  if (shape_.long_lived) freeze_latches(0);
+  freeze_latches(0);
+  if (shape_.abstraction == AbstractionMode::kCba) {
+    // No latch is visible until set_visible; a visible one is tied for good.
+    visible_.assign(model_.num_latches(), false);
+    unr_.set_tie_policy([this](std::size_t i, unsigned) {
+      return visible(i) ? sat::kNoLit : cnf::Unroller::kUntied;
+    });
+  } else if (shape_.abstraction == AbstractionMode::kPba) {
+    // Every tie behind its own guard, local to the frame's partition.  A
+    // latch outside the cone of influence of the bad output and the
+    // constraints cannot change an answer, so it is never tied.
+    std::vector<aig::Lit> roots{model_.output(prop_)};
+    for (std::size_t c = 0; c < model_.num_constraints(); ++c)
+      roots.push_back(model_.constraint(c));
+    coi_ = latch_coi(model_, std::move(roots));
+    unr_.set_tie_policy([this](std::size_t i, unsigned t) {
+      if (!coi_[i]) return cnf::Unroller::kUntied;
+      return guard(t + 1, i) = activation(frame_label(t));
+    });
+  }
 }
 
 sat::Lit ItpSession::activation(std::uint32_t label) {
-  if (!shape_.long_lived) return sat::kNoLit;
   const sat::Var v = solver_.new_var();
   solver_.freeze(v);
   solver_.set_assumption_label(v, label);
@@ -50,11 +91,53 @@ void ItpSession::freeze_latches(unsigned t) {
   }
 }
 
+void ItpSession::set_visible(std::vector<bool> visible) {
+  // CBA: tie the newly visible latches in every frame encoded so far.
+  for (std::size_t i = 0; i < model_.num_latches(); ++i) {
+    if (shape_.abstraction != AbstractionMode::kCba || this->visible(i) ||
+        (!visible.empty() && !visible[i]))
+      continue;
+    for (unsigned t = 0; t + 1 < unr_.num_frames(); ++t)
+      unr_.tie(i, t, frame_label(t));
+    if (init_encoded_) unr_.init_latch(i, 1, init_act_);
+  }
+  visible_ = std::move(visible);
+}
+
+sat::Lit& ItpSession::guard(std::size_t row, std::size_t i) {
+  if (guards_.size() <= row)
+    guards_.resize(row + 1,
+                   std::vector<sat::Lit>(model_.num_latches(), sat::kNoLit));
+  return guards_[row][i];
+}
+
+std::vector<bool> ItpSession::failed_latches() const {
+  std::vector<char> failed(solver_.num_vars(), 0);
+  for (sat::Lit a : solver_.failed_assumptions()) failed[sat::var(a)] = 1;
+  std::vector<bool> out(model_.num_latches(), false);
+  for (const std::vector<sat::Lit>& row : guards_)
+    for (std::size_t i = 0; i < row.size(); ++i)
+      if (row[i] != sat::kNoLit && failed[sat::var(row[i])]) out[i] = true;
+  return out;
+}
+
+void ItpSession::encode_init() {
+  init_encoded_ = true;
+  const bool pba = shape_.abstraction == AbstractionMode::kPba;
+  if (!pba) init_act_ = activation(1);
+  for (std::size_t i = 0; i < model_.num_latches(); ++i) {
+    if (!pba && visible(i))
+      unr_.init_latch(i, 1, init_act_);
+    else if (pba && coi_[i] && model_.latch_init(i) != aig::LatchInit::kUndef)
+      unr_.init_latch(i, 1, guard(0, i) = activation(1));
+  }
+}
+
 void ItpSession::encode(unsigned n) {
   while (unr_.num_frames() <= n) {
     const unsigned t = unr_.num_frames() - 1;
     unr_.add_transition(t, frame_label(t));
-    if (shape_.long_lived) freeze_latches(t + 1);
+    freeze_latches(t + 1);
   }
   for (; constrained_ <= n; ++constrained_) {
     const unsigned t = constrained_;
@@ -91,19 +174,22 @@ sat::Status ItpSession::query(const aig::Aig& sets, aig::Lit start, unsigned n,
   // used by this query only.
   sat::Lit once = sat::kNoLit;
   if (start == aig::kNullLit) {
-    if (!init_encoded_) {
-      init_act_ = activation(1);
-      unr_.assert_init(1, init_act_);
-      init_encoded_ = true;
-    }
+    if (!init_encoded_) encode_init();
     if (init_act_ != sat::kNoLit) assumptions_.push_back(init_act_);
   } else if (start != aig::kTrue) {
     clause_.push_back(unr_.encode_state_pred(sets, start, 0, 1));
     once = activation(1);
     add_guarded(once, 1);
-    if (once != sat::kNoLit) assumptions_.push_back(once);
+    assumptions_.push_back(once);
   }
   encode(n);
+  // kPba: the visible latches' reset guards (with the initial states) and
+  // tie guards up to the target.
+  for (std::size_t r = start == aig::kNullLit ? 0 : 1;
+       r <= n && r < guards_.size(); ++r)
+    for (std::size_t i = 0; i < guards_[r].size(); ++i)
+      if (guards_[r][i] != sat::kNoLit && visible(i))
+        assumptions_.push_back(guards_[r][i]);
   if (shape_.shorter_queries) {
     for (unsigned t = 0; t <= n && t < frame_act_.size(); ++t)
       if (frame_act_[t] != sat::kNoLit) assumptions_.push_back(frame_act_[t]);
@@ -113,11 +199,9 @@ sat::Status ItpSession::query(const aig::Aig& sets, aig::Lit start, unsigned n,
     retire(target_act_[last_n_], target_label(last_n_));  // lengths only grow
   }
   last_n_ = n;
-  if (const sat::Lit t = target(n); t != sat::kNoLit) assumptions_.push_back(t);
+  assumptions_.push_back(target(n));
 
-  const sat::Status st = assumptions_.empty()
-                             ? solver_.solve(budget)
-                             : solver_.solve_assuming(assumptions_, budget);
+  const sat::Status st = solver_.solve_assuming(assumptions_, budget);
   final_ = st == sat::Status::kUnsat ? solver_.proof().final_id()
                                      : sat::kNoClauseId;
   retire(once, 1);

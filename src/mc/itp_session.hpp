@@ -1,7 +1,7 @@
 // itp_session.hpp — one proof-logging BMC unrolling, answered query by query.
 //
-// ITP (Fig. 1) and the sequence engines (Figs. 2, 4) ask all of a run's BMC
-// queries over one labelled unrolling: only the start (the initial states,
+// ITP (Fig. 1) and the sequence engines (Figs. 2, 4, 5) ask all of a run's
+// BMC queries over one labelled unrolling: only the start (the initial states,
 // or the previous interpolant or serial term) and the target change.  A
 // long-lived session therefore encodes each frame once, keeps start, target
 // and query-specific clauses behind activation literals, and answers every
@@ -20,13 +20,27 @@
 // Each activation literal carries the label of the clauses it guards, so it
 // is local to one partition and never shared across a cut.
 //
-// A query sees exactly the clauses of its one-shot build, plus learned
-// clauses and clauses that only define fresh variables (frames past a
-// shorter query's target, the Tseitin definitions of earlier starts).  When
-// queries can be shorter than the unrolling (SITPSEQ's serial steps), the
-// constraints and good clauses of every frame are guarded per frame and
-// assumed only up to the query's target; every target is guarded.  So every SAT/UNSAT answer is the one-shot answer; only the
-// proofs differ.
+// The abstraction engines (Section V) differ only in which latch ties
+// (cnf::Unroller::tie) are active; an untied latch is a free cutpoint.
+//   kCba  ties the visible latches only, for good: a latch made visible is
+//         tied in every frame so far and every later one, and its reset
+//         unit joins the initial states' clauses.
+//   kPba  ties each latch of the property's cone of influence at frame t
+//         behind its own activation a(i,t), labelled t+1, and its reset
+//         unit behind one labelled 1.  A query assumes the guards of the
+//         visible latches (all for the concrete check); the failed
+//         assumptions of a refuted query name the latches it needed.
+// This is the single-instance formulation of Eén, Mishchenko & Amla (FMCAD
+// 2010), the paper's reference [13].
+//
+// A query sees exactly the clauses of its one-shot build (over its
+// abstract model), plus learned clauses, clauses whose guards it does not
+// assume and clauses that only define fresh variables (frames past a
+// shorter query's target, the Tseitin definitions of earlier starts).
+// When queries can be shorter than the unrolling (SITPSEQ's serial steps),
+// the constraints and good clauses of every frame are guarded per frame and
+// assumed only up to the query's target; every target is guarded.  So
+// every SAT/UNSAT answer is the one-shot answer; only the proofs differ.
 //
 // Used activations are retired with a permanent negative unit, so level-0
 // simplification reclaims their clauses: a start that is an interpolant or
@@ -34,10 +48,6 @@
 // once a query of another length comes.  Activation variables and frame
 // latch variables are frozen: they are assumed, they are the interpolation
 // leaves, and they are the inputs of the next frame and of start encodings.
-//
-// A one-query session (CBA and PBA, whose visibility mask changes from
-// query to query) asserts everything directly and calls solve(): exactly
-// the one-shot build.
 #pragma once
 
 #include <cstdint>
@@ -50,14 +60,23 @@
 
 namespace itpseq::mc {
 
+/// Localization-abstraction strategy of the sequence engine (Section V).
+enum class AbstractionMode : std::uint8_t {
+  kNone,  ///< concrete model only (ITP, ITPSEQ, SITPSEQ)
+  kCba,   ///< counterexample-based abstraction (Fig. 5)
+  kPba,   ///< proof-based abstraction
+};
+
+const char* to_string(AbstractionMode m);
+
 class ItpSession {
  public:
   enum class Layout : std::uint8_t { kSequence, kStandard };
 
   struct Shape {
     Layout layout = Layout::kSequence;
-    /// Activation literals and solve_assuming; false: exactly one query.
-    bool long_lived = true;
+    /// Which latch ties exist and how they are switched (see above).
+    AbstractionMode abstraction = AbstractionMode::kNone;
     /// kSequence: not bad at frames 1..n-1 (the assume-k target).
     bool assume_k = false;
     /// A query may be shorter than an earlier one (SITPSEQ serial steps).
@@ -71,9 +90,8 @@ class ItpSession {
   /// workloads (bound 32 academic, bound 16 industrial) stays near 135k.
   static constexpr std::size_t kProofCap = std::size_t{1} << 20;
 
-  /// `visible` as for cnf::Unroller (empty: the concrete model).
   ItpSession(const aig::Aig& model, std::size_t prop, const EngineOptions& opts,
-             Shape shape, std::vector<bool> visible = {});
+             Shape shape);
   ItpSession(const ItpSession&) = delete;
   ItpSession& operator=(const ItpSession&) = delete;
 
@@ -86,6 +104,16 @@ class ItpSession {
   /// After query() == kUnsat: that query's empty clause in proof().
   sat::ClauseId final() const { return final_; }
 
+  /// kCba, kPba: later queries run on the abstraction whose visible latches
+  /// are `visible` (empty: every latch).  A kPba session starts with every
+  /// latch visible, a kCba session with none; kCba ties the newly visible
+  /// latches for good, so a latch once visible must stay visible.
+  void set_visible(std::vector<bool> visible);
+  /// kPba, after query() == kUnsat: per latch, whether one of its guards is
+  /// among the failed assumptions (all false after a refutation that
+  /// needed no assumption).
+  std::vector<bool> failed_latches() const;
+
   const sat::Solver& solver() const { return solver_; }
   const cnf::Unroller& unroller() const { return unr_; }
   const sat::Proof& proof() const { return solver_.proof(); }
@@ -97,9 +125,13 @@ class ItpSession {
   std::uint32_t target_label(unsigned n) const {
     return shape_.layout == Layout::kSequence ? n + 1 : 2;
   }
-  /// A fresh frozen activation literal for clauses of partition `label`;
-  /// kNoLit in a one-query session (clauses are then asserted directly).
+  /// A fresh frozen activation literal for clauses of partition `label`.
   sat::Lit activation(std::uint32_t label);
+  bool visible(std::size_t i) const { return visible_.empty() || visible_[i]; }
+  /// The reset state's clauses, under init_act_ or per-latch guards.
+  void encode_init();
+  /// guards_[row][i], growing guards_ on demand.
+  sat::Lit& guard(std::size_t row, std::size_t i);
   /// Add clause_ (with ~guard unless guard is kNoLit).
   void add_guarded(sat::Lit guard, std::uint32_t label);
   /// Disable `act` for good (no-op for kNoLit) and clear it.
@@ -123,6 +155,10 @@ class ItpSession {
   std::vector<sat::Lit> assumptions_;  // one query's activations
   sat::Lit init_act_ = sat::kNoLit;
   bool init_encoded_ = false;
+  std::vector<bool> visible_;         // empty: every latch
+  std::vector<bool> coi_;             // kPba: the latches it ties
+  // kPba: [0][i] guards latch i's reset unit, [t+1][i] its tie at frame t.
+  std::vector<std::vector<sat::Lit>> guards_;
   unsigned constrained_ = 0;  // frames [0, constrained_) have constraints
   unsigned good_ = 1;         // frames [1, good_) have a good clause
   std::vector<sat::Lit> frame_act_;   // per frame: constraints

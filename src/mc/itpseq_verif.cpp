@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "itp/interpolate.hpp"
@@ -14,15 +16,6 @@ namespace {
 /// Max CBA refinement iterations per bound before the run gives up.
 constexpr unsigned kCbaRefineLimit = 1000;
 }  // namespace
-
-const char* to_string(AbstractionMode m) {
-  switch (m) {
-    case AbstractionMode::kNone: return "none";
-    case AbstractionMode::kCba: return "cba";
-    case AbstractionMode::kPba: return "pba";
-  }
-  return "?";
-}
 
 ItpSeqEngine::ItpSeqEngine(const aig::Aig& model, std::size_t prop,
                            EngineOptions opts, AbstractionMode mode)
@@ -37,10 +30,8 @@ ItpSeqEngine::ItpSeqEngine(const aig::Aig& model, std::size_t prop,
       std::size_t idx = model.latch_index(v);
       if (idx != aig::Aig::kNoIndex) prop_support_[idx] = true;
     }
-  if (mode_ == AbstractionMode::kCba) {
-    // Initial abstraction: exactly the property support.
-    visible_ = prop_support_;
-  }
+  // CBA's initial abstraction: exactly the property support.
+  if (mode_ == AbstractionMode::kCba) visible_ = prop_support_;
 }
 
 const char* ItpSeqEngine::name() const {
@@ -50,25 +41,6 @@ const char* ItpSeqEngine::name() const {
     case AbstractionMode::kNone: break;
   }
   return opts_.serial_alpha > 0.0 ? "SITPSEQ" : "ITPSEQ";
-}
-
-ItpSession::Shape ItpSeqEngine::shape(bool long_lived) const {
-  // Target.  CBA follows Fig. 5 and uses exact-k; otherwise the configured
-  // scheme decides whether intermediate "good" constraints are added
-  // (assume-k) or not (exact-k).  bound-k is not meaningful for sequences.
-  ItpSession::Shape sh;
-  sh.layout = ItpSession::Layout::kSequence;
-  sh.long_lived = long_lived;
-  sh.assume_k = mode_ != AbstractionMode::kCba &&
-                opts_.scheme == cnf::TargetScheme::kExactAssume;
-  sh.shorter_queries = long_lived && opts_.serial_alpha > 0.0;
-  return sh;
-}
-
-std::unique_ptr<ItpSession> ItpSeqEngine::one_query(bool concrete) const {
-  return std::make_unique<ItpSession>(
-      model_, prop_, opts_, shape(/*long_lived=*/false),
-      concrete ? std::vector<bool>{} : visible_);
 }
 
 std::vector<aig::Lit> ItpSeqEngine::extract_terms(const ItpSession& s,
@@ -94,52 +66,13 @@ std::vector<aig::Lit> ItpSeqEngine::extract_terms(const ItpSession& s,
       opts_.itp_system);
 }
 
-std::vector<bool> ItpSeqEngine::pba_needed(const ItpSession& s,
-                                           unsigned k) const {
-  // Variables mentioned by original clauses of the refutation core.
-  std::vector<char> used;
-  const sat::Proof& proof = s.proof();
-  for (sat::ClauseId id : proof.core(s.final())) {
-    if (!proof.is_original(id)) continue;
-    for (sat::Lit l : proof.literals(id)) {
-      sat::Var v = sat::var(l);
-      if (v >= used.size()) used.resize(v + 1, 0);
-      used[v] = 1;
-    }
-  }
-  // A latch is needed iff any of its frame variables is used.  (Frame
-  // variables are per-latch fresh SAT variables by construction, so this
-  // mapping is exact.)  Property-support latches are always needed — see
-  // the constructor comment on fixpoint soundness.
-  std::vector<bool> needed = prop_support_;
-  for (std::size_t i = 0; i < model_.num_latches(); ++i)
-    for (unsigned t = 0; t <= k && !needed[i]; ++t) {
-      sat::Lit sl = s.unroller().lookup(model_.latch(i), t);
-      if (sl != sat::kNoLit && sat::var(sl) < used.size() &&
-          used[sat::var(sl)])
-        needed[i] = true;
-    }
-  return needed;
-}
-
-bool ItpSeqEngine::extend_or_refine(const ItpSession& s, unsigned k,
-                                    EngineResult& out, bool& refined) {
-  refined = false;
-  // Abstract counterexample: inputs and frame-0 free-latch values.
-  Trace abs = extract_trace(s.solver(), s.unroller(), k);
-  // EXTEND: replay on the concrete model from the concrete reset state.
-  Simulator sim(model_, prop_);
-  Trace concrete = abs;  // initial_latches only consulted for undef resets
-  SimFrames frames = sim.run(concrete);
-  if (frames.is_cex()) {
-    out.verdict = Verdict::kFail;
-    out.k_fp = k;
-    out.j_fp = 0;
-    out.cex = std::move(concrete);
-    out.stats.cba_visible_latches = static_cast<unsigned>(
-        std::count(visible_.begin(), visible_.end(), true));
-    return true;
-  }
+bool ItpSeqEngine::refine(ItpSession& s, unsigned k, EngineResult& out) {
+  // EXTEND: replay the abstract counterexample (its inputs; the reset
+  // values of free latches only count for undefined resets) on the
+  // concrete model.
+  SimFrames frames =
+      Simulator(model_, prop_).run(extract_trace(s.solver(), s.unroller(), k));
+  if (frames.is_cex()) return false;
   // REFINE: make visible an invisible latch whose abstract values diverge
   // from the concrete replay.  Candidates are restricted to the *frontier*
   // of the current abstraction — invisible latches feeding the property
@@ -186,16 +119,24 @@ bool ItpSeqEngine::extend_or_refine(const ItpSession& s, unsigned k,
   }
   if (best == aig::Aig::kNoIndex) return false;  // fully concrete already
   visible_[best] = true;
-  refined = true;
+  s.set_visible(visible_);
   ++out.stats.cba_refinements;
-  return false;
+  return true;
 }
 
 void ItpSeqEngine::execute(EngineResult& out) {
   aig::Aig& G = space_.graph();
   calI_.assign(1, aig::kNullLit);  // index 0 unused
-  // Concrete mode: one session for every query of the run, replaced at a
-  // bound once its proof outgrows ItpSession::kProofCap.
+  // One session for every query of the run, replaced at a bound once its
+  // proof outgrows ItpSession::kProofCap.  Target: CBA follows Fig. 5 and
+  // uses exact-k; otherwise the configured scheme decides whether
+  // intermediate "good" constraints are added (assume-k) or not (exact-k).
+  // bound-k is not meaningful for sequences.
+  const ItpSession::Shape shape{
+      ItpSession::Layout::kSequence, mode_,
+      mode_ != AbstractionMode::kCba &&
+          opts_.scheme == cnf::TargetScheme::kExactAssume,
+      opts_.serial_alpha > 0.0};
   std::unique_ptr<ItpSession> run;
 
   for (unsigned k = 1; k <= opts_.max_bound; ++k) {
@@ -218,65 +159,38 @@ void ItpSeqEngine::execute(EngineResult& out) {
       for (unsigned j = 1; j < calI_.size(); ++j) roots.push_back(&calI_[j]);
       space_.compact(std::move(roots));
     }
+    if (!run || run->proof().size() > ItpSession::kProofCap) {
+      run = std::make_unique<ItpSession>(model_, prop_, opts_, shape);
+      if (mode_ == AbstractionMode::kCba) run->set_visible(visible_);
+    }
+    ItpSession& s = *run;
 
     // --- BMC check at bound k (with abstraction handling) ---------------
-    // `first` holds this bound's first refutation: the run's session in
-    // concrete mode, else a one-query session.
-    const bool cba = mode_ == AbstractionMode::kCba;
-    std::unique_ptr<ItpSession> conc, abs;
-    ItpSession* first = nullptr;
     sat::Status status;
     if (mode_ == AbstractionMode::kPba) {
-      // PBA: the concrete check decides SAT/UNSAT; its proof core sizes the
-      // abstraction used for extraction.
-      conc = one_query(/*concrete=*/true);
-      status = solve_query(*conc, aig::kNullLit, k, out);
-      if (status == sat::Status::kUnknown) {
-        out.verdict = Verdict::kUnknown;
-        return;
+      // PBA: the concrete check decides SAT/UNSAT; the latches of its
+      // failed guards size the abstraction used for extraction.
+      s.set_visible({});
+      status = solve_query(s, aig::kNullLit, k, out);
+      if (status == sat::Status::kUnsat) {
+        visible_ = s.failed_latches();
+        for (std::size_t i = 0; i < visible_.size(); ++i)
+          if (prop_support_[i]) visible_[i] = true;
+        s.set_visible(visible_);
+        status = solve_query(s, aig::kNullLit, k, out);
+        if (status == sat::Status::kSat)
+          throw std::logic_error("PBA: abstraction of a refuted query is SAT");
+        ++out.stats.cba_refinements;  // counts PBA recomputations
       }
-      if (status == sat::Status::kSat) {
-        out.verdict = Verdict::kFail;
-        out.k_fp = k;
-        out.j_fp = 0;
-        out.cex = extract_trace(conc->solver(), conc->unroller(), k);
-        return;
-      }
-      visible_ = pba_needed(*conc, k);
-      abs = one_query();
-      first = abs.get();
-      status = solve_query(*abs, aig::kNullLit, k, out);
-      if (status != sat::Status::kUnsat) {
-        // Variable-granular PBA was too coarse for this bound (or the
-        // re-solve ran out of budget): extract from the concrete proof.
-        visible_.clear();
-        first = conc.get();
-        status = sat::Status::kUnsat;
-      }
-      ++out.stats.cba_refinements;  // counts PBA recomputations
     } else {
-      if (cba) {
-        abs = one_query();
-        first = abs.get();
-      } else {
-        if (!run || run->proof().size() > ItpSession::kProofCap)
-          run = std::make_unique<ItpSession>(model_, prop_, opts_,
-                                             shape(/*long_lived=*/true));
-        first = run.get();
-      }
-      status = solve_query(*first, aig::kNullLit, k, out);
-      while (cba && status == sat::Status::kSat) {
-        bool refined = false;
-        if (extend_or_refine(*first, k, out, refined)) return;  // real FAIL
-        if (!refined) break;  // concrete model, genuine SAT
-        if (out.stats.cba_refinements > kCbaRefineLimit ||
-            out_of_time()) {
+      status = solve_query(s, aig::kNullLit, k, out);
+      while (mode_ == AbstractionMode::kCba && status == sat::Status::kSat &&
+             refine(s, k, out)) {
+        if (out.stats.cba_refinements > kCbaRefineLimit || out_of_time()) {
           out.verdict = Verdict::kUnknown;
           return;
         }
-        abs = one_query();
-        first = abs.get();
-        status = solve_query(*first, aig::kNullLit, k, out);
+        status = solve_query(s, aig::kNullLit, k, out);
       }
     }
     if (!visible_.empty())
@@ -290,10 +204,10 @@ void ItpSeqEngine::execute(EngineResult& out) {
       out.verdict = Verdict::kFail;
       out.k_fp = k;
       out.j_fp = 0;
-      out.cex = extract_trace(first->solver(), first->unroller(), k);
+      out.cex = extract_trace(s.solver(), s.unroller(), k);
       return;
     }
-    const sat::ClauseId first_final = first->final();
+    const sat::ClauseId first_final = s.final();
 
     // --- sequence construction (Fig. 4) ----------------------------------
     std::vector<aig::Lit> terms(k + 1, aig::kNullLit);  // terms[j], j=1..k
@@ -301,25 +215,16 @@ void ItpSeqEngine::execute(EngineResult& out) {
         k, static_cast<unsigned>(
                std::floor(opts_.serial_alpha * static_cast<double>(k + 1))));
     bool fallback = false;
-    // A shifted query runs on the run's session in concrete mode, else on
-    // a one-query session over the current abstraction.
-    std::unique_ptr<ItpSession> shifted;
-    auto shifted_session = [&]() -> ItpSession& {
-      if (mode_ == AbstractionMode::kNone) return *run;
-      shifted = one_query();
-      return *shifted;
-    };
 
     if (ns == 0) {
       // Pure parallel: the whole sequence from the one proof (Eq. 2).
-      std::vector<aig::Lit> seq = extract_terms(*first, first_final, k);
+      std::vector<aig::Lit> seq = extract_terms(s, first_final, k);
       for (unsigned j = 1; j <= k; ++j) terms[j] = seq[j - 1];
     } else {
       // Serial prefix (Eq. 3).  The first term's defining problem is
       // exactly the original BMC check, so its proof is reused.
-      terms[1] = extract_terms(*first, first_final, 1)[0];
+      terms[1] = extract_terms(s, first_final, 1)[0];
       for (unsigned j = 2; j <= ns && !fallback; ++j) {
-        ItpSession& s = shifted_session();
         status = solve_query(s, terms[j - 1], k - (j - 1), out);
         if (status == sat::Status::kUnknown) {
           out.verdict = Verdict::kUnknown;
@@ -333,7 +238,6 @@ void ItpSeqEngine::execute(EngineResult& out) {
       }
       if (!fallback && ns < k) {
         // Parallel suffix from one more proof (Fig. 4, last line).
-        ItpSession& s = shifted_session();
         status = solve_query(s, terms[ns], k - ns, out);
         if (status == sat::Status::kUnknown) {
           out.verdict = Verdict::kUnknown;
@@ -347,7 +251,7 @@ void ItpSeqEngine::execute(EngineResult& out) {
         }
       }
       if (fallback) {
-        std::vector<aig::Lit> seq = extract_terms(*first, first_final, k);
+        std::vector<aig::Lit> seq = extract_terms(s, first_final, k);
         for (unsigned j = 1; j <= k; ++j) terms[j] = seq[j - 1];
       }
     }

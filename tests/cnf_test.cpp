@@ -100,7 +100,7 @@ TEST(Unroller, UnrollingMatchesSimulation) {
       for (std::size_t i = 0; i < g.num_inputs(); ++i) {
         bool v = rng() % 2;
         in.push_back(v);
-        sat::Lit l = unr.input_lit(i, t, 0);
+        sat::Lit l = unr.lit(g.input(i), t, 0);
         s.add_clause({v ? l : sat::neg(l)});
       }
       trace.inputs.push_back(in);
@@ -189,16 +189,32 @@ TEST(Unroller, AssumeSchemeExcludesEarlierViolations) {
   }
 }
 
-TEST(Unroller, VisibilityMaskFreesLatches) {
-  // counter(3, 8, 5) with all latches invisible: bad becomes reachable in
-  // one step because the counter state is free.
+TEST(Unroller, UntiedLatchesAreFreeCutpoints) {
+  // counter(3, 8, 5): bad (count == 5) is five steps from reset.  A latch
+  // without its reset unit is free at frame 0, and an untied latch is free
+  // at its frame; a guarded tie binds it only while the guard is assumed.
   aig::Aig g = bench::counter(3, 8, 5);
-  std::vector<bool> visible(g.num_latches(), false);
+  {
+    sat::Solver s;
+    cnf::Unroller unr(g, s);
+    s.add_clause({unr.bad_lit(0, 0)}, 0);
+    EXPECT_EQ(s.solve(), sat::Status::kSat);  // no reset unit
+    for (std::size_t i = 0; i < g.num_latches(); ++i) unr.init_latch(i, 0);
+    EXPECT_EQ(s.solve(), sat::Status::kUnsat);
+  }
   sat::Solver s;
-  cnf::Unroller unr(g, s, visible);
+  cnf::Unroller unr(g, s);
   unr.assert_init(0);
-  s.add_clause({unr.bad_lit(0, 0)}, 0);
-  EXPECT_EQ(s.solve(), sat::Status::kSat);
+  unr.set_tie_policy(
+      [](std::size_t, unsigned) { return cnf::Unroller::kUntied; });
+  unr.add_transition(0, 0);
+  s.add_clause({unr.bad_lit(1, 0)}, 0);
+  EXPECT_EQ(s.solve(), sat::Status::kSat);  // frame 1 is free
+  const sat::Lit guard = sat::mk_lit(s.new_var());
+  for (std::size_t i = 0; i < g.num_latches(); ++i) unr.tie(i, 0, 0, guard);
+  EXPECT_EQ(s.solve(), sat::Status::kSat);  // the guard is free too
+  EXPECT_EQ(s.solve_assuming({guard}), sat::Status::kUnsat);  // count is 1
+  EXPECT_EQ(s.failed_assumptions(), std::vector<sat::Lit>{guard});
 }
 
 TEST(Unroller, StatePredicateEncoding) {
@@ -295,9 +311,8 @@ class RefTseitin {
 
 class RefUnroller {
  public:
-  RefUnroller(const aig::Aig& model, sat::Solver& solver,
-              std::vector<bool> visible)
-      : model_(model), solver_(solver), visible_(std::move(visible)) {
+  RefUnroller(const aig::Aig& model, sat::Solver& solver)
+      : model_(model), solver_(solver) {
     frames_.emplace_back(model_.num_vars(), sat::kNoLit);
     for (std::size_t i = 0; i < model_.num_latches(); ++i)
       frames_[0][aig::lit_var(model_.latch(i))] = fresh();
@@ -333,15 +348,19 @@ class RefUnroller {
     return aig::lit_sign(l) ? sat::neg(map[root]) : map[root];
   }
 
+  const aig::Aig& model() const { return model_; }
+  sat::Solver& solver() { return solver_; }
+  void set_tie_policy(cnf::Unroller::TiePolicy p) { policy_ = std::move(p); }
+
   void assert_init(std::uint32_t label) {
-    for (std::size_t i = 0; i < model_.num_latches(); ++i) {
-      if (!visible(i)) continue;
-      aig::LatchInit init = model_.latch_init(i);
-      if (init == aig::LatchInit::kUndef) continue;
-      sat::Lit l = lit(model_.latch(i), 0, label);
-      solver_.add_clause({init == aig::LatchInit::kOne ? l : sat::neg(l)},
-                         label);
-    }
+    for (std::size_t i = 0; i < model_.num_latches(); ++i) init_latch(i, label);
+  }
+
+  void init_latch(std::size_t i, std::uint32_t label) {
+    aig::LatchInit init = model_.latch_init(i);
+    if (init == aig::LatchInit::kUndef) return;
+    sat::Lit l = lit(model_.latch(i), 0, label);
+    solver_.add_clause({init == aig::LatchInit::kOne ? l : sat::neg(l)}, label);
   }
 
   void add_transition(unsigned t, std::uint32_t label) {
@@ -349,14 +368,19 @@ class RefUnroller {
     for (std::size_t i = 0; i < model_.num_latches(); ++i) {
       sat::Lit v = fresh();
       next[aig::lit_var(model_.latch(i))] = v;
-      if (!visible(i)) continue;
+      const sat::Lit guard = policy_ ? policy_(i, t) : sat::kNoLit;
+      if (guard == cnf::Unroller::kUntied) continue;
+      auto add = [&](std::vector<sat::Lit> c) {
+        if (guard != sat::kNoLit) c.push_back(sat::neg(guard));
+        solver_.add_clause(c, label);
+      };
       aig::Lit nx = model_.latch_next(i);
       if (aig::lit_var(nx) == 0) {
-        solver_.add_clause({aig::lit_sign(nx) ? v : sat::neg(v)}, label);
+        add({aig::lit_sign(nx) ? v : sat::neg(v)});
       } else {
         sat::Lit g = lit(nx, t, label);
-        solver_.add_clause({sat::neg(v), g}, label);
-        solver_.add_clause({v, sat::neg(g)}, label);
+        add({sat::neg(v), g});
+        add({v, sat::neg(g)});
       }
     }
     frames_.push_back(std::move(next));
@@ -386,7 +410,6 @@ class RefUnroller {
   }
 
  private:
-  bool visible(std::size_t i) const { return visible_.empty() || visible_[i]; }
   sat::Lit fresh() { return sat::mk_lit(solver_.new_var()); }
   sat::Lit true_lit(std::uint32_t label) {
     if (true_ == sat::kNoLit) {
@@ -398,7 +421,7 @@ class RefUnroller {
 
   const aig::Aig& model_;
   sat::Solver& solver_;
-  std::vector<bool> visible_;
+  cnf::Unroller::TiePolicy policy_;
   std::vector<std::vector<sat::Lit>> frames_;
   sat::Lit true_ = sat::kNoLit;
 };
@@ -442,11 +465,30 @@ aig::Lit state_pred(const aig::Aig& model, aig::Aig& sets) {
   return sets.import_cone(model, model.output(0), leaf);
 }
 
+// The partial abstraction, one latch in three each: tied, untied (a free
+// cutpoint, without its reset unit), and tied behind a fresh guard.
+cnf::Unroller::TiePolicy partial_ties(sat::Solver& s) {
+  return [&s](std::size_t i, unsigned) {
+    if (i % 3 == 0) return sat::kNoLit;
+    if (i % 3 == 1) return cnf::Unroller::kUntied;
+    return sat::mk_lit(s.new_var());
+  };
+}
+
+template <class U>
+void init(U& u, bool partial, std::uint32_t label) {
+  if (!partial) return u.assert_init(label);
+  u.set_tie_policy(partial_ties(u.solver()));
+  for (std::size_t i = 0; i < u.model().num_latches(); ++i)
+    if (i % 3 != 1) u.init_latch(i, label);
+}
+
 // ITP/ITPSEQ order: init, the transitions, constraints, the target at every
 // frame, and a state predicate at frame 0 (before any transition) and k.
 template <class U>
-void drive_paper(U& u, const aig::Aig& sets, aig::Lit pred, unsigned k) {
-  u.assert_init(1);
+void drive_paper(U& u, bool partial, const aig::Aig& sets, aig::Lit pred,
+                 unsigned k) {
+  init(u, partial, 1);
   (void)u.encode_state_pred(sets, pred, 0, 1);
   for (unsigned t = 0; t < k; ++t) u.add_transition(t, t + 1);
   for (unsigned t = 0; t <= k; ++t) u.assert_constraints(t, t + 1);
@@ -458,8 +500,9 @@ void drive_paper(U& u, const aig::Aig& sets, aig::Lit pred, unsigned k) {
 // the constraints are encoded before its transition, so add_transition
 // finds the frame partly encoded (under other labels).
 template <class U>
-void drive_bmc(U& u, const aig::Aig& sets, aig::Lit pred, unsigned k) {
-  u.assert_init(0);
+void drive_bmc(U& u, bool partial, const aig::Aig& sets, aig::Lit pred,
+               unsigned k) {
+  init(u, partial, 0);
   u.assert_constraints(0, 0);
   for (unsigned t = 1; t <= k; ++t) {
     (void)u.bad_lit(t - 1, 3 * t);
@@ -477,25 +520,23 @@ TEST(EncodeCone, UnrollerMatchesFullConeWalkOnSuite) {
     if (g.num_latches() == 0 || g.num_outputs() == 0) continue;
     aig::Aig sets;
     const aig::Lit pred = state_pred(g, sets);
-    // Concrete, and a partial CBA-style mask (two latches in three visible).
-    std::vector<bool> partial(g.num_latches());
-    for (std::size_t i = 0; i < partial.size(); ++i) partial[i] = i % 3 != 1;
-    for (const std::vector<bool>& mask : {std::vector<bool>{}, partial}) {
+    // Concrete, and partial_ties' abstraction.
+    for (bool partial : {false, true}) {
       for (bool bmc : {false, true}) {
         sat::Solver got, want;
         got.enable_proof();
         want.enable_proof();
-        cnf::Unroller unr(g, got, mask);
-        RefUnroller ref(g, want, mask);
+        cnf::Unroller unr(g, got);
+        RefUnroller ref(g, want);
         if (bmc) {
-          drive_bmc(unr, sets, pred, kFrames);
-          drive_bmc(ref, sets, pred, kFrames);
+          drive_bmc(unr, partial, sets, pred, kFrames);
+          drive_bmc(ref, partial, sets, pred, kFrames);
         } else {
-          drive_paper(unr, sets, pred, kFrames);
-          drive_paper(ref, sets, pred, kFrames);
+          drive_paper(unr, partial, sets, pred, kFrames);
+          drive_paper(ref, partial, sets, pred, kFrames);
         }
         expect_same_stream(got, want,
-                           inst.name + (mask.empty() ? " concrete" : " partial") +
+                           inst.name + (partial ? " partial" : " concrete") +
                                (bmc ? " bmc order" : " paper order"));
         if (::testing::Test::HasFatalFailure()) return;
       }

@@ -1,12 +1,13 @@
-// itp_session_test.cpp — the long-lived proof-logging session behind ITP,
-// ITPSEQ and SITPSEQ against a one-shot build of every query.
+// itp_session_test.cpp — the long-lived proof-logging session behind all
+// five paper engines against a one-shot build of every query.
 //
 // Each test drives an mc::ItpSession through an engine's query pattern
 // (the bounds of ITPSEQ, SITPSEQ's serial steps and parallel suffix, ITP's
-// inner iterations) and checks every query against a test-local one-shot
-// solver built from the paper's formulas: the same SAT/UNSAT answer, and on
-// UNSAT an extracted sequence that satisfies Definitions 1 and 2
-// (itp/validate) for the one-shot build's partition.
+// inner iterations, CBA's growing abstraction, PBA's concrete check and
+// abstract re-solve) and checks every query against a test-local one-shot
+// solver built from the paper's formulas over the same abstract model: the
+// same SAT/UNSAT answer, and on UNSAT an extracted sequence that satisfies
+// Definitions 1 and 2 (itp/validate) for the one-shot build's partition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -70,7 +71,8 @@ class Encoder {
 
 /// The one-shot build of a query (what each engine built per query before
 /// the session), partitioned as the paper does: start(V^0) ∧ T^n ∧
-/// constraints at frames 0..n ∧ target, with the layout's labels.
+/// constraints at frames 0..n ∧ target, with the layout's labels.  Only
+/// `visible` latches (empty: all) are tied and reset; the others are free.
 struct OneShot {
   sat::Status status;
   itp::LabeledCnf cnf;
@@ -78,7 +80,9 @@ struct OneShot {
 };
 
 OneShot one_shot(const aig::Aig& model, const aig::Aig& sets, Layout layout,
-                 aig::Lit start, unsigned n, bool assume_k) {
+                 aig::Lit start, unsigned n, bool assume_k,
+                 const std::vector<bool>& visible = {}) {
+  auto tied = [&](std::size_t i) { return visible.empty() || visible[i]; };
   const bool seq = layout == Layout::kSequence;
   auto label = [&](unsigned t) -> std::uint32_t {
     return seq ? t + 1 : (t == 0 ? 1 : 2);
@@ -94,7 +98,7 @@ OneShot one_shot(const aig::Aig& model, const aig::Aig& sets, Layout layout,
     }
   if (start == aig::kNullLit) {
     for (std::size_t i = 0; i < model.num_latches(); ++i)
-      if (model.latch_init(i) != aig::LatchInit::kUndef)
+      if (tied(i) && model.latch_init(i) != aig::LatchInit::kUndef)
         e.add({model.latch_init(i) == aig::LatchInit::kOne
                    ? r.latch[0][i]
                    : sat::neg(r.latch[0][i])},
@@ -107,6 +111,7 @@ OneShot one_shot(const aig::Aig& model, const aig::Aig& sets, Layout layout,
   }
   for (unsigned t = 0; t < n; ++t)
     for (std::size_t i = 0; i < model.num_latches(); ++i) {
+      if (!tied(i)) continue;
       const sat::Lit nx = e.encode(model, model.latch_next(i), frame[t], label(t));
       e.add({sat::neg(r.latch[t + 1][i]), nx}, label(t));
       e.add({r.latch[t + 1][i], sat::neg(nx)}, label(t));
@@ -156,7 +161,7 @@ class SessionChecker {
     const sat::Status got =
         session_.query(space_.graph(), start, n, sat::Budget{});
     const OneShot want = one_shot(model_, space_.graph(), shape_.layout, start,
-                                  n, shape_.assume_k);
+                                  n, shape_.assume_k, visible_);
     EXPECT_NE(got, sat::Status::kUnknown);
     EXPECT_EQ(got, want.status);
     if (got != sat::Status::kUnsat || want.status != sat::Status::kUnsat)
@@ -165,6 +170,13 @@ class SessionChecker {
     if (validate_) check_sequence(want, terms);
     return true;
   }
+
+  /// Later queries (and their one-shot builds) on this abstraction.
+  void set_visible(const std::vector<bool>& visible) {
+    session_.set_visible(visible);
+    visible_ = visible;
+  }
+  std::vector<bool> failed_latches() const { return session_.failed_latches(); }
 
  private:
   std::vector<aig::Lit> extract(sat::ClauseId final, unsigned last_cut) {
@@ -211,6 +223,7 @@ class SessionChecker {
   ItpSession::Shape shape_;
   bool validate_;
   ItpSession session_;
+  std::vector<bool> visible_;  // empty: every latch
   unsigned queries_ = 0;
 };
 
@@ -222,6 +235,24 @@ ItpSession::Shape sequence_shape(bool serial) {
   return sh;
 }
 
+/// SITPSEQ's (alpha = 0.5) serial steps and parallel suffix at bound k,
+/// after the bound's query answered UNSAT with sequence `seq`.
+void serial_steps(SessionChecker& chk, unsigned k,
+                  const std::vector<aig::Lit>& seq) {
+  const unsigned ns = std::min(
+      k, static_cast<unsigned>(std::floor(0.5 * static_cast<double>(k + 1))));
+  aig::Lit term = seq[0];
+  for (unsigned j = 2; j <= ns; ++j) {
+    std::vector<aig::Lit> step;
+    if (!chk.query(term, k - (j - 1), 1, step)) return;  // the fallback
+    term = step[0];
+  }
+  if (ns < k) {
+    std::vector<aig::Lit> suffix;
+    chk.query(term, k - ns, k - ns, suffix);
+  }
+}
+
 /// ITPSEQ and SITPSEQ (alpha = 0.5): every bound, serial step and
 /// parallel suffix of a run capped at `max_bound`.
 void run_sequence(const aig::Aig& model, bool serial, unsigned max_bound,
@@ -231,19 +262,50 @@ void run_sequence(const aig::Aig& model, bool serial, unsigned max_bound,
     SCOPED_TRACE("k = " + std::to_string(k));
     std::vector<aig::Lit> seq;
     if (!chk.query(aig::kNullLit, k, k, seq)) return;  // a counterexample
-    if (!serial) continue;
-    const unsigned ns = std::min(
-        k, static_cast<unsigned>(std::floor(0.5 * static_cast<double>(k + 1))));
-    aig::Lit term = seq[0];
-    for (unsigned j = 2; j <= ns; ++j) {
-      std::vector<aig::Lit> step;
-      if (!chk.query(term, k - (j - 1), 1, step)) break;  // the fallback
-      term = step[0];
+    if (serial) serial_steps(chk, k, seq);
+  }
+}
+
+/// CBA and PBA sessions, with or without serial steps, on the abstraction
+/// their engines would use.  CBA (exact-k, no latch visible at first) makes
+/// the lowest invisible latch visible while a bound's query is SAT.  PBA
+/// (assume-k) asks each bound's concrete query, the same query with no
+/// latch visible, and the same query assuming only the guards of the
+/// concrete query's failed latches, which must be UNSAT.
+/// Counts the bounds refuted with some latch invisible in `abstract`.
+void run_abstraction(const aig::Aig& model, AbstractionMode mode, bool serial,
+                     unsigned max_bound, unsigned& abstract) {
+  ItpSession::Shape sh = sequence_shape(serial);
+  sh.abstraction = mode;
+  sh.assume_k = mode == AbstractionMode::kPba;
+  SessionChecker chk(model, sh, /*validate=*/true);
+  std::vector<bool> visible(model.num_latches(), false);
+  if (mode == AbstractionMode::kCba) chk.set_visible(visible);
+  for (unsigned k = 1; k <= max_bound; ++k) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    std::vector<aig::Lit> seq;
+    if (mode == AbstractionMode::kPba) {
+      chk.set_visible({});
+      if (!chk.query(aig::kNullLit, k, k, seq)) return;  // a counterexample
+      visible = chk.failed_latches();
+      // With no latch visible, the query may turn SAT.
+      chk.set_visible(std::vector<bool>(model.num_latches(), false));
+      std::vector<aig::Lit> free_seq;
+      chk.query(aig::kNullLit, k, k, free_seq);
+      chk.set_visible(visible);
+      ASSERT_TRUE(chk.query(aig::kNullLit, k, k, seq))
+          << "the re-solve on the failed latches is SAT";
+    } else {
+      while (!chk.query(aig::kNullLit, k, k, seq)) {
+        const auto next = std::find(visible.begin(), visible.end(), false);
+        if (next == visible.end()) return;  // a counterexample
+        *next = true;
+        chk.set_visible(visible);
+      }
     }
-    if (ns < k) {
-      std::vector<aig::Lit> suffix;
-      chk.query(term, k - ns, k - ns, suffix);
-    }
+    if (std::find(visible.begin(), visible.end(), false) != visible.end())
+      ++abstract;
+    if (serial) serial_steps(chk, k, seq);
   }
 }
 
@@ -272,6 +334,24 @@ TEST(ItpSession, SuiteQueriesMatchOneShot) {
     run_sequence(inst.model, /*serial=*/true, 4, validate);
     run_standard(inst.model, 3, validate);
   }
+}
+
+TEST(ItpSession, AbstractionQueriesMatchOneShot) {
+  unsigned abstract[2] = {0, 0};  // CBA, PBA
+  for (const auto& inst : bench::make_suite()) {
+    if (inst.model.num_latches() > 24) continue;
+    SCOPED_TRACE(inst.name);
+    for (AbstractionMode mode : {AbstractionMode::kCba, AbstractionMode::kPba})
+      for (bool serial : {false, true}) {
+        SCOPED_TRACE(std::string(to_string(mode)) + (serial ? " serial" : ""));
+        run_abstraction(inst.model, mode, serial, 4,
+                        abstract[mode == AbstractionMode::kPba]);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+  }
+  // Both engines' abstractions actually drop latches on the suite.
+  EXPECT_GE(abstract[0], 100u);
+  EXPECT_GE(abstract[1], 100u);
 }
 
 /// x' = x OR in, y' = x, bad = x, constraint NOT y; x and y reset to 0.
