@@ -172,6 +172,34 @@ std::vector<Var> Aig::support(Lit root) const {
   return result;
 }
 
+std::vector<bool> Aig::latch_coi(std::size_t prop) const {
+  std::vector<bool> in(latches_.size(), false);
+  std::vector<std::uint8_t> seen(nodes_.size(), 0);
+  std::vector<Var> stack;
+  auto push = [&](Lit l) {
+    const Var v = lit_var(l);
+    if (v != 0 && !seen[v]) {
+      seen[v] = 1;
+      stack.push_back(v);
+    }
+  };
+  push(outputs_.at(prop));
+  for (Lit c : constraints_) push(c);
+  while (!stack.empty()) {
+    const Var v = stack.back();
+    stack.pop_back();
+    const Node& n = nodes_[v];
+    if (n.type == NodeType::kAnd) {
+      push(n.fanin0);
+      push(n.fanin1);
+    } else if (n.type == NodeType::kLatch) {
+      in[latch_index(v)] = true;
+      push(n.fanin0);  // the next-state function
+    }
+  }
+  return in;
+}
+
 std::size_t Aig::cone_size(Lit root) const {
   std::size_t n = 0;
   for (Var v : cone({root}))

@@ -150,6 +150,11 @@ class Aig {
   std::vector<Var> cone(const std::vector<Lit>& roots) const;
   /// Number of AND nodes in the cone of `root`.
   std::size_t cone_size(Lit root) const;
+  /// Per latch, whether it is in the sequential cone of influence of
+  /// output `prop` and the constraints: in their combinational cone, or in
+  /// that of an earlier such latch's next-state function.  No other latch
+  /// can change whether a trace of any length fails `prop`.
+  std::vector<bool> latch_coi(std::size_t prop) const;
 
   /// Evaluate `root` under a full assignment to inputs and latches.
   /// `values[v]` gives the value of variable v (only input/latch entries are

@@ -6,7 +6,10 @@ sat::Lit TseitinEncoder::true_lit(std::uint32_t label) {
   if (true_ == sat::kNoLit) {
     sat::Var v = solver_.new_var();
     true_ = sat::mk_lit(v);
-    solver_.add_clause({true_}, label);
+    if (guard_ == sat::kNoLit)
+      solver_.add_clause({true_}, label);
+    else
+      solver_.add_clause({sat::neg(guard_), true_}, label);
   }
   return true_;
 }
@@ -25,7 +28,7 @@ sat::Lit TseitinEncoder::encode(aig::Lit l, std::uint32_t label) {
     return aig::lit_sign(l) ? t : sat::neg(t);
   }
   sat::Lit s = encode_cone(g_, root, label, solver_, map_, stack_, leaf_,
-                           [&] { return true_lit(label); });
+                           [&] { return true_lit(label); }, guard_);
   return aig::lit_sign(l) ? sat::neg(s) : s;
 }
 

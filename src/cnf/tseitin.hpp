@@ -29,12 +29,14 @@ namespace itpseq::cnf {
 /// covering the cone) and returns map[root].  `stack` is the caller's
 /// reusable work stack; `leaf(v)` gives an input's or latch's literal and
 /// `true_lit()` that of constant true.  Gate g = a & b gets a fresh variable
-/// and the clauses (¬g ∨ a), (¬g ∨ b), (g ∨ ¬a ∨ ¬b), labelled `label`.
+/// and the clauses (¬g ∨ a), (¬g ∨ b), (g ∨ ¬a ∨ ¬b), labelled `label`; with
+/// a `guard`, each clause also gets ¬guard, so the definitions hold only
+/// while the guard is assumed and a unit ¬guard satisfies them all.
 template <class Leaf, class TrueLit>
 sat::Lit encode_cone(const aig::Aig& g, aig::Var root, std::uint32_t label,
                      sat::Solver& solver, std::vector<sat::Lit>& map,
                      std::vector<aig::Var>& stack, Leaf&& leaf,
-                     TrueLit&& true_lit) {
+                     TrueLit&& true_lit, sat::Lit guard = sat::kNoLit) {
   assert(root != 0);
   if (map[root] != sat::kNoLit) return map[root];
   // Entries are var << 1 | expanded: an expanded node's unencoded fanins
@@ -75,9 +77,16 @@ sat::Lit encode_cone(const aig::Aig& g, aig::Var root, std::uint32_t label,
     const sat::Lit a = fanin(f0);
     const sat::Lit b = fanin(f1);
     const sat::Lit x = sat::mk_lit(solver.new_var());
-    solver.add_clause({sat::neg(x), a}, label);
-    solver.add_clause({sat::neg(x), b}, label);
-    solver.add_clause({x, sat::neg(a), sat::neg(b)}, label);
+    if (guard == sat::kNoLit) {
+      solver.add_clause({sat::neg(x), a}, label);
+      solver.add_clause({sat::neg(x), b}, label);
+      solver.add_clause({x, sat::neg(a), sat::neg(b)}, label);
+    } else {
+      const sat::Lit off = sat::neg(guard);
+      solver.add_clause({off, sat::neg(x), a}, label);
+      solver.add_clause({off, sat::neg(x), b}, label);
+      solver.add_clause({off, x, sat::neg(a), sat::neg(b)}, label);
+    }
     map[v] = x;
   }
   return map[root];
@@ -88,9 +97,11 @@ using LeafMap = std::function<sat::Lit(aig::Var)>;
 
 class TseitinEncoder {
  public:
-  /// `leaf` is consulted once per leaf variable and memoized.
-  TseitinEncoder(const aig::Aig& g, sat::Solver& solver, LeafMap leaf)
-      : g_(g), solver_(solver), leaf_(std::move(leaf)) {}
+  /// `leaf` is consulted once per leaf variable and memoized.  With a
+  /// `guard`, every clause the encoder adds carries ¬guard (encode_cone).
+  TseitinEncoder(const aig::Aig& g, sat::Solver& solver, LeafMap leaf,
+                 sat::Lit guard = sat::kNoLit)
+      : g_(g), solver_(solver), leaf_(std::move(leaf)), guard_(guard) {}
 
   /// SAT literal equisatisfiably representing AIG literal `l`; gate clauses
   /// added with partition `label`.  The constant-true AIG literal maps to a
@@ -108,6 +119,7 @@ class TseitinEncoder {
   const aig::Aig& g_;
   sat::Solver& solver_;
   LeafMap leaf_;
+  sat::Lit guard_;
   std::vector<sat::Lit> map_;  // aig var -> sat lit (positive phase)
   std::vector<aig::Var> stack_;  // encode_cone's work stack
   sat::Lit true_ = sat::kNoLit;

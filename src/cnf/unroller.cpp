@@ -159,14 +159,23 @@ void Unroller::assert_target(unsigned k, TargetScheme scheme, std::uint32_t labe
 
 sat::Lit Unroller::encode_state_pred(const aig::Aig& sets, aig::Lit root,
                                      unsigned t, std::uint32_t label) {
+  return encode_state_pred(sets, root, t, label, sat::kNoLit);
+}
+
+sat::Lit Unroller::encode_state_pred(const aig::Aig& sets, aig::Lit root,
+                                     unsigned t, std::uint32_t label,
+                                     sat::Lit guard) {
   if (sets.num_inputs() != model_.num_latches())
     throw std::invalid_argument(
         "encode_state_pred: state-set AIG inputs must match model latches");
-  TseitinEncoder enc(sets, solver_, [&](aig::Var v) -> sat::Lit {
-    std::size_t idx = sets.input_index(v);
-    assert(idx != aig::Aig::kNoIndex);
-    return latch_lit(idx, t, label);
-  });
+  TseitinEncoder enc(
+      sets, solver_,
+      [&](aig::Var v) -> sat::Lit {
+        std::size_t idx = sets.input_index(v);
+        assert(idx != aig::Aig::kNoIndex);
+        return latch_lit(idx, t, label);
+      },
+      guard);
   return enc.encode(root, label);
 }
 

@@ -15,10 +15,14 @@
 // Callers are free to use any other monotone labeling (e.g. a two-label
 // A/B split for standard interpolation).
 //
-// Localization abstraction (CBA, PBA) is a matter of which ties exist: a tie
-// may sit behind a guard literal (it holds only while the guard is assumed),
-// and an untied latch is a free cutpoint.  add_transition ties each latch of
-// the new frame as the tie policy says; tie() adds a tie later.
+// Which ties exist is up to the caller: a tie may sit behind a guard
+// literal (it holds only while the guard is assumed), and an untied latch
+// is a free cutpoint.  add_transition ties each latch of the new frame as
+// the tie policy says; tie() adds a tie later.  BMC and every ItpSession
+// leave the latches outside the property's cone of influence
+// (aig::Aig::latch_coi) untied, and localization abstraction (CBA, PBA)
+// chooses among the cone's ties.  With no policy every latch is tied: the
+// full model, as certificate checks, k-induction and PDR use it.
 //
 // Gate cones are encoded on demand by cnf::encode_cone (tseitin.hpp) over
 // the frame's map.  Pruning invariant: a node with a literal in a frame's
@@ -87,7 +91,7 @@ class Unroller {
 
   /// Tie policy of later add_transition calls: `guard(i, t)` guards latch
   /// i's tie at frame t; kNoLit ties it unguarded (also the default when
-  /// no policy is set), kUntied leaves it a free cutpoint.
+  /// no policy is set), kUntied leaves it a free cutpoint (see above).
   static constexpr sat::Lit kUntied = sat::kNoLit - 1;
   using TiePolicy = std::function<sat::Lit(std::size_t i, unsigned t)>;
   void set_tie_policy(TiePolicy guard) { tie_policy_ = std::move(guard); }
@@ -112,9 +116,14 @@ class Unroller {
 
   /// Encode (and return) an arbitrary predicate over the model's *latches*:
   /// `root` is a literal of `sets`, whose input i corresponds to model
-  /// latch i.  Evaluated over frame `t`'s latch literals.
+  /// latch i.  Evaluated over frame `t`'s latch literals.  With a `guard`,
+  /// the predicate's definitions hold only while it is assumed, and a unit
+  /// ¬guard satisfies them all (for a predicate used once); the frame's
+  /// latch literals are never guarded.
   sat::Lit encode_state_pred(const aig::Aig& sets, aig::Lit root, unsigned t,
                              std::uint32_t label);
+  sat::Lit encode_state_pred(const aig::Aig& sets, aig::Lit root, unsigned t,
+                             std::uint32_t label, sat::Lit guard);
 
  private:
   struct Frame {

@@ -4,9 +4,20 @@
 
 namespace itpseq::mc {
 
+namespace {
+/// Tie only the latches in the cone of influence: no other can change
+/// whether the target is reachable, so the others stay free.
+void tie_cone(cnf::Unroller& unr, const std::vector<bool>& coi) {
+  unr.set_tie_policy([&coi](std::size_t i, unsigned) {
+    return coi[i] ? sat::kNoLit : cnf::Unroller::kUntied;
+  });
+}
+}  // namespace
+
 void BmcEngine::execute(EngineResult& out) {
+  const std::vector<bool> coi = model_.latch_coi(prop_);
   if (opts_.bmc_incremental) {
-    execute_incremental(out);
+    execute_incremental(out, coi);
     return;
   }
   for (unsigned k = 1; k <= opts_.max_bound; ++k) {
@@ -23,6 +34,7 @@ void BmcEngine::execute(EngineResult& out) {
     sat::Solver solver;
     opts_.apply_sat_options(solver);
     cnf::Unroller unr(model_, solver);
+    tie_cone(unr, coi);
     unr.assert_init(0);
     for (unsigned t = 0; t < k; ++t) unr.add_transition(t, 0);
     for (unsigned t = 0; t <= k; ++t) unr.assert_constraints(t, 0);
@@ -61,7 +73,8 @@ void BmcEngine::execute(EngineResult& out) {
   out.verdict = Verdict::kUnknown;
 }
 
-void BmcEngine::execute_incremental(EngineResult& out) {
+void BmcEngine::execute_incremental(EngineResult& out,
+                                    const std::vector<bool>& coi) {
   // Single-instance formulation: one solver, the unrolling grows by one
   // frame per bound, targets are enabled by assumptions.  With the
   // exact-assume scheme the "no earlier failure" clauses become permanent
@@ -69,6 +82,7 @@ void BmcEngine::execute_incremental(EngineResult& out) {
   sat::Solver solver;
   opts_.apply_sat_options(solver);
   cnf::Unroller unr(model_, solver);
+  tie_cone(unr, coi);
   unr.assert_init(0);
   unr.assert_constraints(0, 0);
   // One long-lived solver: its counters are cumulative, so absorb once per

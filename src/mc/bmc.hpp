@@ -4,7 +4,11 @@
 // configured target scheme (bound-k / exact-k / exact-assume-k,
 // Section II-A).  Returns FAIL with a counterexample, or UNKNOWN when the
 // bound or time budget is exhausted — BMC alone can never return PASS.
+// Only the latches in the property's cone of influence are tied; the
+// others cannot change the answer and stay free.
 #pragma once
+
+#include <vector>
 
 #include "mc/engine.hpp"
 
@@ -20,7 +24,8 @@ class BmcEngine : public Engine {
   void execute(EngineResult& out) override;
 
  private:
-  void execute_incremental(EngineResult& out);
+  /// `coi`: per latch, whether it is in the cone of influence.
+  void execute_incremental(EngineResult& out, const std::vector<bool>& coi);
 };
 
 }  // namespace itpseq::mc

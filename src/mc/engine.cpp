@@ -142,9 +142,14 @@ Trace Engine::extract_trace(const sat::Solver& solver,
                             const cnf::Unroller& unroller, unsigned k) const {
   Trace t;
   t.initial_latches.resize(model_.num_latches(), false);
+  // A latch with a defined reset starts there, whether or not a clause
+  // constrains its frame-0 variable (an untied latch is free); the model
+  // decides only undefined resets.
   for (std::size_t i = 0; i < model_.num_latches(); ++i) {
-    sat::Lit l = unroller.lookup(model_.latch(i), 0);
-    if (l != sat::kNoLit)
+    const sat::Lit l = unroller.lookup(model_.latch(i), 0);
+    if (model_.latch_init(i) != aig::LatchInit::kUndef)
+      t.initial_latches[i] = model_.latch_init(i) == aig::LatchInit::kOne;
+    else if (l != sat::kNoLit)
       t.initial_latches[i] =
           sat::lbool_xor(solver.model()[sat::var(l)], sat::sign(l)) ==
           sat::LBool::kTrue;

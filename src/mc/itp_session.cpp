@@ -2,24 +2,6 @@
 
 namespace itpseq::mc {
 
-namespace {
-/// Latches in the sequential cone of influence of `roots`.
-std::vector<bool> latch_coi(const aig::Aig& m, std::vector<aig::Lit> roots) {
-  std::vector<bool> in(m.num_latches(), false);
-  while (!roots.empty()) {
-    std::vector<aig::Lit> next;
-    for (aig::Var v : m.cone(roots))
-      if (const std::size_t i = m.latch_index(v);
-          i != aig::Aig::kNoIndex && !in[i]) {
-        in[i] = true;
-        next.push_back(m.latch_next(i));
-      }
-    roots = std::move(next);
-  }
-  return in;
-}
-}  // namespace
-
 const char* to_string(AbstractionMode m) {
   switch (m) {
     case AbstractionMode::kNone: return "none";
@@ -31,31 +13,29 @@ const char* to_string(AbstractionMode m) {
 
 ItpSession::ItpSession(const aig::Aig& model, std::size_t prop,
                        const EngineOptions& opts, Shape shape)
-    : model_(model), prop_(prop), shape_(shape), unr_(model, solver_) {
+    : model_(model),
+      prop_(prop),
+      shape_(shape),
+      unr_(model, solver_),
+      coi_(model.latch_coi(prop)) {
   // The unroller's constructor only creates variables, so proof logging
   // still starts before the first clause.
   opts.apply_sat_options(solver_);
   solver_.enable_proof();
   freeze_latches(0);
-  if (shape_.abstraction == AbstractionMode::kCba) {
-    // No latch is visible until set_visible; a visible one is tied for good.
+  // No latch of a kCba session is visible until set_visible.
+  if (shape_.abstraction == AbstractionMode::kCba)
     visible_.assign(model_.num_latches(), false);
-    unr_.set_tie_policy([this](std::size_t i, unsigned) {
-      return visible(i) ? sat::kNoLit : cnf::Unroller::kUntied;
-    });
-  } else if (shape_.abstraction == AbstractionMode::kPba) {
-    // Every tie behind its own guard, local to the frame's partition.  A
-    // latch outside the cone of influence of the bad output and the
-    // constraints cannot change an answer, so it is never tied.
-    std::vector<aig::Lit> roots{model_.output(prop_)};
-    for (std::size_t c = 0; c < model_.num_constraints(); ++c)
-      roots.push_back(model_.constraint(c));
-    coi_ = latch_coi(model_, std::move(roots));
-    unr_.set_tie_policy([this](std::size_t i, unsigned t) {
-      if (!coi_[i]) return cnf::Unroller::kUntied;
+  // A latch outside the cone of influence of the bad output and the
+  // constraints cannot change an answer, so it is never tied.  kPba puts
+  // every tie behind its own guard, local to the frame's partition; kCba
+  // ties a visible latch for good.
+  unr_.set_tie_policy([this](std::size_t i, unsigned t) {
+    if (!coi_[i]) return cnf::Unroller::kUntied;
+    if (shape_.abstraction == AbstractionMode::kPba)
       return guard(t + 1, i) = activation(frame_label(t));
-    });
-  }
+    return visible(i) ? sat::kNoLit : cnf::Unroller::kUntied;
+  });
 }
 
 sat::Lit ItpSession::activation(std::uint32_t label) {
@@ -92,10 +72,11 @@ void ItpSession::freeze_latches(unsigned t) {
 }
 
 void ItpSession::set_visible(std::vector<bool> visible) {
-  // CBA: tie the newly visible latches in every frame encoded so far.
+  // CBA: tie the newly visible latches of the cone in every frame encoded
+  // so far.
   for (std::size_t i = 0; i < model_.num_latches(); ++i) {
-    if (shape_.abstraction != AbstractionMode::kCba || this->visible(i) ||
-        (!visible.empty() && !visible[i]))
+    if (shape_.abstraction != AbstractionMode::kCba || !coi_[i] ||
+        this->visible(i) || (!visible.empty() && !visible[i]))
       continue;
     for (unsigned t = 0; t + 1 < unr_.num_frames(); ++t)
       unr_.tie(i, t, frame_label(t));
@@ -121,14 +102,21 @@ std::vector<bool> ItpSession::failed_latches() const {
   return out;
 }
 
+std::vector<bool> ItpSession::tied_latches() const {
+  std::vector<bool> out(model_.num_latches(), false);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = coi_[i] && visible(i);
+  return out;
+}
+
 void ItpSession::encode_init() {
   init_encoded_ = true;
   const bool pba = shape_.abstraction == AbstractionMode::kPba;
   if (!pba) init_act_ = activation(1);
   for (std::size_t i = 0; i < model_.num_latches(); ++i) {
+    if (!coi_[i]) continue;
     if (!pba && visible(i))
       unr_.init_latch(i, 1, init_act_);
-    else if (pba && coi_[i] && model_.latch_init(i) != aig::LatchInit::kUndef)
+    else if (pba && model_.latch_init(i) != aig::LatchInit::kUndef)
       unr_.init_latch(i, 1, guard(0, i) = activation(1));
   }
 }
@@ -171,14 +159,14 @@ sat::Status ItpSession::query(const aig::Aig& sets, aig::Lit start, unsigned n,
                               const sat::Budget& budget) {
   assumptions_.clear();
   // Start: the initial states stay available; an interpolant or term is
-  // used by this query only.
+  // used by this query only, so its definitions go with it.
   sat::Lit once = sat::kNoLit;
   if (start == aig::kNullLit) {
     if (!init_encoded_) encode_init();
     if (init_act_ != sat::kNoLit) assumptions_.push_back(init_act_);
   } else if (start != aig::kTrue) {
-    clause_.push_back(unr_.encode_state_pred(sets, start, 0, 1));
     once = activation(1);
+    clause_.push_back(unr_.encode_state_pred(sets, start, 0, 1, once));
     add_guarded(once, 1);
     assumptions_.push_back(once);
   }

@@ -20,33 +20,50 @@
 // Each activation literal carries the label of the clauses it guards, so it
 // is local to one partition and never shared across a cut.
 //
-// The abstraction engines (Section V) differ only in which latch ties
-// (cnf::Unroller::tie) are active; an untied latch is a free cutpoint.
-//   kCba  ties the visible latches only, for good: a latch made visible is
-//         tied in every frame so far and every later one, and its reset
-//         unit joins the initial states' clauses.
-//   kPba  ties each latch of the property's cone of influence at frame t
-//         behind its own activation a(i,t), labelled t+1, and its reset
-//         unit behind one labelled 1.  A query assumes the guards of the
-//         visible latches (all for the concrete check); the failed
-//         assumptions of a refuted query name the latches it needed.
-// This is the single-instance formulation of Eén, Mishchenko & Amla (FMCAD
-// 2010), the paper's reference [13].
+// Every session ties only the latches in the sequential cone of influence
+// of the bad output and the constraints (aig::Aig::latch_coi): no other
+// latch can change an answer, so the others stay free cutpoints with no
+// reset unit.  This is where Eén, Mishchenko & Amla (FMCAD 2010), the
+// paper's reference [13], start every abstraction.  The abstraction
+// engines (Section V) differ only in which of those ties
+// (cnf::Unroller::tie) are active:
+//   kNone  ties every cone latch, and its reset unit sits under the initial
+//          states' activation.
+//   kCba   ties the visible cone latches only, for good: a latch made
+//          visible is tied in every frame so far and every later one, and
+//          its reset unit joins the initial states' clauses.
+//   kPba   ties each cone latch at frame t behind its own activation
+//          a(i,t), labelled t+1, and its reset unit behind one labelled 1.
+//          A query assumes the guards of the visible latches (all for the
+//          concrete check); the failed assumptions of a refuted query name
+//          the latches it needed.
+// This is the single-instance formulation of reference [13].  R_0, the
+// engines' first reachable set, is the reset predicate of tied_latches():
+// what the first query's A-side asserts.
 //
-// A query sees exactly the clauses of its one-shot build (over its
-// abstract model), plus learned clauses, clauses whose guards it does not
-// assume and clauses that only define fresh variables (frames past a
-// shorter query's target, the Tseitin definitions of earlier starts).
-// When queries can be shorter than the unrolling (SITPSEQ's serial steps),
-// the constraints and good clauses of every frame are guarded per frame and
-// assumed only up to the query's target; every target is guarded.  So
-// every SAT/UNSAT answer is the one-shot answer; only the proofs differ.
+// A query's answer is that of its one-shot build over the full model:
+// every latch the abstraction makes visible tied and reset, and the start's
+// definitions unguarded.  The session's clauses differ from that build only
+// in ways that cannot change an answer: latches outside the cone are
+// untied; it also holds learned clauses, clauses whose guards the query
+// does not assume and clauses that only define fresh variables (frames
+// past a shorter query's target); and the definitions of earlier one-use
+// starts are satisfied by their retirement.  When queries can be shorter
+// than the unrolling (SITPSEQ's serial steps), the constraints and good
+// clauses of every frame are guarded per frame and assumed only up to the
+// query's target; every target is guarded.  So every SAT/UNSAT answer is
+// the one-shot answer; only the proofs differ.
 //
 // Used activations are retired with a permanent negative unit, so level-0
 // simplification reclaims their clauses: a start that is an interpolant or
 // a term after its query, and, when queries never get shorter, a target
-// once a query of another length comes.  Activation variables and frame
-// latch variables are frozen: they are assumed, they are the interpolation
+// once a query of another length comes.  A one-use start's gate clauses
+// carry its activation too (cnf::encode_cone's guard), so its retirement
+// satisfies its whole encoding and the next sweep frees it, where it would
+// otherwise be propagated by every later query (activation literals as in
+// Eén & Sörensson, BMC 2003).  Frame logic, the initial states and targets
+// are never guarded that way.  Activation variables and frame latch
+// variables are frozen: they are assumed, they are the interpolation
 // leaves, and they are the inputs of the next frame and of start encodings.
 #pragma once
 
@@ -113,6 +130,12 @@ class ItpSession {
   /// among the failed assumptions (all false after a refutation that
   /// needed no assumption).
   std::vector<bool> failed_latches() const;
+  /// Whether latch i is in the cone of influence, which the session's ties
+  /// never leave.
+  bool in_cone(std::size_t i) const { return coi_[i]; }
+  /// The latches whose ties and reset units the next query asserts: those
+  /// in the cone that are visible.
+  std::vector<bool> tied_latches() const;
 
   const sat::Solver& solver() const { return solver_; }
   const cnf::Unroller& unroller() const { return unr_; }
@@ -156,7 +179,7 @@ class ItpSession {
   sat::Lit init_act_ = sat::kNoLit;
   bool init_encoded_ = false;
   std::vector<bool> visible_;         // empty: every latch
-  std::vector<bool> coi_;             // kPba: the latches it ties
+  std::vector<bool> coi_;             // the latches the session may tie
   // kPba: [0][i] guards latch i's reset unit, [t+1][i] its tie at frame t.
   std::vector<std::vector<sat::Lit>> guards_;
   unsigned constrained_ = 0;  // frames [0, constrained_) have constraints

@@ -70,7 +70,7 @@ void ItpVerifEngine::execute(EngineResult& out) {
     if (!session || session->proof().size() > ItpSession::kProofCap)
       session = std::make_unique<ItpSession>(model_, prop_, opts_, shape);
 
-    aig::Lit R = space_.init_pred();
+    aig::Lit R = space_.init_pred(session->tied_latches());
     aig::Lit front = aig::kNullLit;  // null = S0 (exact initial states)
 
     for (unsigned j = 0;; ++j) {

@@ -22,7 +22,7 @@ ItpSeqEngine::ItpSeqEngine(const aig::Aig& model, std::size_t prop,
     : Engine(model, prop, opts), mode_(mode) {
   // Latches in the property's direct combinational support.  Every
   // abstraction keeps these visible: the soundness of the fixpoint check
-  // (R_0 = init_pred over visible latches, which must exclude bad states)
+  // (R_0 = init_pred over the tied latches, which must exclude bad states)
   // relies on the bad signal being a function of visible latches only.
   prop_support_.assign(model.num_latches(), false);
   if (prop < model.num_outputs())
@@ -73,11 +73,12 @@ bool ItpSeqEngine::refine(ItpSession& s, unsigned k, EngineResult& out) {
   SimFrames frames =
       Simulator(model_, prop_).run(extract_trace(s.solver(), s.unroller(), k));
   if (frames.is_cex()) return false;
-  // REFINE: make visible an invisible latch whose abstract values diverge
-  // from the concrete replay.  Candidates are restricted to the *frontier*
-  // of the current abstraction — invisible latches feeding the property
-  // cone or the next-state logic of visible latches — so refinement walks
-  // the property's cone of influence instead of pulling in bulk logic.
+  // REFINE: make visible an invisible latch of the cone of influence (the
+  // session ties no other) whose abstract values diverge from the concrete
+  // replay.  Candidates are first restricted to the *frontier* of the
+  // current abstraction — invisible latches feeding the property cone or
+  // the next-state logic of visible latches — so refinement walks the
+  // property's cone of influence instead of pulling in bulk logic.
   std::vector<bool> frontier(model_.num_latches(), false);
   {
     std::vector<aig::Lit> roots;
@@ -104,10 +105,10 @@ bool ItpSeqEngine::refine(ItpSession& s, unsigned k, EngineResult& out) {
   std::size_t best = aig::Aig::kNoIndex;
   unsigned best_score = 0;
   for (int pass = 0; pass < 2 && best == aig::Aig::kNoIndex; ++pass) {
-    // Pass 0: diverging frontier latches.  Pass 1 (fallback): any diverging
-    // invisible latch, then any frontier latch at all.
+    // Pass 0: diverging frontier latches.  Pass 1 (fallback): the most
+    // diverging invisible cone latch, diverging or not.
     for (std::size_t i = 0; i < model_.num_latches(); ++i) {
-      if (visible_[i]) continue;
+      if (visible_[i] || !s.in_cone(i)) continue;
       if (pass == 0 && !frontier[i]) continue;
       unsigned score = divergence(i);
       if (pass == 0 && score == 0) continue;
@@ -117,7 +118,7 @@ bool ItpSeqEngine::refine(ItpSession& s, unsigned k, EngineResult& out) {
       }
     }
   }
-  if (best == aig::Aig::kNoIndex) return false;  // fully concrete already
+  if (best == aig::Aig::kNoIndex) return false;  // the whole cone is visible
   visible_[best] = true;
   s.set_visible(visible_);
   ++out.stats.cba_refinements;
@@ -273,7 +274,7 @@ void ItpSeqEngine::execute(EngineResult& out) {
     for (unsigned j = 1; j < k; ++j) calI_[j] = G.make_and(calI_[j], terms[j]);
     calI_[k] = terms[k];
 
-    aig::Lit R = space_.init_pred(visible_);
+    aig::Lit R = space_.init_pred(s.tied_latches());
     for (unsigned j = 1; j <= k; ++j) {
       Implication imp =
           space_.implies(calI_[j], R, remaining(), opts_.cancel);

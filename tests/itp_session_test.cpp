@@ -5,9 +5,13 @@
 // (the bounds of ITPSEQ, SITPSEQ's serial steps and parallel suffix, ITP's
 // inner iterations, CBA's growing abstraction, PBA's concrete check and
 // abstract re-solve) and checks every query against a test-local one-shot
-// solver built from the paper's formulas over the same abstract model: the
-// same SAT/UNSAT answer, and on UNSAT an extracted sequence that satisfies
-// Definitions 1 and 2 (itp/validate) for the one-shot build's partition.
+// solver built from the paper's formulas over the full model: every latch
+// the abstraction makes visible is tied and reset, in or out of the cone of
+// influence, and the start's definitions are unguarded.  The session ties
+// only the cone and guards one-use starts, so this is a differential test
+// of both.  Each query must give the same SAT/UNSAT answer, and on UNSAT
+// an extracted sequence that satisfies Definitions 1 and 2 (itp/validate)
+// for the one-shot build's partition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -71,8 +75,9 @@ class Encoder {
 
 /// The one-shot build of a query (what each engine built per query before
 /// the session), partitioned as the paper does: start(V^0) ∧ T^n ∧
-/// constraints at frames 0..n ∧ target, with the layout's labels.  Only
-/// `visible` latches (empty: all) are tied and reset; the others are free.
+/// constraints at frames 0..n ∧ target, with the layout's labels.  Every
+/// `visible` latch (empty: all) is tied and reset, whatever the cone of
+/// influence; the others are free.
 struct OneShot {
   sat::Status status;
   itp::LabeledCnf cnf;
@@ -325,15 +330,46 @@ void run_standard(const aig::Aig& model, unsigned max_bound, bool validate) {
   }
 }
 
+/// Every bound after the first opens with a one-use start (the previous
+/// bound's first term), which therefore encodes the new frame, and then
+/// asks the bound's query from the initial states: the frame must outlive
+/// the start, and only the start's definitions retire.
+void run_start_first(const aig::Aig& model, unsigned max_bound,
+                     bool validate) {
+  SessionChecker chk(model, sequence_shape(/*serial=*/false), validate);
+  aig::Lit term = aig::kTrue;
+  for (unsigned k = 1; k <= max_bound; ++k) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    std::vector<aig::Lit> seq;
+    chk.query(term, k, 1, seq);
+    if (!chk.query(aig::kNullLit, k, k, seq)) return;  // a counterexample
+    term = seq[0];
+  }
+}
+
+/// Latches of `model` in the cone of influence of output 0, the ones a
+/// session ties.
+std::size_t cone_latches(const aig::Aig& model) {
+  const std::vector<bool> coi = model.latch_coi(0);
+  return static_cast<std::size_t>(std::count(coi.begin(), coi.end(), true));
+}
+
 TEST(ItpSession, SuiteQueriesMatchOneShot) {
+  unsigned partial = 0;  // validated designs with latches outside the cone
   for (const auto& inst : bench::make_suite()) {
     SCOPED_TRACE(inst.name);
-    // Definitions 1 and 2 cost fresh SAT calls per cut: small designs only.
-    const bool validate = inst.model.num_latches() <= 24;
+    // Definitions 1 and 2 cost fresh SAT calls per cut: small designs and
+    // small cones (the industrial FAIL designs) only.
+    const std::size_t cone = cone_latches(inst.model);
+    const bool validate = inst.model.num_latches() <= 24 || cone <= 24;
+    if (validate && cone < inst.model.num_latches()) ++partial;
     run_sequence(inst.model, /*serial=*/false, 4, validate);
     run_sequence(inst.model, /*serial=*/true, 4, validate);
     run_standard(inst.model, 3, validate);
+    run_start_first(inst.model, 4, validate);
   }
+  // lock{4,8,24}safe and the seven industrial FAIL designs.
+  EXPECT_GE(partial, 10u);
 }
 
 TEST(ItpSession, AbstractionQueriesMatchOneShot) {
@@ -352,6 +388,38 @@ TEST(ItpSession, AbstractionQueriesMatchOneShot) {
   // Both engines' abstractions actually drop latches on the suite.
   EXPECT_GE(abstract[0], 100u);
   EXPECT_GE(abstract[1], 100u);
+}
+
+/// A one-use start's gate clauses are satisfied when the start retires,
+/// so the next query's level-0 sweep frees every one of them.
+TEST(ItpSession, RetiredStartDefinitionsAreReclaimed) {
+  const auto suite = bench::make_suite();
+  const auto inst = std::find_if(suite.begin(), suite.end(), [](const auto& i) {
+    return i.model.num_latches() >= 4 && i.model.num_latches() <= 24;
+  });
+  ASSERT_NE(inst, suite.end());
+  const aig::Aig& model = inst->model;
+  SCOPED_TRACE(inst->name);
+  StateSpace space(model);
+  aig::Aig& sets = space.graph();
+  // A parity chain over the latches: 3 gates, hence 9 clauses, per step.
+  aig::Lit start = space.latch_input(0);
+  for (unsigned j = 1; j <= 100; ++j)
+    start = sets.make_xor(start, space.latch_input(j % model.num_latches()));
+  const std::size_t gate_clauses = 3 * sets.cone_size(start);
+  ASSERT_GE(gate_clauses, 900u);
+
+  ItpSession::Shape sh;
+  sh.layout = Layout::kStandard;
+  ItpSession session(model, 0, EngineOptions{}, sh);
+  ASSERT_NE(session.query(sets, start, 2, {}), sat::Status::kUnknown);
+  // The next queries start from the initial states; the first one that
+  // sweeps level 0 must free the retired start's whole encoding.
+  const std::uint64_t before = session.solver().stats().removed_satisfied;
+  for (unsigned q = 0;
+       q < 8 && session.solver().stats().removed_satisfied == before; ++q)
+    ASSERT_NE(session.query(sets, aig::kNullLit, 2, {}), sat::Status::kUnknown);
+  EXPECT_GE(session.solver().stats().removed_satisfied - before, gate_clauses);
 }
 
 /// x' = x OR in, y' = x, bad = x, constraint NOT y; x and y reset to 0.

@@ -91,6 +91,51 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- targeted engine behaviours ---------------------------------------------
 
+/// Every FAIL trace of the five paper engines and BMC starts in the reset
+/// state: a latch with a defined reset has its reset value in the trace,
+/// also when the engine left it untied (outside the cone of influence), so
+/// that no clause constrains its frame-0 variable.  Each FAIL design of the
+/// suite gets one more latch outside the cone, reset to 1 and toggling.
+TEST(Engines, FailTracesStartInTheResetState) {
+  using Check = EngineResult (*)(const aig::Aig&, std::size_t,
+                                 const EngineOptions&);
+  const Check checks[] = {
+      check_itp,
+      check_itpseq,
+      [](const aig::Aig& m, std::size_t p, const EngineOptions& o) {
+        return check_sitpseq(m, p, o);
+      },
+      [](const aig::Aig& m, std::size_t p, const EngineOptions& o) {
+        return check_itpseq_cba(m, p, o);
+      },
+      check_itpseq_pba,
+      check_bmc};
+  unsigned traces = 0;
+  for (const Instance& inst : bench::make_suite()) {
+    if (inst.expected != Expected::kFail || inst.fail_depth > 32) continue;
+    aig::Aig model = inst.model;
+    const aig::Lit spare = model.add_latch(aig::LatchInit::kOne, "spare");
+    model.set_latch_next(spare, aig::lit_not(spare));
+    ASSERT_FALSE(model.latch_coi(0).back());
+    EngineOptions opts;
+    opts.max_bound = inst.fail_depth >= 0 ? inst.fail_depth : 32;
+    for (Check check : checks) {
+      const EngineResult r = check(model, 0, opts);
+      SCOPED_TRACE(inst.name + " via " + r.engine);
+      ASSERT_EQ(r.verdict, Verdict::kFail);
+      EXPECT_TRUE(trace_is_cex(model, r.cex, 0));
+      ++traces;
+      for (std::size_t i = 0; i < model.num_latches(); ++i) {
+        const aig::LatchInit init = model.latch_init(i);
+        if (init == aig::LatchInit::kUndef) continue;
+        EXPECT_EQ(r.cex.initial_latches[i], init == aig::LatchInit::kOne)
+            << "latch " << i;
+      }
+    }
+  }
+  EXPECT_EQ(traces, 6u * 45u);  // 45 FAIL designs fail by depth 32
+}
+
 TEST(Engines, Depth0Failure) {
   // Latch initialized to 1 with bad = latch: fails at depth 0.
   aig::Aig g;
