@@ -16,10 +16,16 @@
 //
 // `quick` runs a seconds-scale slice of the suite (the ctest `perf-smoke`
 // label) — a sanity check that the drivers, counters and JSON writer work,
-// not a measurement.
+// not a measurement.  Every answer is checked: a workload whose
+// construction fixes SAT or UNSAT must return it, and each `*_noinpr` twin
+// must answer like its inprocessing row, rep by rep.  A wrong answer exits
+// 1 without writing the JSON file; a bad argument exits 2.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -29,13 +35,20 @@
 #include "json_writer.hpp"
 #include "obs/trace.hpp"
 #include "sat/solver.hpp"
-#include "sat_workloads.hpp"
 
 using namespace itpseq;
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using Answer = std::optional<sat::Status>;  // nullopt: no single answer
+
+/// One rep of a workload: the timed span and the answer of its one solve()
+/// call (the incremental session makes thousands and reports none).
+struct Rep {
+  double sec = 0.0;
+  Answer answer;
+};
 
 struct WorkloadResult {
   std::string name;
@@ -44,6 +57,7 @@ struct WorkloadResult {
   std::size_t arena_bytes = 0;   // summed final arenas
   unsigned reps = 0;
   bool inprocess = true;         // solver-side inprocessing enabled?
+  std::vector<Answer> answers;   // one per rep
 };
 
 double props_per_sec(const WorkloadResult& r) {
@@ -51,13 +65,18 @@ double props_per_sec(const WorkloadResult& r) {
                          : 0.0;
 }
 
-/// Run `body(solver)` (which must build AND solve), timing only the span
-/// the body reports via its return value.  `inprocess` toggles the solver's
-/// built-in simplification — paired on/off entries are the ablation rows in
-/// BENCH_sat.json.
-template <typename Body>
+double seconds_since(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+using Body = Rep (*)(sat::Solver&, unsigned);
+
+/// Run `body(solver, rep)` (which must build AND solve) `reps` times,
+/// timing only the span the body reports.  `inprocess` toggles the
+/// solver's built-in simplification — paired on/off entries are the
+/// ablation rows in BENCH_sat.json.
 WorkloadResult run_workload(const std::string& name, unsigned reps, Body body,
-                            bool inprocess = true) {
+                            bool inprocess) {
   WorkloadResult r;
   r.name = name;
   r.reps = reps;
@@ -65,77 +84,218 @@ WorkloadResult run_workload(const std::string& name, unsigned reps, Body body,
   for (unsigned i = 0; i < reps; ++i) {
     sat::Solver s;
     s.set_inprocess(inprocess);
-    r.solve_sec += body(s, i);
+    Rep rep = body(s, i);
+    r.solve_sec += rep.sec;
+    r.answers.push_back(rep.answer);
     r.stats += s.stats();
     r.arena_bytes += s.arena_bytes();
   }
   return r;
 }
 
-double timed_solve(sat::Solver& s) {
+Rep timed_solve(sat::Solver& s) {
   auto t0 = Clock::now();
-  s.solve();
-  return std::chrono::duration<double>(Clock::now() - t0).count();
+  sat::Status st = s.solve();
+  return {seconds_since(t0), st};
 }
 
-// --- workload bodies (shapes shared with bench_micro_sat) -------------------
+// --- workload builders ------------------------------------------------------
 
-double bmc_unroll(sat::Solver& s, unsigned) {
+/// Pigeonhole PHP(n+1, n): classic combinatorial UNSAT, dense binary
+/// clauses, heavy conflict analysis.  Labels partition the at-least-one
+/// (1) and at-most-one (2) halves.
+void build_pigeonhole(sat::Solver& s, int n) {
+  std::vector<std::vector<sat::Var>> p(n + 1, std::vector<sat::Var>(n));
+  for (auto& row : p)
+    for (auto& v : row) v = s.new_var();
+  for (int i = 0; i <= n; ++i) {
+    std::vector<sat::Lit> cl;
+    for (int h = 0; h < n; ++h) cl.push_back(sat::mk_lit(p[i][h]));
+    s.add_clause(cl, 1);
+  }
+  for (int h = 0; h < n; ++h)
+    for (int i = 0; i <= n; ++i)
+      for (int j = i + 1; j <= n; ++j)
+        s.add_clause({sat::mk_lit(p[i][h], true), sat::mk_lit(p[j][h], true)}, 2);
+}
+
+/// Random 3-SAT at the given clause/var ratio (4.26 ~ threshold).
+void build_random3sat(sat::Solver& s, unsigned nvars, double ratio,
+                      unsigned seed) {
+  for (unsigned i = 0; i < nvars; ++i) s.new_var();
+  std::mt19937 rng(seed);
+  const unsigned ncl = static_cast<unsigned>(nvars * ratio);
+  for (unsigned cl = 0; cl < ncl; ++cl) {
+    std::vector<sat::Lit> lits;
+    while (lits.size() < 3) {
+      sat::Lit l = sat::mk_lit(rng() % nvars, rng() % 2);
+      bool dup = false;
+      for (sat::Lit x : lits)
+        if (sat::var(x) == sat::var(l)) dup = true;
+      if (!dup) lits.push_back(l);
+    }
+    s.add_clause(lits);
+  }
+}
+
+/// Pure binary implication network (ring + random chords): propagation is
+/// served entirely by the inline binary watchers.
+void build_binary_net(sat::Solver& s, unsigned nv, unsigned seed) {
+  std::mt19937 rng(seed);
+  for (unsigned i = 0; i < nv; ++i) s.new_var();
+  for (unsigned i = 0; i < nv; ++i)
+    s.add_clause({sat::mk_lit(i, true), sat::mk_lit((i + 1) % nv)});
+  for (unsigned i = 0; i < nv; ++i)
+    s.add_clause({sat::mk_lit(rng() % nv, true), sat::mk_lit(rng() % nv)});
+}
+
+/// Bounded-queue BMC unrolling to depth k (Tseitin CNF, ~2/3 binary
+/// clauses), bound target scheme.
+void build_bmc_queue(cnf::Unroller& unr, unsigned k) {
+  unr.assert_init(0);
+  for (unsigned t = 0; t < k; ++t) unr.add_transition(t, t + 1);
+  unr.assert_target(k, cnf::TargetScheme::kBound, 0);
+}
+
+/// PDR-shaped incremental session: one long-lived solver, `rounds`
+/// assumption queries over a sliding window of activation-guarded clauses,
+/// guards retired by unit clauses — exercises the level-0 satisfied-clause
+/// sweep and the arena GC.  Runs the queries itself (build and solve are
+/// interleaved by construction).
+void run_incremental_gc_session(sat::Solver& s, int rounds, unsigned seed) {
+  std::mt19937 rng(seed);
+  const unsigned nv = 60;
+  std::vector<sat::Var> vars;
+  for (unsigned i = 0; i < nv; ++i) vars.push_back(s.new_var());
+  std::vector<sat::Lit> acts;
+  for (int round = 0; round < rounds; ++round) {
+    sat::Lit act = sat::mk_lit(s.new_var());
+    std::vector<sat::Lit> cl{sat::neg(act)};
+    unsigned len = 2 + rng() % 4;
+    for (unsigned k = 0; k < len; ++k)
+      cl.push_back(sat::mk_lit(vars[rng() % nv], rng() % 2));
+    s.add_clause(cl);
+    acts.push_back(act);
+    if (acts.size() > 64 && rng() % 4 == 0) {
+      std::size_t idx = rng() % (acts.size() - 32);
+      if (acts[idx] != sat::kNoLit) {
+        s.add_clause({sat::neg(acts[idx])});
+        acts[idx] = sat::kNoLit;
+      }
+    }
+    std::vector<sat::Lit> as;
+    for (std::size_t i = acts.size() >= 24 ? acts.size() - 24 : 0;
+         i < acts.size(); ++i)
+      if (acts[i] != sat::kNoLit && rng() % 2) as.push_back(acts[i]);
+    s.solve_assuming(as);
+  }
+}
+
+
+// --- workload bodies --------------------------------------------------------
+
+Rep bmc_unroll(sat::Solver& s, unsigned) {
   aig::Aig g = bench::queue(16, true);
   cnf::Unroller unr(g, s);
-  bench::build_bmc_queue(s, unr, 24);
+  build_bmc_queue(unr, 24);
   return timed_solve(s);
 }
 
-double bmc_deep(sat::Solver& s, unsigned) {
+Rep bmc_deep(sat::Solver& s, unsigned) {
   aig::Aig g = bench::queue(16, true);
   cnf::Unroller unr(g, s);
-  bench::build_bmc_queue(s, unr, 64);
+  build_bmc_queue(unr, 64);
   return timed_solve(s);
 }
 
-double pigeonhole(sat::Solver& s, unsigned) {
-  bench::build_pigeonhole(s, 8);
+Rep pigeonhole(sat::Solver& s, unsigned) {
+  build_pigeonhole(s, 8);
   return timed_solve(s);
 }
 
-double random3sat(sat::Solver& s, unsigned rep) {
-  bench::build_random3sat(s, 120, 4.26, 9000 + rep);
+Rep random3sat(sat::Solver& s, unsigned rep) {
+  build_random3sat(s, 120, 4.26, 9000 + rep);
   return timed_solve(s);
 }
 
-double big3sat(sat::Solver& s, unsigned rep) {
+Rep big3sat(sat::Solver& s, unsigned rep) {
   // Under-constrained: SAT, propagation-heavy, real cache pressure.
-  bench::build_random3sat(s, 100000, 3.0, 11 + rep);
+  build_random3sat(s, 100000, 3.0, 11 + rep);
   return timed_solve(s);
 }
 
-double binary_net(sat::Solver& s, unsigned rep) {
-  bench::build_binary_net(s, 400000, 5 + rep);
+Rep binary_net(sat::Solver& s, unsigned rep) {
+  build_binary_net(s, 400000, 5 + rep);
   return timed_solve(s);
 }
 
-double incremental_gc(sat::Solver& s, unsigned rep) {
+Rep incremental_gc(sat::Solver& s, unsigned rep) {
   auto t0 = Clock::now();
-  bench::run_incremental_gc_session(s, 4000, 77 + rep);
-  return std::chrono::duration<double>(Clock::now() - t0).count();
+  run_incremental_gc_session(s, 4000, 77 + rep);
+  return {seconds_since(t0), std::nullopt};
 }
 
 // Seconds-scale variants for the `quick` (perf-smoke) mode.
-double pigeonhole_quick(sat::Solver& s, unsigned) {
-  bench::build_pigeonhole(s, 7);
+Rep pigeonhole_quick(sat::Solver& s, unsigned) {
+  build_pigeonhole(s, 7);
   return timed_solve(s);
 }
 
-double binary_net_quick(sat::Solver& s, unsigned rep) {
-  bench::build_binary_net(s, 50000, 5 + rep);
+Rep binary_net_quick(sat::Solver& s, unsigned rep) {
+  build_binary_net(s, 50000, 5 + rep);
   return timed_solve(s);
 }
 
-double incremental_gc_quick(sat::Solver& s, unsigned rep) {
+Rep incremental_gc_quick(sat::Solver& s, unsigned rep) {
   auto t0 = Clock::now();
-  bench::run_incremental_gc_session(s, 500, 77 + rep);
-  return std::chrono::duration<double>(Clock::now() - t0).count();
+  run_incremental_gc_session(s, 500, 77 + rep);
+  return {seconds_since(t0), std::nullopt};
+}
+
+/// One suite row.  `expect` is the answer the construction fixes: PHP(n+1,
+/// n) is UNSAT, the all-false assignment satisfies a binary implication
+/// net, and the guarded queue never overflows, so no BMC bound reaches its
+/// bad state.  `ablate` adds a `*_noinpr` twin with inprocessing off.
+struct Workload {
+  const char* name;
+  unsigned reps;  // multiplied by reps_scale
+  Body body;
+  Answer expect;
+  bool ablate;
+};
+
+const char* answer_name(Answer a) {
+  if (!a) return "none";
+  switch (*a) {
+    case sat::Status::kSat:
+      return "SAT";
+    case sat::Status::kUnsat:
+      return "UNSAT";
+    case sat::Status::kUnknown:
+      break;
+  }
+  return "UNKNOWN";
+}
+
+/// Report every rep of `r` whose answer differs from `expect` (when the
+/// construction fixes one) or from the same rep of `twin` (the
+/// inprocessing row of a `*_noinpr` twin).  Returns the number reported.
+int wrong_answers(const WorkloadResult& r, Answer expect,
+                  const WorkloadResult* twin) {
+  int wrong = 0;
+  for (std::size_t i = 0; i < r.answers.size(); ++i) {
+    const Answer want = twin ? twin->answers[i] : expect;
+    if (!want || r.answers[i] == want) continue;
+    std::fprintf(stderr, "bench_sat: %s rep %zu answered %s, expected %s\n",
+                 r.name.c_str(), i, answer_name(r.answers[i]),
+                 answer_name(want));
+    ++wrong;
+  }
+  return wrong;
+}
+
+void usage() {
+  std::fprintf(stderr, "usage: bench_sat [reps_scale|quick] [json_path]\n");
 }
 
 }  // namespace
@@ -144,40 +304,58 @@ int main(int argc, char** argv) {
   // ITPSEQ_TRACE=file [ITPSEQ_TRACE_FORMAT=chrome] [ITPSEQ_PROGRESS=1]
   // trace a bench run without flag plumbing; null when the env is unset.
   auto sink = obs::TraceSink::from_env();
+  if (argc > 3) {
+    usage();
+    return 2;
+  }
   const bool quick = argc > 1 && std::string(argv[1]) == "quick";
-  unsigned scale = argc > 1 && !quick ? static_cast<unsigned>(std::atoi(argv[1])) : 1;
-  if (scale == 0) scale = 1;
+  unsigned scale = 1;
+  if (argc > 1 && !quick) {
+    // Strict positive decimal; 16 * scale reps must not overflow.
+    const char* end = argv[1] + std::strlen(argv[1]);
+    auto [ptr, ec] = std::from_chars(argv[1], end, scale);
+    if (ec != std::errc{} || ptr != end || scale == 0 ||
+        scale > std::numeric_limits<unsigned>::max() / 16) {
+      std::fprintf(stderr, "bench_sat: bad reps_scale '%s'\n", argv[1]);
+      usage();
+      return 2;
+    }
+  }
   std::string json_path = argc > 2 ? argv[2] : "BENCH_sat.json";
 
+  constexpr Answer kSat = sat::Status::kSat, kUnsat = sat::Status::kUnsat;
+  const std::vector<Workload> suite =
+      quick ? std::vector<Workload>{
+                  {"bmc_unroll", 1, bmc_unroll, kUnsat, false},
+                  {"pigeonhole7", 1, pigeonhole_quick, kUnsat, true},
+                  {"random3sat", 2, random3sat, std::nullopt, false},
+                  {"binary_net", 1, binary_net_quick, kSat, false},
+                  {"incremental_gc", 1, incremental_gc_quick, std::nullopt,
+                   false},
+              }
+            : std::vector<Workload>{
+                  {"bmc_unroll", 8, bmc_unroll, kUnsat, true},
+                  {"bmc_deep", 2, bmc_deep, kUnsat, false},
+                  {"pigeonhole8", 2, pigeonhole, kUnsat, true},
+                  {"random3sat", 16, random3sat, std::nullopt, true},
+                  {"big3sat", 1, big3sat, std::nullopt, true},
+                  {"binary_net", 1, binary_net, kSat, true},
+                  {"incremental_gc", 1, incremental_gc, std::nullopt, false},
+              };
+
   std::vector<WorkloadResult> results;
-  // The `*_noinpr` rows rerun a workload with the solver's inprocessing
-  // switched off — the in-tree ablation for the simplification pipeline.
-  if (quick) {
-    results.push_back(run_workload("bmc_unroll", 1, bmc_unroll));
-    results.push_back(run_workload("pigeonhole7", 1, pigeonhole_quick));
-    results.push_back(
-        run_workload("pigeonhole7_noinpr", 1, pigeonhole_quick, false));
-    results.push_back(run_workload("random3sat", 2, random3sat));
-    results.push_back(run_workload("binary_net", 1, binary_net_quick));
-    results.push_back(run_workload("incremental_gc", 1, incremental_gc_quick));
-  } else {
-    results.push_back(run_workload("bmc_unroll", 8 * scale, bmc_unroll));
-    results.push_back(
-        run_workload("bmc_unroll_noinpr", 8 * scale, bmc_unroll, false));
-    results.push_back(run_workload("bmc_deep", 2 * scale, bmc_deep));
-    results.push_back(run_workload("pigeonhole8", 2 * scale, pigeonhole));
-    results.push_back(
-        run_workload("pigeonhole8_noinpr", 2 * scale, pigeonhole, false));
-    results.push_back(run_workload("random3sat", 16 * scale, random3sat));
-    results.push_back(
-        run_workload("random3sat_noinpr", 16 * scale, random3sat, false));
-    results.push_back(run_workload("big3sat", 1 * scale, big3sat));
-    results.push_back(
-        run_workload("big3sat_noinpr", 1 * scale, big3sat, false));
-    results.push_back(run_workload("binary_net", 1 * scale, binary_net));
-    results.push_back(
-        run_workload("binary_net_noinpr", 1 * scale, binary_net, false));
-    results.push_back(run_workload("incremental_gc", 1 * scale, incremental_gc));
+  int wrong = 0;
+  for (const Workload& w : suite) {
+    results.push_back(run_workload(w.name, w.reps * scale, w.body, true));
+    wrong += wrong_answers(results.back(), w.expect, nullptr);
+    // The `*_noinpr` rows rerun a workload with the solver's inprocessing
+    // switched off — the in-tree ablation for the simplification pipeline.
+    if (w.ablate) {
+      results.push_back(run_workload(std::string(w.name) + "_noinpr",
+                                     w.reps * scale, w.body, false));
+      wrong += wrong_answers(results.back(), w.expect,
+                             &results[results.size() - 2]);
+    }
   }
 
   std::printf("%-16s %12s %10s %6s %10s %8s %8s %6s %10s\n", "workload",
@@ -221,6 +399,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(total.stats.gc_runs),
               static_cast<unsigned long long>(total.stats.wasted_bytes_reclaimed /
                                               1024));
+
+  if (wrong > 0) {
+    std::fprintf(stderr, "bench_sat: %d wrong answers; %s not written\n",
+                 wrong, json_path.c_str());
+    return 1;
+  }
 
   bench::JsonWriter json(json_path);
   json.begin_object();

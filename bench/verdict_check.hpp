@@ -7,7 +7,7 @@
 //
 // UNKNOWN (budget exhausted) is not an error.  On an error the driver stops:
 // the instance, the engine and the reason go to stderr and the process
-// exits 1, as bench_pdr does on a verdict mismatch.
+// exits 1.
 #pragma once
 
 #include <cstdio>

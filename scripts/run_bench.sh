@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# run_bench.sh — build and run the SAT-core bench suite and maintain the
-# machine-readable perf-trajectory files at the repo root:
+# run_bench.sh — build and run the SAT-core bench suite (bench_sat) and
+# append its result to the machine-readable perf-trajectory file at the repo
+# root:
 #
 #   BENCH_sat.json  one entry per solver workload + totals: propagations/s,
 #                   conflicts/s, binary-propagation share, peak clause-store
@@ -8,27 +9,32 @@
 #                   counters, wall-clock.  Selected workloads appear twice —
 #                   plain and `*_noinpr` (solver inprocessing off) — as the
 #                   in-tree ablation for the simplification pipeline.
-#   BENCH_pdr.json  PDR engine over the circuit suite: per-instance verdict,
-#                   queries, frames and the solver-side counters
 #
-# Each file is a *trajectory*: {"trajectory": [entry, entry, ...]}, one
-# entry appended per run, stamped with the git commit (`<sha>-dirty` when the
-# tree has uncommitted changes), date and host that produced it — so the
-# files diff as a history, not a single point.  Legacy single-object files
-# are migrated into a one-entry trajectory on the next run.  The ctest label
-# `perf-smoke` runs a seconds-scale slice of the same drivers as a sanity
-# check (ctest -L perf-smoke).
+# The file is a *trajectory*: {"trajectory": [entry, entry, ...]}, one entry
+# appended per run, stamped with the git commit (`<sha>-dirty` when the tree
+# has uncommitted changes), date and host that produced it — so it diffs as
+# a history, not a single point.  A legacy single-object file is migrated
+# into a one-entry trajectory on the next run.  bench_sat checks every
+# answer and exits 1 on a wrong one; the script then stops and appends
+# nothing.  The ctest label `perf-smoke` runs a seconds-scale slice of the
+# same driver as a sanity check (ctest -L perf-smoke).  The engines are
+# measured by enginebench/ (BENCHMARK.json); BENCH_pdr.json is frozen
+# history of a retired PDR driver and is not written.
 #
-# Usage: scripts/run_bench.sh [build_dir] [sat_scale] [pdr_seconds]
+# Usage: scripts/run_bench.sh [build_dir] [sat_scale]
 set -euo pipefail
+
+if [ "$#" -gt 2 ]; then
+  echo "usage: scripts/run_bench.sh [build_dir] [sat_scale]" >&2
+  exit 2
+fi
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$root/build}"
 scale="${2:-1}"
-pdr_sec="${3:-5}"
 
 cmake -B "$build" -S "$root" > /dev/null
-cmake --build "$build" -j "$(nproc)" --target bench_sat bench_pdr > /dev/null
+cmake --build "$build" -j "$(nproc)" --target bench_sat > /dev/null
 
 commit="$(git -C "$root" rev-parse --short HEAD 2>/dev/null || echo unknown)"
 # Measuring uncommitted changes: say so in the stamp (git describe's
@@ -88,7 +94,4 @@ EOF
 "$build/bench_sat" "$scale" "$root/BENCH_sat.fresh.json"
 append_entry "$root/BENCH_sat.json" "$root/BENCH_sat.fresh.json"
 echo
-"$build/bench_pdr" "$pdr_sec" "" "$root/BENCH_pdr.fresh.json"
-append_entry "$root/BENCH_pdr.json" "$root/BENCH_pdr.fresh.json"
-echo
-echo "trajectory: $root/BENCH_sat.json, $root/BENCH_pdr.json (commit $commit)"
+echo "trajectory: $root/BENCH_sat.json (commit $commit)"

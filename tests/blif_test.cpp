@@ -10,7 +10,6 @@
 #include "bench_circuits/suite.hpp"
 #include "io/blif.hpp"
 #include "mc/engine.hpp"
-#include "opt/fraig.hpp"
 
 namespace itpseq {
 namespace {

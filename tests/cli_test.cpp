@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "aig/aiger_io.hpp"
 #include "bench_circuits/generators.hpp"
@@ -302,35 +303,39 @@ TEST_F(CliTest, AigtoolStats) {
 }
 
 TEST_F(CliTest, AigtoolConvertRoundTripsAllFormats) {
-  std::string blif = temp_path("conv.blif");
-  std::string aag = temp_path("conv.aag");
-  std::string aigb = temp_path("conv.aig");
-  ASSERT_EQ(run(tool("aigtool") + " convert " + pass_aag_ + " " + blif), 0);
-  ASSERT_EQ(run(tool("aigtool") + " convert " + blif + " " + aigb), 0);
-  ASSERT_EQ(run(tool("aigtool") + " convert " + aigb + " " + aag), 0);
-  // The final AIGER must still PASS.
-  EXPECT_EQ(run(tool("itpseq-mc") + " -q -t 30 " + aag), 0);
-}
-
-TEST_F(CliTest, AigtoolOptPreservesVerdicts) {
-  std::string opt = temp_path("opt.aag");
-  ASSERT_EQ(run(tool("aigtool") + " opt " + fail_aag_ + " " + opt), 0);
-  EXPECT_EQ(run(tool("itpseq-mc") + " -q -t 30 " + opt), 1);
-  ASSERT_EQ(run(tool("aigtool") + " opt " + pass_aag_ + " " + opt), 0);
-  EXPECT_EQ(run(tool("itpseq-mc") + " -q -t 30 " + opt), 0);
+  // Through .blif, .aig and back to .aag, each circuit keeps its verdict:
+  // the PASS ring still passes, the FAIL counter still fails.
+  for (const auto& [src, verdict] :
+       {std::pair{pass_aag_, 0}, std::pair{fail_aag_, 1}}) {
+    std::string blif = temp_path("conv.blif");
+    std::string aag = temp_path("conv.aag");
+    std::string aigb = temp_path("conv.aig");
+    ASSERT_EQ(run(tool("aigtool") + " convert " + src + " " + blif), 0);
+    ASSERT_EQ(run(tool("aigtool") + " convert " + blif + " " + aigb), 0);
+    ASSERT_EQ(run(tool("aigtool") + " convert " + aigb + " " + aag), 0);
+    EXPECT_EQ(run(tool("itpseq-mc") + " -q -t 30 " + aag), verdict) << src;
+  }
 }
 
 TEST_F(CliTest, AigtoolUsageErrors) {
   const std::string at = tool("aigtool");
   EXPECT_EQ(run(at), 1);
   EXPECT_EQ(run(at + " bogus " + pass_aag_), 1);
-  // opt takes exactly IN and OUT: an extra argument is a usage error.
-  EXPECT_EQ(run(at + " opt " + pass_aag_ + " " + temp_path("opt.aag") +
-                " --balance"),
+  // Every subcommand takes exactly its arguments: one more is an error.
+  EXPECT_EQ(run(at + " stats " + pass_aag_ + " extra"), 1);
+  EXPECT_EQ(run(at + " convert " + pass_aag_ + " " + temp_path("x.aag") +
+                " extra"),
             1);
+  EXPECT_EQ(run(at + " convert " + pass_aag_), 1);
+  EXPECT_EQ(run(at + " sim " + fail_aag_ + " 10 1 extra"), 1);
+  EXPECT_EQ(run(at + " diameter " + fail_aag_ + " 5 extra"), 1);
   // sim's STEPS and SEED are plain unsigned decimals.
   for (const char* args : {" -0", " +5", " 5x", " 10 -1", " 10 7x"})
     EXPECT_EQ(run(at + " sim " + fail_aag_ + args), 1) << args;
+  // diameter's SECONDS is a positive finite decimal.
+  for (const char* args : {" 5x", " nan", " inf", " -1", " 0", " +5", " 1e3",
+                           " ''"})
+    EXPECT_EQ(run(at + " diameter " + fail_aag_ + args), 1) << args;
 }
 
 TEST_F(CliTest, AigtoolSimFindsShallowFailure) {

@@ -3,15 +3,17 @@
 // Subcommands:
 //   stats FILE                    print size, depth and property statistics
 //   convert IN OUT                convert between .aag / .aig / .blif
-//   opt IN OUT                    SAT-sweep (fraig) the combinational logic
 //   sim FILE [STEPS] [SEED]       64-way random simulation; reports the
 //                                 first depth at which a bad output fires;
 //                                 STEPS and SEED are unsigned decimals
-//   diameter FILE [SECONDS]       exact BDD forward/backward diameters
+//   diameter FILE [SECONDS]       exact BDD forward/backward diameters;
+//                                 SECONDS is a positive finite decimal
 //
-// Exit code 0 on success, 1 on usage or input errors.
+// Every subcommand takes exactly the arguments shown; anything else is a
+// usage error.  Exit code 0 on success, 1 on usage or input errors.
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -23,7 +25,6 @@
 #include "bdd/reach.hpp"
 #include "io/blif.hpp"
 #include "mc/portfolio.hpp"
-#include "opt/fraig.hpp"
 
 using namespace itpseq;
 
@@ -49,6 +50,18 @@ T parse_uint(const char* what, const char* s) {
   return v;
 }
 
+/// Strict time budget: a plain positive finite decimal ("30", "0.5"), no
+/// sign, exponent, trailing text, inf or nan.
+double parse_seconds(const char* s) {
+  double v = 0.0;
+  const char* end = s + std::strlen(s);
+  auto [ptr, ec] = std::from_chars(s, end, v, std::chars_format::fixed);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(v) || v <= 0.0)
+    throw std::invalid_argument(
+        std::string("SECONDS must be a positive decimal, got '") + s + "'");
+  return v;
+}
+
 aig::Aig load(const std::string& path) {
   if (has_suffix(path, ".blif")) return io::read_blif_file(path);
   return aig::read_aiger_file(path);
@@ -71,22 +84,6 @@ std::vector<aig::Lit> sequential_roots(const aig::Aig& g) {
   for (std::size_t i = 0; i < g.num_constraints(); ++i)
     roots.push_back(g.constraint(i));
   return roots;
-}
-
-/// Reassemble a sequential circuit from swept roots (the inverse of
-/// sequential_roots: leading roots are outputs, then latch nexts, then
-/// constraints).
-aig::Aig reassemble(const aig::Aig& original, aig::Aig&& graph,
-                    const std::vector<aig::Lit>& roots) {
-  aig::Aig g = std::move(graph);
-  std::size_t no = original.num_outputs(), nl = original.num_latches();
-  for (std::size_t i = 0; i < no; ++i)
-    g.add_output(roots[i], original.output_name(i));
-  for (std::size_t i = 0; i < nl; ++i)
-    g.set_latch_next(g.latch(i), roots[no + i]);
-  for (std::size_t i = 0; i < original.num_constraints(); ++i)
-    g.add_constraint(roots[no + nl + i]);
-  return g;
 }
 
 int cmd_stats(const std::string& path) {
@@ -120,16 +117,6 @@ int cmd_stats(const std::string& path) {
 
 int cmd_convert(const std::string& in, const std::string& out) {
   save(load(in), out);
-  return 0;
-}
-
-int cmd_opt(const std::string& in, const std::string& out) {
-  aig::Aig g = load(in);
-  std::printf("%s: %zu ands", in.c_str(), g.num_ands());
-  opt::FraigResult r = opt::fraig(g, sequential_roots(g));
-  g = reassemble(g, std::move(r.graph), r.roots);
-  std::printf(" -> fraig %zu\n", g.num_ands());
-  save(g, out);
   return 0;
 }
 
@@ -169,7 +156,6 @@ void usage() {
   std::fprintf(stderr,
                "usage: aigtool stats FILE\n"
                "       aigtool convert IN OUT\n"
-               "       aigtool opt IN OUT\n"
                "       aigtool sim FILE [STEPS] [SEED]\n"
                "       aigtool diameter FILE [SECONDS]\n");
 }
@@ -182,17 +168,17 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::string cmd = argv[1];
+  const int nargs = argc - 2;  // arguments after the subcommand
   try {
-    if (cmd == "stats") return cmd_stats(argv[2]);
-    if (cmd == "convert" && argc >= 4) return cmd_convert(argv[2], argv[3]);
-    if (cmd == "opt" && argc == 4) return cmd_opt(argv[2], argv[3]);
-    if (cmd == "sim")
+    if (cmd == "stats" && nargs == 1) return cmd_stats(argv[2]);
+    if (cmd == "convert" && nargs == 2) return cmd_convert(argv[2], argv[3]);
+    if (cmd == "sim" && nargs <= 3)
       return cmd_sim(argv[2],
-                     argc > 3 ? parse_uint<unsigned>("STEPS", argv[3]) : 100,
-                     argc > 4 ? parse_uint<std::uint64_t>("SEED", argv[4])
-                              : 1);
-    if (cmd == "diameter")
-      return cmd_diameter(argv[2], argc > 3 ? std::stod(argv[3]) : 60.0);
+                     nargs > 1 ? parse_uint<unsigned>("STEPS", argv[3]) : 100,
+                     nargs > 2 ? parse_uint<std::uint64_t>("SEED", argv[4])
+                               : 1);
+    if (cmd == "diameter" && nargs <= 2)
+      return cmd_diameter(argv[2], nargs > 1 ? parse_seconds(argv[3]) : 60.0);
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "aigtool: %s\n", ex.what());
     return 1;
