@@ -8,8 +8,8 @@
 //
 // Usage: bench_ablation_cba [per_engine_seconds]
 #include <cstdio>
-#include <cstdlib>
 
+#include "args.hpp"
 #include "bench_circuits/suite.hpp"
 #include "mc/engine.hpp"
 #include "verdict_check.hpp"
@@ -17,7 +17,8 @@
 using namespace itpseq;
 
 int main(int argc, char** argv) {
-  double limit = argc > 1 ? std::atof(argv[1]) : 10.0;
+  const double limit =
+      bench::positive_arg(argc, argv, 1, 10.0, "[per_engine_seconds]");
   mc::EngineOptions opts;
   opts.time_limit_sec = limit;
 

@@ -13,9 +13,9 @@
 //
 // Usage: bench_ablation_itpsys [per_engine_seconds] [family_filter]
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "args.hpp"
 #include "bench_circuits/suite.hpp"
 #include "mc/engine.hpp"
 #include "verdict_check.hpp"
@@ -55,7 +55,8 @@ void run_cell(const bench::Instance& inst, bool seq, itp::System sys,
 }  // namespace
 
 int main(int argc, char** argv) {
-  double limit = argc > 1 ? std::atof(argv[1]) : 5.0;
+  const double limit = bench::positive_arg(
+      argc, argv, 1, 5.0, "[per_engine_seconds] [family_filter]");
   std::string filter = argc > 2 ? argv[2] : "";
   const itp::System systems[] = {itp::System::kMcMillan, itp::System::kPudlak,
                                  itp::System::kInverseMcMillan};

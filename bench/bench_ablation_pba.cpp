@@ -10,9 +10,9 @@
 //
 // Usage: bench_ablation_pba [per_engine_seconds] [family_filter]
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "args.hpp"
 #include "bench_circuits/suite.hpp"
 #include "mc/engine.hpp"
 #include "mc/itpseq_verif.hpp"
@@ -21,7 +21,8 @@
 using namespace itpseq;
 
 int main(int argc, char** argv) {
-  double limit = argc > 1 ? std::atof(argv[1]) : 10.0;
+  const double limit = bench::positive_arg(
+      argc, argv, 1, 10.0, "[per_engine_seconds] [family_filter]");
   std::string filter = argc > 2 ? argv[2] : "";
   const mc::AbstractionMode modes[] = {
       mc::AbstractionMode::kNone, mc::AbstractionMode::kCba,

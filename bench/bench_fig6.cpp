@@ -9,9 +9,9 @@
 // Usage: bench_fig6 [per_engine_seconds]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "args.hpp"
 #include "bench_circuits/suite.hpp"
 #include "mc/engine.hpp"
 #include "verdict_check.hpp"
@@ -19,7 +19,8 @@
 using namespace itpseq;
 
 int main(int argc, char** argv) {
-  double limit = argc > 1 ? std::atof(argv[1]) : 5.0;
+  const double limit =
+      bench::positive_arg(argc, argv, 1, 5.0, "[per_engine_seconds]");
   mc::EngineOptions opts;
   opts.time_limit_sec = limit;
 

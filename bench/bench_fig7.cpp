@@ -9,8 +9,8 @@
 // Usage: bench_fig7 [per_engine_seconds]
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
+#include "args.hpp"
 #include "bench_circuits/suite.hpp"
 #include "mc/engine.hpp"
 #include "verdict_check.hpp"
@@ -18,7 +18,8 @@
 using namespace itpseq;
 
 int main(int argc, char** argv) {
-  double limit = argc > 1 ? std::atof(argv[1]) : 5.0;
+  const double limit =
+      bench::positive_arg(argc, argv, 1, 5.0, "[per_engine_seconds]");
 
   mc::EngineOptions exact;
   exact.time_limit_sec = limit;

@@ -11,12 +11,12 @@
 // Usage: bench_portfolio [per_instance_seconds] [family_filter]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "args.hpp"
 #include "bench_circuits/suite.hpp"
 #include "mc/portfolio.hpp"
 #include "obs/trace.hpp"
@@ -26,7 +26,8 @@ using namespace itpseq;
 
 int main(int argc, char** argv) {
   auto sink = obs::TraceSink::from_env();  // ITPSEQ_TRACE=... opt-in
-  double limit = argc > 1 ? std::atof(argv[1]) : 5.0;
+  const double limit = bench::positive_arg(
+      argc, argv, 1, 5.0, "[per_instance_seconds] [family_filter]");
   std::string filter = argc > 2 ? argv[2] : "";
 
   const std::vector<mc::PortfolioMember> members = {

@@ -150,11 +150,13 @@ void build_binary_net(sat::Solver& s, unsigned nv, unsigned seed) {
 }
 
 /// Bounded-queue BMC unrolling to depth k (Tseitin CNF, ~2/3 binary
-/// clauses), bound target scheme.
+/// clauses), bound-k target: bad at some frame 1..k.
 void build_bmc_queue(cnf::Unroller& unr, unsigned k) {
   unr.assert_init(0);
   for (unsigned t = 0; t < k; ++t) unr.add_transition(t, t + 1);
-  unr.assert_target(k, cnf::TargetScheme::kBound, 0);
+  std::vector<sat::Lit> target;
+  for (unsigned t = 1; t <= k; ++t) target.push_back(unr.bad_lit(t, 0));
+  unr.solver().add_clause(target, 0);
 }
 
 /// PDR-shaped incremental session: one long-lived solver, `rounds`

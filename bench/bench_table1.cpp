@@ -9,9 +9,9 @@
 //
 // Usage: bench_table1 [per_engine_seconds] [bdd_seconds] [family_filter]
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "args.hpp"
 #include "bdd/reach.hpp"
 #include "bench_circuits/suite.hpp"
 #include "mc/engine.hpp"
@@ -60,8 +60,10 @@ std::string engine_cell(const mc::EngineResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double engine_limit = argc > 1 ? std::atof(argv[1]) : 5.0;
-  double bdd_limit = argc > 2 ? std::atof(argv[2]) : 5.0;
+  constexpr const char* kUsage =
+      "[per_engine_seconds] [bdd_seconds] [family_filter]";
+  const double engine_limit = bench::positive_arg(argc, argv, 1, 5.0, kUsage);
+  const double bdd_limit = bench::positive_arg(argc, argv, 2, 5.0, kUsage);
   std::string filter = argc > 3 ? argv[3] : "";
 
   std::printf("Table I reproduction — per-instance comparison\n");

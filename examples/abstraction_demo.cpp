@@ -5,15 +5,16 @@
 //
 // Usage: abstraction_demo [time_limit_sec]
 #include <cstdio>
-#include <cstdlib>
 
+#include "args.hpp"
 #include "bench_circuits/generators.hpp"
 #include "mc/engine.hpp"
 
 using namespace itpseq;
 
 int main(int argc, char** argv) {
-  double limit = argc > 1 ? std::atof(argv[1]) : 30.0;
+  const double limit =
+      bench::positive_arg(argc, argv, 1, 30.0, "[time_limit_sec]");
 
   // ~260 latches of pipeline noise around an 8-state guarded counter.
   aig::Aig big = bench::industrial(32, 8, /*variant=*/0, /*param=*/10, 201);

@@ -9,11 +9,11 @@
 //
 // Usage: engine_shootout [per_instance_seconds] [family_filter]
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
 
+#include "args.hpp"
 #include "bench_circuits/suite.hpp"
 #include "mc/engine.hpp"
 #include "mc/portfolio.hpp"
@@ -24,7 +24,8 @@ using namespace itpseq;
 
 int main(int argc, char** argv) {
   auto sink = obs::TraceSink::from_env();  // ITPSEQ_TRACE=... opt-in
-  double limit = argc > 1 ? std::atof(argv[1]) : 5.0;
+  const double limit = bench::positive_arg(
+      argc, argv, 1, 5.0, "[per_instance_seconds] [family_filter]");
   std::string filter = argc > 2 ? argv[2] : "";
 
   mc::EngineOptions opts;

@@ -9,8 +9,8 @@
 //
 //   $ ./interpolant_strength [bound]
 #include <cstdio>
-#include <cstdlib>
 
+#include "args.hpp"
 #include "bench_circuits/generators.hpp"
 #include "cnf/unroller.hpp"
 #include "itp/interpolate.hpp"
@@ -20,7 +20,7 @@
 using namespace itpseq;
 
 int main(int argc, char** argv) {
-  unsigned k = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 6;
+  const unsigned k = bench::positive_arg(argc, argv, 1, 6u, "[bound]");
   aig::Aig model = bench::queue(6, /*guarded=*/true);
   std::printf("model: guarded queue, %zu latches, bound k=%u\n",
               model.num_latches(), k);

@@ -4,8 +4,8 @@
 //
 // Usage: portfolio_demo [time_limit_sec]
 #include <cstdio>
-#include <cstdlib>
 
+#include "args.hpp"
 #include "bench_circuits/generators.hpp"
 #include "mc/portfolio.hpp"
 #include "mc/sim.hpp"
@@ -27,7 +27,8 @@ void run(const char* label, const aig::Aig& model, const mc::PortfolioOptions& o
 
 int main(int argc, char** argv) {
   mc::PortfolioOptions opts;
-  opts.time_limit_sec = argc > 1 ? std::atof(argv[1]) : 30.0;
+  opts.time_limit_sec =
+      bench::positive_arg(argc, argv, 1, 30.0, "[time_limit_sec]");
 
   // Shallow failure: random simulation should win.
   run("queue8 overflow", bench::queue(8, false), opts);

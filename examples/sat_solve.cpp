@@ -8,9 +8,9 @@
 //
 // Exit code follows the SAT-competition convention: 10 = SAT, 20 = UNSAT.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "args.hpp"
 #include "itp/interpolate.hpp"
 #include "itp/validate.hpp"
 #include <fstream>
@@ -24,10 +24,15 @@
 using namespace itpseq;
 
 int main(int argc, char** argv) {
+  constexpr const char* kUsage = "<file.cnf> [cut|--drat FILE]";
   if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <file.cnf> [cut|--drat FILE]\n", argv[0]);
+    std::fprintf(stderr, "usage: %s %s\n", argv[0], kUsage);
     return 2;
   }
+  const bool drat = argc > 3 && std::strcmp(argv[2], "--drat") == 0;
+  // 0 when no cut is asked for.
+  const std::uint32_t cut =
+      drat ? 0 : bench::positive_arg(argc, argv, 2, std::uint32_t{0}, kUsage);
   sat::DimacsProblem p;
   try {
     p = sat::read_dimacs_file(argv[1]);
@@ -59,7 +64,7 @@ int main(int argc, char** argv) {
   std::printf("c proof check: %s (core %zu clauses)\n",
               pc.ok ? "OK" : pc.error.c_str(), solver.proof().core().size());
 
-  if (argc > 3 && std::strcmp(argv[2], "--drat") == 0) {
+  if (drat) {
     std::ofstream out(argv[3]);
     sat::write_drat(solver.proof(), out);
     out.close();
@@ -70,8 +75,7 @@ int main(int argc, char** argv) {
     return 20;
   }
 
-  if (argc > 2) {
-    std::uint32_t cut = static_cast<std::uint32_t>(std::atoi(argv[2]));
+  if (cut > 0) {
     aig::Aig g;
     for (unsigned v = 0; v < p.num_vars; ++v) g.add_input();
     itp::InterpolantExtractor ex(solver.proof());

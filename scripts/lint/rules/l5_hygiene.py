@@ -10,6 +10,9 @@
     environment entry points, src/util/fault.cpp (ITPSEQ_FAULTS) and
     src/obs/trace.cpp (ITPSEQ_TRACE*): an undocumented environment switch
     changes what the library does without any option or flag showing it.
+  * `atof()` / `atoi()` / `atol()` / `atoll()`: they cannot report a parse
+    failure, so a mistyped number silently becomes 0; parse with
+    `std::from_chars` (bench/args.hpp for command-line numbers).
   * `#include "../..."`: parent-relative includes defeat the single
     `-I src` include root; spell the path from src/.
   * Every header must open with `#pragma once` (or a classic guard).
@@ -26,6 +29,7 @@ RULE = "L5"
 DESCRIPTION = "banned patterns, include hygiene, header guards"
 
 _TIME_ARGS = {"nullptr", "NULL", "0"}
+_UNCHECKED_PARSERS = ("atof", "atoi", "atol", "atoll")
 _HOT_PATHS = ("src/sat/",)
 _ENV_ENTRY_POINTS = ("src/util/fault.cpp", "src/obs/trace.cpp")
 
@@ -90,6 +94,12 @@ def check(project: Project, sf: SourceFile):
                 "'getenv()' outside the documented environment entry points "
                 "(util/fault.cpp, obs/trace.cpp); take the setting through "
                 "an options struct or a flag"))
+        elif (t.text in _UNCHECKED_PARSERS and nxt is not None
+                and nxt.text == "(" and _free_call(prev)):
+            out.append(Finding(
+                RULE, sf.path, t.line,
+                f"'{t.text}()' cannot report a parse failure; use "
+                f"std::from_chars (bench/args.hpp for arguments)"))
         elif (t.text == "time" and nxt is not None and nxt.text == "("
                 and _free_call(prev)
                 and i + 2 < n and toks[i + 2].text in _TIME_ARGS

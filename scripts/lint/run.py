@@ -13,7 +13,7 @@ the type system cannot see (and a reviewer forgets under load):
   L7  file write bypassing the atomic temp+rename helper     (src/mc/ src/util/)
 
 Usage:
-    scripts/lint/run.py                 # lint src/ tools/ bench/ tests/
+    scripts/lint/run.py                 # lint src/ tools/ bench/ tests/ examples/
     scripts/lint/run.py src/sat         # lint a subtree
     scripts/lint/run.py --json          # machine-readable findings
     scripts/lint/run.py --list-rules
@@ -40,7 +40,7 @@ import cxx
 import model
 from rules import ALL_RULES
 
-DEFAULT_ROOTS = ("src", "tools", "bench", "tests")
+DEFAULT_ROOTS = ("src", "tools", "bench", "tests", "examples")
 CXX_EXTS = (".cpp", ".hpp", ".h", ".cc", ".hh", ".cxx")
 
 

@@ -5,18 +5,6 @@
 
 namespace itpseq::cnf {
 
-const char* to_string(TargetScheme s) {
-  switch (s) {
-    case TargetScheme::kBound:
-      return "bound-k";
-    case TargetScheme::kExact:
-      return "exact-k";
-    case TargetScheme::kExactAssume:
-      return "assume-k";
-  }
-  return "?";
-}
-
 Unroller::Unroller(const aig::Aig& model, sat::Solver& solver)
     : model_(model), solver_(solver) {
   // Latches at frame 0 are fresh SAT variables; inputs get theirs on demand.
@@ -136,25 +124,6 @@ sat::Lit Unroller::bad_lit(unsigned t, std::uint32_t label, std::size_t prop) {
   if (prop >= model_.num_outputs())
     throw std::out_of_range("bad_lit: no such output");
   return lit(model_.output(prop), t, label);
-}
-
-void Unroller::assert_target(unsigned k, TargetScheme scheme, std::uint32_t label) {
-  switch (scheme) {
-    case TargetScheme::kBound: {
-      std::vector<sat::Lit> disj;
-      for (unsigned t = 1; t <= k; ++t) disj.push_back(bad_lit(t, label));
-      solver_.add_clause(disj, label);
-      break;
-    }
-    case TargetScheme::kExact:
-      solver_.add_clause({bad_lit(k, label)}, label);
-      break;
-    case TargetScheme::kExactAssume:
-      for (unsigned t = 1; t + 1 <= k; ++t)
-        solver_.add_clause({sat::neg(bad_lit(t, label))}, label);
-      solver_.add_clause({bad_lit(k, label)}, label);
-      break;
-  }
 }
 
 sat::Lit Unroller::encode_state_pred(const aig::Aig& sets, aig::Lit root,

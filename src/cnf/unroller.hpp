@@ -44,14 +44,13 @@
 
 namespace itpseq::cnf {
 
-/// The three BMC target formulations of the paper (Section II-A / III).
+/// Target formulations of the sequence engines' BMC checks (Section III).
+/// Standard interpolation's bound-k target (bad at any frame 1..k) is
+/// built by its session (mc/itp_session.hpp).
 enum class TargetScheme : std::uint8_t {
-  kBound,        ///< bad at any frame 1..k (used by standard interpolation)
   kExact,        ///< bad at frame k exactly (violations earlier allowed)
   kExactAssume,  ///< bad at frame k, good at frames 1..k-1
 };
-
-const char* to_string(TargetScheme s);
 
 class Unroller {
  public:
@@ -108,11 +107,6 @@ class Unroller {
   /// `guard` as for assert_init.
   void assert_constraints(unsigned t, std::uint32_t label,
                           sat::Lit guard = sat::kNoLit);
-
-  /// Assert the BMC target for bound k with the given scheme.  Target
-  /// clauses get partition `label` (gate cones per-frame get labels from
-  /// `frame_label(t)` if provided, else `label`).
-  void assert_target(unsigned k, TargetScheme scheme, std::uint32_t label);
 
   /// Encode (and return) an arbitrary predicate over the model's *latches*:
   /// `root` is a literal of `sets`, whose input i corresponds to model

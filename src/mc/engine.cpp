@@ -195,6 +195,13 @@ void Engine::absorb_stats(EngineResult& out, const sat::Solver& solver,
   out.stats.sat_hyper_binaries += s.hyper_binaries - since.hyper_binaries;
 }
 
+void Engine::absorb_session(EngineResult& out, const sat::Solver& solver,
+                            std::uint64_t queries) const {
+  if (queries == 0) return;
+  absorb_stats(out, solver);
+  out.stats.sat_calls += queries - 1;
+}
+
 sat::Status Engine::solve_query(ItpSession& s, aig::Lit start, unsigned n,
                                 EngineResult& out) {
   const sat::SolverStats before = s.solver().stats();

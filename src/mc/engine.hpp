@@ -74,6 +74,11 @@ class Engine {
   /// the statistics it had before the query, so each query counts once.
   void absorb_stats(EngineResult& out, const sat::Solver& solver,
                     const sat::SolverStats& since = {}) const;
+  /// Merge a long-lived solver's work as `queries` SAT calls, once per
+  /// run (its counters are cumulative, so absorbing after every query would
+  /// sum prefixes); nothing when no query ran.
+  void absorb_session(EngineResult& out, const sat::Solver& solver,
+                      std::uint64_t queries) const;
 
   /// One query on a session (mc/itp_session.hpp) from `start` over the
   /// state-set graph, within the engine's budget; its work, and on kUnsat

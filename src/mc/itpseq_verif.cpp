@@ -73,16 +73,20 @@ bool ItpSeqEngine::refine(ItpSession& s, unsigned k, EngineResult& out) {
   SimFrames frames =
       Simulator(model_, prop_).run(extract_trace(s.solver(), s.unroller(), k));
   if (frames.is_cex()) return false;
-  // REFINE: make visible an invisible latch of the cone of influence (the
-  // session ties no other) whose abstract values diverge from the concrete
-  // replay.  Candidates are first restricted to the *frontier* of the
-  // current abstraction — invisible latches feeding the property cone or
-  // the next-state logic of visible latches — so refinement walks the
-  // property's cone of influence instead of pulling in bulk logic.
+  // REFINE: make visible the invisible latch of the *frontier* of the
+  // current abstraction — invisible latches feeding the property, the
+  // constraints or the next-state logic of visible latches — whose abstract
+  // values diverge most from the concrete replay, so refinement walks the
+  // property's cone of influence instead of pulling in bulk logic.  A
+  // spurious trace always has one: if no frontier latch diverged, the
+  // visible latches, the property and the constraints would evaluate
+  // alike in both runs, and the replay would be a counterexample.
   std::vector<bool> frontier(model_.num_latches(), false);
   {
     std::vector<aig::Lit> roots;
     if (prop_ < model_.num_outputs()) roots.push_back(model_.output(prop_));
+    for (std::size_t c = 0; c < model_.num_constraints(); ++c)
+      roots.push_back(model_.constraint(c));
     for (std::size_t i = 0; i < model_.num_latches(); ++i)
       if (visible_[i]) roots.push_back(model_.latch_next(i));
     for (aig::Var v : model_.cone(roots)) {
@@ -104,21 +108,16 @@ bool ItpSeqEngine::refine(ItpSession& s, unsigned k, EngineResult& out) {
   };
   std::size_t best = aig::Aig::kNoIndex;
   unsigned best_score = 0;
-  for (int pass = 0; pass < 2 && best == aig::Aig::kNoIndex; ++pass) {
-    // Pass 0: diverging frontier latches.  Pass 1 (fallback): the most
-    // diverging invisible cone latch, diverging or not.
-    for (std::size_t i = 0; i < model_.num_latches(); ++i) {
-      if (visible_[i] || !s.in_cone(i)) continue;
-      if (pass == 0 && !frontier[i]) continue;
-      unsigned score = divergence(i);
-      if (pass == 0 && score == 0) continue;
-      if (best == aig::Aig::kNoIndex || score > best_score) {
-        best = i;
-        best_score = score;
-      }
+  for (std::size_t i = 0; i < model_.num_latches(); ++i) {
+    if (!frontier[i]) continue;
+    const unsigned score = divergence(i);
+    if (score > best_score) {
+      best = i;
+      best_score = score;
     }
   }
-  if (best == aig::Aig::kNoIndex) return false;  // the whole cone is visible
+  if (best == aig::Aig::kNoIndex)
+    throw std::logic_error("CBA: spurious trace, no frontier latch diverges");
   visible_[best] = true;
   s.set_visible(visible_);
   ++out.stats.cba_refinements;

@@ -1,5 +1,6 @@
 #include "mc/kinduction.hpp"
 
+#include "mc/bmc.hpp"
 #include "obs/trace.hpp"
 
 namespace itpseq::mc {
@@ -23,59 +24,35 @@ void KInductionEngine::add_distinct(sat::Solver& solver, cnf::Unroller& unr,
 }
 
 void KInductionEngine::execute(EngineResult& out) {
-  // Incremental step-case solver: the uninitialized unrolling grows with k;
-  // "good" constraints become permanent, targets are assumed per bound.
+  Bmc base(model_, prop_, opts_);
+  // Step case: the uninitialized unrolling grows with k; "good"
+  // constraints become permanent, targets are assumed per bound.
   sat::Solver step;
   opts_.apply_sat_options(step);
   cnf::Unroller step_unr(model_, step);
   step_unr.assert_constraints(0, 0);
-
-  // The step solver is long-lived and its counters are cumulative, so it is
-  // absorbed once per exit path (a per-bound absorb would sum prefixes
-  // quadratically); the per-bound base solvers are fresh and absorb inline.
   unsigned step_solves = 0;
-  auto finish_step = [&] {
-    if (step_solves == 0) return;
-    absorb_stats(out, step);
-    out.stats.sat_calls += step_solves - 1;
-  };
 
+  out.verdict = Verdict::kUnknown;
   for (unsigned k = 1; k <= opts_.max_bound; ++k) {
     out.k_fp = k;
-    if (out_of_time()) {
-      out.verdict = Verdict::kUnknown;
-      finish_step();
-      return;
-    }
+    if (out_of_time()) break;
     if (obs::enabled()) {
       obs::counters().bounds.fetch_add(1, std::memory_order_relaxed);
       obs::emit("bound_start", {{"k", k}});
     }
     obs::Span obs_bound("bound", {{"k", k}});
 
-    // --- base(k): counterexample of exact depth k ------------------------
+    // --- base(k): counterexample whose first failure is at depth k -------
     {
       obs::Span obs_base("base", {{"k", k}});
-      sat::Solver solver;
-      opts_.apply_sat_options(solver);
-      cnf::Unroller unr(model_, solver);
-      unr.assert_init(0);
-      for (unsigned t = 0; t < k; ++t) unr.add_transition(t, 0);
-      for (unsigned t = 0; t <= k; ++t) unr.assert_constraints(t, 0);
-      solver.add_clause({unr.bad_lit(k, 0, prop_)}, 0);
-      sat::Status st = solver.solve(sat_budget());
-      absorb_stats(out, solver);
-      if (st == sat::Status::kUnknown) {
-        out.verdict = Verdict::kUnknown;
-        finish_step();
-        return;
-      }
+      const sat::Status st = base.check(k, sat_budget());
+      if (st == sat::Status::kUnknown) break;
       if (st == sat::Status::kSat) {
         out.verdict = Verdict::kFail;
         out.j_fp = 0;
-        out.cex = extract_trace(solver, unr, k);
-        finish_step();
-        return;
+        out.cex = extract_trace(base.solver(), base.unroller(), k);
+        break;
       }
     }
 
@@ -87,35 +64,23 @@ void KInductionEngine::execute(EngineResult& out) {
     // target at the previous bound), and the newly created frame k joins
     // the pairwise simple-path constraints.
     step.add_clause({sat::neg(step_unr.bad_lit(k - 1, 0, prop_))}, 0);
-    if (unique_states_)
-      for (unsigned i = 0; i < k; ++i) add_distinct(step, step_unr, i, k);
+    for (unsigned i = 0; i < k; ++i) add_distinct(step, step_unr, i, k);
 
-    sat::Status st =
+    const sat::Status st =
         step.solve_assuming({step_unr.bad_lit(k, 0, prop_)}, sat_budget());
     ++step_solves;
-    if (st == sat::Status::kUnknown) {
-      out.verdict = Verdict::kUnknown;
-      finish_step();
-      return;
-    }
+    if (st == sat::Status::kUnknown) break;
     if (st == sat::Status::kUnsat) {
-      if (!step.ok()) {
-        // The path constraints themselves became unsatisfiable: the
-        // recurrence diameter is exceeded, so the base cases exhausted all
-        // behaviours — the property holds.
-        out.verdict = Verdict::kPass;
-        out.j_fp = k;
-        finish_step();
-        return;
-      }
+      // Also when the path constraints themselves became unsatisfiable
+      // (!step.ok()): the recurrence diameter is exceeded, so the base
+      // cases exhausted all behaviours.
       out.verdict = Verdict::kPass;
       out.j_fp = k;
-      finish_step();
-      return;
+      break;
     }
   }
-  out.verdict = Verdict::kUnknown;
-  finish_step();
+  absorb_session(out, base.solver(), base.checks());
+  absorb_session(out, step, step_solves);
 }
 
 EngineResult check_kinduction(const aig::Aig& model, std::size_t prop,

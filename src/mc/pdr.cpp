@@ -806,13 +806,7 @@ void PdrEngine::execute(EngineResult& out) {
   pstats_ = PdrStats{};
   PdrContext ctx(model_, prop_, opts_, space_, pstats_, remaining());
   ctx.run(out);
-  // One incremental solver for the whole run: absorb its cumulative
-  // counters once, and only if a query actually ran (absorb_stats counts a
-  // call unconditionally).
-  if (pstats_.queries > 0) {
-    absorb_stats(out, ctx.solver());
-    out.stats.sat_calls += pstats_.queries - 1;
-  }
+  absorb_session(out, ctx.solver(), pstats_.queries);
   if (out.verdict == Verdict::kPass && !out.certificate.has_value())
     out.certificate = make_certificate(ctx.invariant());
 }

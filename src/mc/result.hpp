@@ -99,8 +99,9 @@ struct Trace {
 struct EngineOptions {
   double time_limit_sec = 60.0;   ///< total wall-clock budget
   unsigned max_bound = 500;       ///< give up beyond this BMC bound
-  /// BMC check formulation for the BMC and sequence engines (Section III);
-  /// standard ITP always uses the bound-k target its soundness needs.
+  /// Target of the sequence engines' BMC checks (Section III); CBA always
+  /// uses exact-k (Fig. 5), standard ITP the bound-k target its soundness
+  /// needs, and BMC and k-induction the assume-k one (mc/bmc.hpp).
   cnf::TargetScheme scheme = cnf::TargetScheme::kExactAssume;
   /// Labeled interpolation system used to extract interpolants.  McMillan
   /// is the paper's system; Pudlak / inverse McMillan give progressively
@@ -109,11 +110,6 @@ struct EngineOptions {
   /// Serial fraction alpha_s of Fig. 4: 0 = parallel ITPSEQ,
   /// 1 = fully serial; the paper's SITPSEQ uses 0.5.
   double serial_alpha = 0.0;
-  /// BMC engine: keep one incremental solver across bounds (single-instance
-  /// formulation in the spirit of the paper's reference [13]) instead of
-  /// re-encoding the unrolling at every k.  The monolithic re-encoding is
-  /// O(k^2) total work and is kept (off) as the cross-check mode.
-  bool bmc_incremental = true;
   /// Sequence engines: garbage-collect the state-set AIG between bounds
   /// once it exceeds this node count (0 = never).  Bounds the growth of the
   /// interpolant store over long runs.
@@ -134,9 +130,9 @@ struct EngineOptions {
   /// proofs, interpolants and tracecheck export stay valid.  A round does
   /// change the search, though, so proofs, interpolants and the bound an
   /// interpolation engine converges at can differ.  Rounds must be paid for
-  /// by reuse or by search (sat/solver.hpp), so one-shot solvers (a BMC
-  /// bound, a certificate check) run one only after a long search, and
-  /// long-lived ones (PDR, incremental BMC) run them routinely.
+  /// by reuse or by search (sat/solver.hpp), so one-shot solvers (a
+  /// certificate check) run one only after a long search, and long-lived
+  /// ones (every engine's session) run them routinely.
   bool sat_inprocess = true;
   /// Learned-clause cap override for every SAT solver the engine creates
   /// (sat::Solver::set_reduce_base); 0 keeps the solver default.  The

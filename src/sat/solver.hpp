@@ -13,10 +13,10 @@
 // sequences are then extracted from that refutation (itp/interpolate.hpp).
 //
 // Both usage styles are supported, with or without proof logging: one-shot
-// (create, new_var/add_clause, solve(); how CBA and PBA solve each query)
-// and long-lived incremental (clauses added between solve_assuming() calls,
-// query-specific clauses behind activation literals; how ITP, ITPSEQ,
-// SITPSEQ, PDR and incremental BMC operate).  The storage layer below is
+// (create, new_var/add_clause, solve(); how the depth-0 and certificate
+// checks solve) and long-lived incremental (clauses added between
+// solve_assuming() calls, query-specific clauses behind activation
+// literals; how every engine searches).  The storage layer below is
 // built so the incremental style stays lean over thousands of queries.
 //
 // --- Clause storage architecture -------------------------------------------
@@ -62,7 +62,7 @@
 // left in the old arena.  GC remaps CRefs but NEVER renumbers ClauseIds —
 // proof chains, interpolation and DRAT/tracecheck output stay valid across
 // any number of collections.  This is what keeps one-solver-per-run engines
-// (PDR, incremental BMC/ITPSEQ) at a bounded footprint: clauses retired by
+// (PDR, BMC, the sessions) at a bounded footprint: clauses retired by
 // activation-literal units become satisfied at level 0, are physically
 // reclaimed, and their watcher entries disappear with them.
 //
@@ -72,7 +72,7 @@
 // *between* searches: a round runs at solve entry or at a level-0 restart,
 // but only once it is paid for.  A solver's first round is paid for by
 // reuse: it runs at the entry of its second solve call, so a solver that is
-// solved once (one BMC bound, one certificate check) only gets rounds that a
+// solved once (a depth-0 check, a certificate check) only gets rounds that a
 // long search pays for.  Every other round is paid for by search: it needs
 // inprocess-interval conflicts since the previous round, or since the solver
 // was created if none has run yet (set_inprocess_interval; 0 forces a round

@@ -29,12 +29,6 @@ struct NamedEngine {
 std::vector<NamedEngine> all_engines() {
   return {
       {"bmc", [](const aig::Aig& g, std::size_t p, EngineOptions o) {
-         o.bmc_incremental = false;  // monolithic cross-check mode
-         return check_bmc(g, p, o);
-       }},
-      {"bmc-incremental",
-       [](const aig::Aig& g, std::size_t p, EngineOptions o) {
-         o.bmc_incremental = true;
          return check_bmc(g, p, o);
        }},
       {"itp", [](const aig::Aig& g, std::size_t p, EngineOptions o) {

@@ -77,16 +77,6 @@ TEST_F(CliTest, McFailExitCode1WithValidWitness) {
   EXPECT_NE(out.find("1\nb0\n"), std::string::npos) << out;  // witness header
 }
 
-TEST_F(CliTest, McBmcIncrementalModesAgree) {
-  // Incremental (default) and the monolithic cross-check mode must find
-  // the same verdict through the CLI.
-  for (const char* mode : {"--incremental=on", "--incremental=off"}) {
-    std::string cmd = tool("itpseq-mc") + " -q -t 30 -e bmc " +
-                      std::string(mode) + " " + fail_aag_;
-    EXPECT_EQ(run(cmd), 1) << mode;
-  }
-}
-
 TEST_F(CliTest, McEveryEngineAgrees) {
   for (const char* e :
        {"itp", "itpseq", "sitpseq", "itpseq-cba", "itpseq-pba", "pdr", "bmc",
@@ -230,7 +220,8 @@ TEST_F(CliTest, McUsageErrors) {
         "-e itpseq --fraig", "-e portfolio --no-exchange",
         "-e portfolio --checkpoint ckpt.its",
         "-e portfolio --checkpoint-interval 1",
-        "-e portfolio --resume ckpt.its"})
+        "-e portfolio --resume ckpt.its", "-e bmc --incremental",
+        "-e bmc --incremental=off", "-e bmc --no-incremental"})
     EXPECT_EQ(run(mc + flags + " " + fail_aag_), 2) << flags;
 }
 

@@ -122,73 +122,6 @@ TEST(Unroller, UnrollingMatchesSimulation) {
   }
 }
 
-TEST(Unroller, TargetSchemes) {
-  // counter(3, 8, 5): bad at depth exactly 5.
-  aig::Aig g = bench::counter(3, 8, 5);
-  for (auto scheme : {cnf::TargetScheme::kBound, cnf::TargetScheme::kExact,
-                      cnf::TargetScheme::kExactAssume}) {
-    // k = 5 must be SAT for every scheme.
-    {
-      sat::Solver s;
-      cnf::Unroller unr(g, s);
-      unr.assert_init(0);
-      for (unsigned t = 0; t < 5; ++t) unr.add_transition(t, 0);
-      unr.assert_target(5, scheme, 0);
-      EXPECT_EQ(s.solve(), sat::Status::kSat) << cnf::to_string(scheme);
-    }
-    // k = 4 must be UNSAT for every scheme.
-    {
-      sat::Solver s;
-      cnf::Unroller unr(g, s);
-      unr.assert_init(0);
-      for (unsigned t = 0; t < 4; ++t) unr.add_transition(t, 0);
-      unr.assert_target(4, scheme, 0);
-      EXPECT_EQ(s.solve(), sat::Status::kUnsat) << cnf::to_string(scheme);
-    }
-  }
-  // Exact-k at k = 6 is UNSAT (counter passed 5), bound-k at 6 stays SAT.
-  {
-    sat::Solver s;
-    cnf::Unroller unr(g, s);
-    unr.assert_init(0);
-    for (unsigned t = 0; t < 6; ++t) unr.add_transition(t, 0);
-    unr.assert_target(6, cnf::TargetScheme::kExact, 0);
-    EXPECT_EQ(s.solve(), sat::Status::kUnsat);
-  }
-  {
-    sat::Solver s;
-    cnf::Unroller unr(g, s);
-    unr.assert_init(0);
-    for (unsigned t = 0; t < 6; ++t) unr.add_transition(t, 0);
-    unr.assert_target(6, cnf::TargetScheme::kBound, 0);
-    EXPECT_EQ(s.solve(), sat::Status::kSat);
-  }
-}
-
-TEST(Unroller, AssumeSchemeExcludesEarlierViolations) {
-  // Circuit failing at depths 3 and 6 (counter hits 3, wraps at 8... use
-  // bad = count==3 with modulo 5: bad depths 3, 8, 13...).  assume-k at
-  // k=8 requires good at 1..7 — but the path *must* pass through count==3
-  // at t=3, so assume-8 is UNSAT while exact-8 is SAT.
-  aig::Aig g = bench::counter(3, 5, 3);
-  {
-    sat::Solver s;
-    cnf::Unroller unr(g, s);
-    unr.assert_init(0);
-    for (unsigned t = 0; t < 8; ++t) unr.add_transition(t, 0);
-    unr.assert_target(8, cnf::TargetScheme::kExact, 0);
-    EXPECT_EQ(s.solve(), sat::Status::kSat);
-  }
-  {
-    sat::Solver s;
-    cnf::Unroller unr(g, s);
-    unr.assert_init(0);
-    for (unsigned t = 0; t < 8; ++t) unr.add_transition(t, 0);
-    unr.assert_target(8, cnf::TargetScheme::kExactAssume, 0);
-    EXPECT_EQ(s.solve(), sat::Status::kUnsat);
-  }
-}
-
 TEST(Unroller, UntiedLatchesAreFreeCutpoints) {
   // counter(3, 8, 5): bad (count == 5) is five steps from reset.  A latch
   // without its reset unit is free at frame 0, and an untied latch is free

@@ -107,6 +107,29 @@ TEST(Constraints, BmcCannotFailBlockedDesign) {
             mc::Verdict::kFail);
 }
 
+TEST(Constraints, CbaRefinesThroughTheConstraint) {
+  // input i; latch u (reset 0, next u); latch v (reset 0, next i); bad = v;
+  // constraint u.  The reset state violates the constraint, so the design
+  // has no trace at all.  CBA starts from v, the property's support, with u
+  // free: its abstract trace is spurious only through the constraint, and
+  // u, on the constraint's cone, is the latch refinement must pick.
+  aig::Aig g;
+  const aig::Lit i = g.add_input("i");
+  const aig::Lit u = g.add_latch(aig::LatchInit::kZero, "u");
+  const aig::Lit v = g.add_latch(aig::LatchInit::kZero, "v");
+  g.set_latch_next(u, u);
+  g.set_latch_next(v, i);
+  g.add_output(v);
+  g.add_constraint(u);
+  EXPECT_EQ(bdd::bdd_check(g).verdict, bdd::ReachVerdict::kPass);
+  mc::EngineOptions opts;
+  opts.time_limit_sec = 20.0;
+  const mc::EngineResult r = mc::check_itpseq_cba(g, 0, opts);
+  EXPECT_EQ(r.verdict, mc::Verdict::kPass) << r.error.message;
+  EXPECT_EQ(r.k_fp, 1u);
+  EXPECT_EQ(r.stats.cba_refinements, 1u);
+}
+
 TEST(Constraints, RandomSimCannotFailBlockedDesign) {
   EXPECT_NE(mc::check_random_sim(blocked_queue(4), 0, 64, 64).verdict,
             mc::Verdict::kFail);

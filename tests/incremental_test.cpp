@@ -1,6 +1,7 @@
 // incremental_test.cpp — incremental SAT interface (assumptions, clause
 // addition between solves, failed-assumption cores, one refutation per
-// query under proof logging) and incremental BMC.
+// query under proof logging), and BMC and k-induction on one growing
+// instance (mc::Bmc) against a monolithic reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "bench_circuits/suite.hpp"
 #include "mc/bmc.hpp"
 #include "mc/engine.hpp"
+#include "mc/kinduction.hpp"
 #include "mc/sim.hpp"
 #include "sat/drat.hpp"
 #include "sat/proof_check.hpp"
@@ -312,50 +314,97 @@ TEST_P(IncrementalRandomTest, AgreesWithFreshSolver) {
 
 INSTANTIATE_TEST_SUITE_P(Sessions, IncrementalRandomTest, ::testing::Range(0, 40));
 
-// --- incremental BMC ---------------------------------------------------------
+// --- incremental BMC and k-induction ---------------------------------------
 
-class IncrementalBmcTest : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(IncrementalBmcTest, MatchesMonolithicBmc) {
-  auto suite = bench::make_academic_suite(24);
-  if (GetParam() >= suite.size()) GTEST_SKIP();
-  const bench::Instance& inst = suite[GetParam()];
-  const bool fails = inst.expected == bench::Expected::kFail;
-
-  mc::EngineOptions mono;
-  mono.time_limit_sec = 20.0;
-  // On PASS instances BMC can only exhaust the bound; cap it so the
-  // crosscheck ("no counterexample up to k" must agree too) stays fast.
-  mono.max_bound = fails ? 60 : 10;
-  mono.bmc_incremental = false;  // monolithic cross-check mode
-  mc::EngineOptions incr = mono;
-  incr.bmc_incremental = true;
-  ASSERT_TRUE(mc::EngineOptions{}.bmc_incremental)
-      << "incremental BMC should be the default";
-
-  for (auto scheme : {cnf::TargetScheme::kExact, cnf::TargetScheme::kExactAssume,
-                      cnf::TargetScheme::kBound}) {
-    mono.scheme = incr.scheme = scheme;
-    mc::EngineResult a = mc::check_bmc(inst.model, 0, mono);
-    mc::EngineResult b = mc::check_bmc(inst.model, 0, incr);
-    if (!fails) {
-      // Neither formulation may "find" a counterexample on a safe model.
-      EXPECT_NE(a.verdict, mc::Verdict::kFail) << inst.name;
-      EXPECT_NE(b.verdict, mc::Verdict::kFail) << inst.name;
-      continue;
-    }
-    if (a.verdict == mc::Verdict::kUnknown || b.verdict == mc::Verdict::kUnknown)
-      continue;
-    EXPECT_EQ(a.verdict, b.verdict) << inst.name;
-    ASSERT_EQ(b.verdict, mc::Verdict::kFail);
-    EXPECT_TRUE(mc::trace_is_cex(inst.model, b.cex, 0))
-        << inst.name << " incremental cex invalid";
-    EXPECT_EQ(a.cex.depth(), b.cex.depth()) << inst.name;
+/// Reference: the first depth 1..max_bound at which a fresh solver over the
+/// full unrolling (every latch tied, no target but bad at exactly that
+/// depth) is satisfiable, or 0 when none is: the monolithic formulation,
+/// which encodes the whole unrolling afresh at every bound.
+unsigned monolithic_fail_depth(const aig::Aig& g, unsigned max_bound) {
+  for (unsigned k = 1; k <= max_bound; ++k) {
+    sat::Solver s;
+    cnf::Unroller unr(g, s);
+    unr.assert_init(0);
+    for (unsigned t = 0; t < k; ++t) unr.add_transition(t, 0);
+    for (unsigned t = 0; t <= k; ++t) unr.assert_constraints(t, 0);
+    s.add_clause({unr.bad_lit(k, 0)}, 0);
+    if (s.solve() == Status::kSat) return k;
   }
+  return 0;
 }
 
-INSTANTIATE_TEST_SUITE_P(Suite, IncrementalBmcTest,
-                         ::testing::Range(0u, 40u, 3u));
+struct SuiteCounts {
+  unsigned fail = 0, pass = 0, unknown = 0;
+};
+
+/// Run `check` up to `max_bound` on every instance with no wall-clock cap.
+/// `ref[i]` is instance i's monolithic_fail_depth up to at least max_bound.
+/// Every FAIL must replay at the reference depth (and at the suite's known
+/// depth); without a FAIL the reference must find none up to max_bound.
+SuiteCounts check_against_reference(
+    const std::vector<const bench::Instance*>& suite,
+    const std::vector<unsigned>& ref, unsigned max_bound,
+    mc::EngineResult (*check)(const aig::Aig&, std::size_t,
+                              const mc::EngineOptions&)) {
+  mc::EngineOptions opts;
+  opts.time_limit_sec = 1e9;
+  opts.max_bound = max_bound;
+  SuiteCounts n;
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    const bench::Instance& inst = *suite[i];
+    const unsigned depth = ref[i] <= max_bound ? ref[i] : 0;
+    const mc::EngineResult r = check(inst.model, 0, opts);
+    if (r.verdict == mc::Verdict::kFail) {
+      ++n.fail;
+      EXPECT_TRUE(mc::trace_is_cex(inst.model, r.cex, 0)) << inst.name;
+      EXPECT_EQ(r.cex.depth(), depth) << inst.name;
+      EXPECT_EQ(r.k_fp, depth) << inst.name;
+      if (inst.fail_depth >= 0) {
+        EXPECT_EQ(r.cex.depth(), static_cast<unsigned>(inst.fail_depth))
+            << inst.name;
+      }
+      continue;
+    }
+    EXPECT_EQ(depth, 0u) << inst.name << " " << mc::to_string(r.verdict);
+    if (r.verdict == mc::Verdict::kPass) {
+      ++n.pass;
+      EXPECT_NE(inst.expected, bench::Expected::kFail) << inst.name;
+    } else {
+      ++n.unknown;
+      EXPECT_EQ(r.verdict, mc::Verdict::kUnknown) << inst.name;
+    }
+  }
+  return n;
+}
+
+TEST(IncrementalBmc, SuiteFailDepthsMatchMonolithicReference) {
+  // BMC to bound 40 on the academic suite designs and to bound 20 on the
+  // industrial ones (their known depths are at most 16; the reference
+  // takes seconds per design beyond), k-induction to bound 25 on the
+  // academic ones.
+  const std::vector<bench::Instance> suite = bench::make_suite();
+  std::vector<const bench::Instance*> academic, industrial;
+  std::vector<unsigned> academic_ref, industrial_ref;
+  for (const bench::Instance& inst : suite) {
+    const unsigned cap = inst.industrial ? 20 : 40;
+    (inst.industrial ? industrial : academic).push_back(&inst);
+    (inst.industrial ? industrial_ref : academic_ref)
+        .push_back(monolithic_fail_depth(inst.model, cap));
+  }
+  ASSERT_EQ(academic.size() + industrial.size(), 102u);
+  const SuiteCounts bmc_a =
+      check_against_reference(academic, academic_ref, 40, mc::check_bmc);
+  const SuiteCounts bmc_i =
+      check_against_reference(industrial, industrial_ref, 20, mc::check_bmc);
+  EXPECT_EQ(bmc_a.fail + bmc_i.fail, 45u);
+  EXPECT_EQ(bmc_a.pass + bmc_i.pass, 0u);
+  EXPECT_EQ(bmc_a.unknown + bmc_i.unknown, 57u);
+  const SuiteCounts kind =
+      check_against_reference(academic, academic_ref, 25, mc::check_kinduction);
+  EXPECT_EQ(kind.fail, 36u);
+  EXPECT_EQ(kind.pass, 47u);
+  EXPECT_EQ(kind.unknown, 3u);
+}
 
 TEST(IncrementalBmc, FasterSchedulesStillSound) {
   // Deep counterexample: the single-instance formulation must find the
@@ -363,7 +412,6 @@ TEST(IncrementalBmc, FasterSchedulesStillSound) {
   aig::Aig g = bench::token_ring(24, true);
   mc::EngineOptions opts;
   opts.time_limit_sec = 30.0;
-  opts.bmc_incremental = true;
   mc::EngineResult r = mc::check_bmc(g, 0, opts);
   ASSERT_EQ(r.verdict, mc::Verdict::kFail);
   EXPECT_EQ(r.cex.depth(), 23u);

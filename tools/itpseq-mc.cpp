@@ -76,7 +76,8 @@ void usage(const char* argv0) {
                "                    settable via ITPSEQ_FAULTS (see\n"
                "                    src/util/fault.hpp for the site list)\n"
                "  -k, --max-bound K BMC bound limit (default 500)\n"
-               "      --scheme S    exact | assume   BMC target scheme (default assume)\n"
+               "      --scheme S    exact | assume   target of the sequence\n"
+               "                    engines' BMC checks (default assume)\n"
                "      --itp-system S mcmillan | pudlak | inverse  (default mcmillan)\n"
                "      --alpha A     serial fraction for sitpseq (default 0.5)\n"
                "      --sat-inprocess[=on|off]\n"
@@ -85,12 +86,7 @@ void usage(const char* argv0) {
                "                    every engine's SAT solvers (default on;\n"
                "                    proof-logging safe).  A round runs once a\n"
                "                    solver is re-solved or has searched 4000\n"
-               "                    conflicts, so it mostly helps long-lived\n"
-               "                    solvers (pdr, incremental bmc)\n"
-               "      --incremental[=on|off]\n"
-      "                    incremental BMC solver (bmc engine only;\n"
-      "                    default on, off = monolithic re-encoding\n"
-      "                    cross-check mode)\n"
+               "                    conflicts\n"
                "      --pdr-lift[=on|off]\n"
                "                    ternary-simulation cube lifting in PDR\n"
                "                    (default on)\n"
@@ -267,10 +263,6 @@ bool parse_args(int argc, char** argv, Args& a) {
       a.opts.sat_inprocess = true;
     } else if (s == "--sat-inprocess=off" || s == "--no-sat-inprocess") {
       a.opts.sat_inprocess = false;
-    } else if (s == "--incremental" || s == "--incremental=on") {
-      a.opts.bmc_incremental = true;
-    } else if (s == "--incremental=off" || s == "--no-incremental") {
-      a.opts.bmc_incremental = false;
     } else if (s == "-j" || s == "--jobs") {
       if (!(v = need(i))) return false;
       a.jobs = parse_uint<unsigned>(argv[i - 1], v);
