@@ -88,6 +88,8 @@ EngineResult Engine::run() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
           .count();
   out.stats.state_aig_nodes = space_.graph().num_ands();
+  out.stats.fixpoint_checks = space_.num_checks();
+  out.stats.fixpoint_sat_calls = space_.num_sat_calls();
   return out;
 }
 

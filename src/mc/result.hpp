@@ -180,6 +180,8 @@ struct EngineStats {
   std::uint64_t proof_clauses = 0;     // total core clauses over all proofs
   std::size_t max_itp_nodes = 0;       // largest interpolant AIG cone
   std::size_t state_aig_nodes = 0;     // final state-set AIG size
+  std::uint64_t fixpoint_checks = 0;     // StateSpace::implies() calls
+  std::uint64_t fixpoint_sat_calls = 0;  // ... that reached its checker
   unsigned cba_visible_latches = 0;    // CBA only: final abstraction size
   unsigned cba_refinements = 0;        // CBA only
 
@@ -205,6 +207,8 @@ struct EngineStats {
     proof_clauses += s.proof_clauses;
     if (s.max_itp_nodes > max_itp_nodes) max_itp_nodes = s.max_itp_nodes;
     if (s.state_aig_nodes > state_aig_nodes) state_aig_nodes = s.state_aig_nodes;
+    fixpoint_checks += s.fixpoint_checks;
+    fixpoint_sat_calls += s.fixpoint_sat_calls;
     if (s.cba_visible_latches > cba_visible_latches)
       cba_visible_latches = s.cba_visible_latches;
     cba_refinements += s.cba_refinements;

@@ -140,6 +140,8 @@ std::string stats_json(const EngineResult& r, const obs::TraceSink* sink,
   kv_u64(out, "proof_clauses", s.proof_clauses);
   kv_u64(out, "max_itp_nodes", s.max_itp_nodes);
   kv_u64(out, "state_aig_nodes", s.state_aig_nodes);
+  kv_u64(out, "fixpoint_checks", s.fixpoint_checks);
+  kv_u64(out, "fixpoint_sat_calls", s.fixpoint_sat_calls);
   kv_u64(out, "cba_visible_latches", s.cba_visible_latches);
   kv_u64(out, "cba_refinements", s.cba_refinements, /*comma=*/false);
   out += '}';

@@ -4,19 +4,27 @@
 // Every engine keeps one StateSpace: an AIG whose input i stands for model
 // latch i.  Interpolants are extracted into this AIG; unions, intersections
 // and the containment checks ("I_j implies R_{j-1}", the fixpoint test of
-// Figs. 1/2/5) are performed here, the latter by SAT.
+// Figs. 1/2/5) are performed here.
 //
-// All containment and satisfiability queries run on ONE persistent checker:
-// a solver (no proof logging, no inprocessing) that only ever receives the
-// Tseitin gate definitions of the state-set nodes queried so far.  A query
-// is pure assumptions — implies(a, b) solves {enc(a), ¬enc(b)} — so every
-// learned clause follows from the definitions alone and never depends on an
-// earlier query.  The checker is created at the first query and dropped by
-// compact(), the only operation that renumbers state-set variables.
+// A containment query implies(a, b) — is a ∧ ¬b unsatisfiable? — is
+// answered in two steps:
+//  1. The witness pool: 64 concrete states, one bit each of a uint64_t per
+//     input, simulated bit-parallel over the graph (FRAIG-style reuse of
+//     counterexamples).  A state in a ∧ ¬b answers kFails with no SAT call.
+//     The pool holds the checker's latest satisfying states; a slot not yet
+//     filled is the all-zero state.  Node values are cached up to a
+//     high-water mark, so a query simulates only the nodes added since.
+//  2. The checker: ONE persistent solver (no proof logging, no
+//     inprocessing) that only ever receives the Tseitin gate definitions of
+//     the state-set nodes queried so far.  A query is pure assumptions —
+//     {enc(a), ¬enc(b)} — so every learned clause follows from the
+//     definitions alone and never depends on an earlier query.  The checker
+//     is created at the first query and dropped by compact(), the only
+//     operation that renumbers state-set variables.
+// So kHolds always comes from SAT, and every answer is the checker's.
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <optional>
 
 #include "aig/aig.hpp"
@@ -50,24 +58,25 @@ class StateSpace {
   /// visible latches are constrained (CBA abstract initial states).
   aig::Lit init_pred(const std::vector<bool>& visible = {});
 
-  /// SAT containment check: does `a` imply `b` over the state space?
-  /// (i.e. is a AND NOT b unsatisfiable?)  Solved on the persistent checker
-  /// under the assumptions {a, NOT b}; nothing is asserted, so the answer
-  /// does not depend on earlier queries.  `cancel` (optional) aborts the
-  /// SAT call cooperatively with kUnknown; later queries are unaffected.
+  /// Containment check: does `a` imply `b` over the state space?  (i.e.
+  /// is a AND NOT b unsatisfiable?)  A query that is cancelled or has a zero
+  /// time budget answers kUnknown; otherwise a pool witness in a AND NOT b
+  /// answers kFails, and the persistent checker, under the assumptions
+  /// {a, NOT b}, answers the rest.  Nothing is asserted, so the answer does
+  /// not depend on earlier queries.  `cancel` (optional) aborts the SAT call
+  /// cooperatively with kUnknown; later queries are unaffected.
   Implication implies(aig::Lit a, aig::Lit b, double time_limit_sec,
                       const std::atomic<bool>* cancel = nullptr);
-
-  /// Is the predicate satisfiable at all?  Same checker, assumption {a}.
-  Implication satisfiable(aig::Lit a, double time_limit_sec,
-                          const std::atomic<bool>* cancel = nullptr);
 
   /// Garbage-collect the state-set AIG: rebuild it keeping only the cones
   /// of `roots`, which are remapped in place.  All other literals into the
   /// old graph become invalid.  Resets the checker (its encoding is keyed
-  /// on the old variable ids); the next query starts a fresh one.
+  /// on the old variable ids); the next query starts a fresh one.  The
+  /// witness pool survives: compaction keeps the input order.
   void compact(std::vector<aig::Lit*> roots);
 
+  /// implies() calls, and those of them that reached the checker.
+  std::size_t num_checks() const { return checks_; }
   std::size_t num_sat_calls() const { return sat_calls_; }
 
  private:
@@ -77,14 +86,20 @@ class StateSpace {
     cnf::TseitinEncoder enc;  // memoizes every encoded node, leaves included
   };
 
-  /// Satisfiability of the conjunction of `conj`, as assumptions on the
-  /// checker.  The one query path behind implies() and satisfiable().
-  sat::Status solve(std::initializer_list<aig::Lit> conj,
-                    double time_limit_sec, const std::atomic<bool>* cancel);
+  /// Value of `l` under every pool witness, bit w for witness w;
+  /// simulates the nodes above the high-water mark up to `l`'s first.
+  std::uint64_t simulate(aig::Lit l);
+  /// Store the checker's model as the next witness, over the oldest.
+  void add_witness();
 
   const aig::Aig& model_;
   aig::Aig sets_;
   std::optional<Checker> checker_;
+  /// sim_[v]: node v's value under every witness, for v < sim_.size() (the
+  /// high-water mark).  Entries 1..num_inputs() are the pool itself.
+  std::vector<std::uint64_t> sim_;
+  unsigned next_witness_ = 0;  // slot the next witness overwrites
+  std::size_t checks_ = 0;
   std::size_t sat_calls_ = 0;
 };
 

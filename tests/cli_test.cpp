@@ -214,6 +214,14 @@ TEST_F(CliTest, McUsageErrors) {
         "-p 0x", "-e portfolio -j -1", "-e portfolio -j 2x",
         "-e bmc --mem-limit -5", "-e bmc --mem-limit 99999999999999999"})
     EXPECT_EQ(run(mc + flags + " " + fail_aag_), 2) << flags;
+  // Real-valued flags: finite, no trailing text, in range (--timeout >= 0,
+  // --alpha in (0, 1]).
+  for (const char* flags :
+       {"-e bmc -t 5x", "-e bmc -t nan", "-e bmc -t inf", "-e bmc -t -1",
+        "-e bmc -t 1e999", "-e bmc -t ''", "--alpha 0.5x", "--alpha -1",
+        "--alpha nan", "--alpha 5", "--alpha 0", "--alpha inf"})
+    EXPECT_EQ(run(mc + flags + " " + fail_aag_), 2) << flags;
+  EXPECT_EQ(run(mc + "--alpha 1 " + fail_aag_), 1);
   // Engine variants and flags that the CLI no longer offers.
   for (const char* flags :
        {"-e itp-part", "-e itpseq-cba-pba", "-e sitpseq --dynamic",

@@ -438,6 +438,27 @@ TEST(ObsTest, StatsJsonRoundTripsEngineStats) {
             r.stats.sat_conflicts);
 }
 
+TEST(ObsTest, StatsJsonReportsFixpointChecks) {
+  // A PASS needs a holding containment check, and only the checker proves
+  // one; the witness pool answers some of the failing ones.
+  aig::Aig pass = bench::token_ring(6, false);
+  mc::EngineOptions eo;
+  eo.time_limit_sec = 30.0;
+  mc::EngineResult r = mc::check_itpseq(pass, 0, eo);
+  ASSERT_EQ(r.verdict, mc::Verdict::kPass);
+  EXPECT_GT(r.stats.fixpoint_sat_calls, 0u);
+  EXPECT_LE(r.stats.fixpoint_sat_calls, r.stats.fixpoint_checks);
+
+  Json j;
+  const std::string body = mc::stats_json(r, nullptr, "obs_test", "ring.aag");
+  ASSERT_TRUE(JsonParser(body).parse(j)) << body;
+  const Json& s = j.at("stats");
+  EXPECT_EQ(static_cast<std::uint64_t>(s.at("fixpoint_checks").num),
+            r.stats.fixpoint_checks);
+  EXPECT_EQ(static_cast<std::uint64_t>(s.at("fixpoint_sat_calls").num),
+            r.stats.fixpoint_sat_calls);
+}
+
 TEST(ObsTest, PortfolioProducesNoTornLines) {
   aig::Aig pass = bench::token_ring(8, false);
   // jobs=1 is a one-worker pool: the same scheduler, the same events.

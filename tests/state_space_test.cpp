@@ -1,6 +1,6 @@
 // state_space_test.cpp — unit tests for the symbolic state-set manager and
-// its SAT containment checks, including a differential test of the
-// persistent checker against a fresh solver per query.
+// its containment checks, including a differential test of the witness
+// pool and the persistent checker against a fresh solver per query.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -75,14 +75,27 @@ TEST(StateSpace, ImpliesBasics) {
   EXPECT_GT(s.num_sat_calls(), 0u);
 }
 
-TEST(StateSpace, Satisfiable) {
+TEST(StateSpace, WitnessAnswersWithoutSat) {
   aig::Aig g = bench::counter(3, 8, 5);
   StateSpace s(g);
   aig::Aig& G = s.graph();
-  aig::Lit contradiction = G.make_and(G.input(0), aig::lit_not(G.input(0)));
-  EXPECT_EQ(contradiction, aig::kFalse);  // strash folds it
-  EXPECT_EQ(s.satisfiable(G.input(1), 5.0), Implication::kHolds);
-  EXPECT_EQ(s.satisfiable(aig::kFalse, 5.0), Implication::kFails);
+  aig::Lit x0 = G.input(0), x1 = G.input(1), x2 = G.input(2);
+  // The all-zero slots do not refute x0 ⇒ x1: the checker finds a witness
+  // with x0 = 1, x1 = 0 and stores it.
+  EXPECT_EQ(s.implies(x0, x1, 5.0), Implication::kFails);
+  EXPECT_EQ(s.num_sat_calls(), 1u);
+  // That witness is in x0 ∧ ¬(x1 ∧ x2): refuted with no SAT call.
+  EXPECT_EQ(s.implies(x0, G.make_and(x1, x2), 5.0), Implication::kFails);
+  EXPECT_EQ(s.num_sat_calls(), 1u);
+  // A containment that holds has no witness: only SAT answers it.
+  EXPECT_EQ(s.implies(G.make_and(x0, x1), x0, 5.0), Implication::kHolds);
+  EXPECT_EQ(s.num_sat_calls(), 2u);
+  // The pool survives compaction, which keeps the input order.
+  s.compact({});
+  EXPECT_EQ(s.implies(s.latch_input(0), s.latch_input(1), 5.0),
+            Implication::kFails);
+  EXPECT_EQ(s.num_sat_calls(), 2u);
+  EXPECT_EQ(s.num_checks(), 4u);
 }
 
 TEST(StateSpace, CompactRemapsRoots) {
@@ -123,11 +136,6 @@ Implication oracle_implies(const aig::Aig& g, aig::Lit a, aig::Lit b) {
   return fresh_solve(g, {a, aig::lit_not(b)}) == sat::Status::kUnsat
              ? Implication::kHolds
              : Implication::kFails;
-}
-
-Implication oracle_satisfiable(const aig::Aig& g, aig::Lit a) {
-  return fresh_solve(g, {a}) == sat::Status::kSat ? Implication::kHolds
-                                                  : Implication::kFails;
 }
 
 // Random predicates over the latch inputs of a StateSpace, grown on demand.
@@ -205,20 +213,29 @@ constexpr int kQueries = kRounds * kPerRound;
 // Runs kRounds rounds of: grow the graph, then query kPerRound random pairs
 // against the oracle.  `between_rounds` runs after each round.  Returns the number
 // of holding implications seen (the caller checks both outcomes occurred).
+// The witness pool must have answered some of the non-trivial queries.
 template <typename Between>
 int differential(StateSpace& s, RandomSets& sets, Between between_rounds) {
   int holds = 0;
+  std::size_t nontrivial = 0;
   for (int round = 0; round < kRounds; ++round) {
     sets.grow(6);
     for (int q = 0; q < kPerRound; ++q) {
       auto [a, b] = sets.pair();
       Implication want = oracle_implies(s.graph(), a, b);
+      const std::size_t calls = s.num_sat_calls();
       EXPECT_EQ(s.implies(a, b, -1.0), want) << "round " << round << " query " << q;
-      EXPECT_EQ(s.satisfiable(a, -1.0), oracle_satisfiable(s.graph(), a));
+      const bool trivial = a == aig::kFalse || b == aig::kTrue || a == b;
+      nontrivial += !trivial;
+      // Only SAT proves a containment.
+      if (want == Implication::kHolds && !trivial) {
+        EXPECT_EQ(s.num_sat_calls(), calls + 1);
+      }
       holds += want == Implication::kHolds;
     }
     between_rounds(round);
   }
+  EXPECT_LT(s.num_sat_calls(), nontrivial);
   return holds;
 }
 
@@ -253,9 +270,31 @@ TEST(StateSpaceDifferential, CancelledQueryLeavesCheckerSound) {
     aig::Lit a = G.make_and(s.latch_input(0), s.latch_input(1));
     aig::Lit b = G.make_and(s.latch_input(2), s.latch_input(3));
     EXPECT_EQ(s.implies(a, b, -1.0, &cancelled), Implication::kUnknown);
-    EXPECT_EQ(s.satisfiable(a, -1.0, &cancelled), Implication::kUnknown);
   });
   EXPECT_GT(holds, kQueries / 10);
+}
+
+// Each minterm over 7 latches has exactly one state, so only a witness of
+// that very state refutes "minterm ⇒ false".  127 distinct refutations
+// overwrite the pool almost twice: the latest 64 remain.
+TEST(StateSpace, PoolKeepsTheLatest64Witnesses) {
+  aig::Aig m = latch_model(7);
+  StateSpace s(m);
+  auto minterm = [&](unsigned bits) {
+    std::vector<aig::Lit> conj;
+    for (unsigned i = 0; i < 7; ++i)
+      conj.push_back(aig::lit_xor(s.latch_input(i), ((bits >> i) & 1u) == 0));
+    return s.graph().make_and_many(conj);
+  };
+  for (unsigned bits = 1; bits < 128; ++bits) {
+    EXPECT_EQ(s.implies(minterm(bits), aig::kFalse, -1.0), Implication::kFails);
+    EXPECT_EQ(s.num_sat_calls(), bits);
+  }
+  for (unsigned bits = 64; bits < 128; ++bits)
+    EXPECT_EQ(s.implies(minterm(bits), aig::kFalse, -1.0), Implication::kFails);
+  EXPECT_EQ(s.num_sat_calls(), 127u);
+  EXPECT_EQ(s.implies(minterm(63), aig::kFalse, -1.0), Implication::kFails);
+  EXPECT_EQ(s.num_sat_calls(), 128u);
 }
 
 }  // namespace

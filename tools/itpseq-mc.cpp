@@ -19,6 +19,7 @@
 //       certificate failed validation, or a report could not be written
 #include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -79,7 +80,7 @@ void usage(const char* argv0) {
                "      --scheme S    exact | assume   target of the sequence\n"
                "                    engines' BMC checks (default assume)\n"
                "      --itp-system S mcmillan | pudlak | inverse  (default mcmillan)\n"
-               "      --alpha A     serial fraction for sitpseq (default 0.5)\n"
+               "      --alpha A     serial fraction for sitpseq, in (0, 1] (default 0.5)\n"
                "      --sat-inprocess[=on|off]\n"
                "                    in-solver inprocessing (subsumption, var\n"
                "                    elimination, vivification, probing) for\n"
@@ -154,6 +155,20 @@ T parse_uint(const char* flag, const char* s,
   return v;
 }
 
+/// Strict finite decimal for real-valued flags: no trailing text, no nan or
+/// inf, and `in_range(v)`.  Throws std::invalid_argument like parse_uint.
+template <class InRange>
+double parse_real(const char* flag, const char* s, const char* range,
+                  InRange in_range) {
+  double v = 0.0;
+  const char* end = s + std::strlen(s);
+  auto [ptr, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(v) || !in_range(v))
+    throw std::invalid_argument(std::string(flag) + " expects " + range +
+                                ", got '" + s + "'");
+  return v;
+}
+
 aig::Aig load(const std::string& path) {
   if (path.size() >= 5 && path.substr(path.size() - 5) == ".blif")
     return io::read_blif_file(path);
@@ -214,7 +229,8 @@ bool parse_args(int argc, char** argv, Args& a) {
       a.property = parse_uint<std::size_t>(argv[i - 1], v);
     } else if (s == "-t" || s == "--timeout") {
       if (!(v = need(i))) return false;
-      a.timeout = std::stod(v);
+      a.timeout = parse_real(argv[i - 1], v, "a finite number >= 0",
+                             [](double t) { return t >= 0.0; });
     } else if (s == "--mem-limit") {
       if (!(v = need(i))) return false;
       // Capped so the byte count (MB << 20) cannot overflow.
@@ -250,7 +266,9 @@ bool parse_args(int argc, char** argv, Args& a) {
       }
     } else if (s == "--alpha") {
       if (!(v = need(i))) return false;
-      a.opts.serial_alpha = std::stod(v);
+      a.opts.serial_alpha =
+          parse_real(argv[i - 1], v, "a finite number in (0, 1]",
+                     [](double x) { return x > 0.0 && x <= 1.0; });
     } else if (s == "--pdr-lift" || s == "--pdr-lift=on") {
       a.opts.pdr_lift = true;
     } else if (s == "--pdr-lift=off" || s == "--no-pdr-lift") {
@@ -362,7 +380,7 @@ int main(int argc, char** argv) {
   try {
     args_ok = parse_args(argc, argv, a);
   } catch (const std::exception& ex) {
-    // Malformed numerics (parse_uint, std::stod) are usage errors, not
+    // Malformed numerics (parse_uint, parse_real) are usage errors, not
     // uncaught-exception aborts.
     std::fprintf(stderr, "%s: bad argument: %s\n", argv[0], ex.what());
   }
