@@ -4,7 +4,8 @@
 // threaded portfolio (all engines racing) as the closer.
 // A SAT-core footer totals the solver-side work per engine: propagations
 // (and the share served by the inline binary watchers), conflicts, arena
-// GC runs and bytes reclaimed.  Every run's verdict is checked
+// GC runs and bytes reclaimed, inprocessing, and the lazy model extensions
+// run over eliminated vars (mext).  Every run's verdict is checked
 // (bench/verdict_check.hpp): a wrong one stops the shootout.
 //
 // Usage: engine_shootout [per_instance_seconds] [family_filter]
@@ -95,10 +96,11 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nSAT core totals (per engine, over the suite):\n");
-  std::printf("%-10s %10s %14s %6s %12s %6s %12s %10s %20s %6s %8s %6s %6s %6s\n",
-              "engine", "calls", "props", "bin%", "conflicts", "gc",
-              "reclaimKB", "peakKB", "learned c/m/l", "inpr", "subsume",
-              "elim", "vivif", "probe");
+  std::printf(
+      "%-10s %10s %14s %6s %12s %6s %12s %10s %20s %6s %8s %6s %6s %6s %8s\n",
+      "engine", "calls", "props", "bin%", "conflicts", "gc", "reclaimKB",
+      "peakKB", "learned c/m/l", "inpr", "subsume", "elim", "vivif", "probe",
+      "mext");
   for (int i = 0; i < 6; ++i) {
     const mc::EngineStats& t = totals[i];
     // Glue-tier shares of all learned clauses (histogram bucket = LBD - 1,
@@ -109,7 +111,7 @@ int main(int argc, char** argv) {
     std::uint64_t local = h[6] + h[7];
     std::printf(
         "%-10s %10llu %14llu %5.1f%% %12llu %6llu %12llu %10zu "
-        "%7llu/%5llu/%5llu %6llu %8llu %6llu %6llu %6llu\n",
+        "%7llu/%5llu/%5llu %6llu %8llu %6llu %6llu %6llu %8llu\n",
         names[i], static_cast<unsigned long long>(t.sat_calls),
         static_cast<unsigned long long>(t.sat_propagations),
         t.sat_propagations
@@ -127,7 +129,8 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(t.sat_vars_eliminated),
         static_cast<unsigned long long>(t.sat_vivified),
         static_cast<unsigned long long>(t.sat_failed_literals +
-                                        t.sat_hyper_binaries));
+                                        t.sat_hyper_binaries),
+        static_cast<unsigned long long>(t.sat_model_extensions));
   }
 
   // Self-healing footer: a healthy suite shows 0 restarts everywhere; a

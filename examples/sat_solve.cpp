@@ -55,7 +55,8 @@ int main(int argc, char** argv) {
   if (st == sat::Status::kSat) {
     std::printf("s SATISFIABLE\nv ");
     for (unsigned v = 0; v < p.num_vars; ++v)
-      std::printf("%s%u ", solver.model_value(v) ? "" : "-", v + 1);
+      std::printf("%s%u ", solver.model_value(sat::mk_lit(v)) ? "" : "-",
+                  v + 1);
     std::printf("0\n");
     return 10;
   }

@@ -152,17 +152,13 @@ Trace Engine::extract_trace(const sat::Solver& solver,
     if (model_.latch_init(i) != aig::LatchInit::kUndef)
       t.initial_latches[i] = model_.latch_init(i) == aig::LatchInit::kOne;
     else if (l != sat::kNoLit)
-      t.initial_latches[i] =
-          sat::lbool_xor(solver.model()[sat::var(l)], sat::sign(l)) ==
-          sat::LBool::kTrue;
+      t.initial_latches[i] = solver.model_value(l);
   }
   for (unsigned f = 0; f <= k; ++f) {
     std::vector<bool> in(model_.num_inputs(), false);
     for (std::size_t i = 0; i < model_.num_inputs(); ++i) {
       sat::Lit l = unroller.lookup(model_.input(i), f);
-      if (l != sat::kNoLit)
-        in[i] = sat::lbool_xor(solver.model()[sat::var(l)], sat::sign(l)) ==
-                sat::LBool::kTrue;
+      if (l != sat::kNoLit) in[i] = solver.model_value(l);
     }
     t.inputs.push_back(std::move(in));
   }
@@ -195,6 +191,8 @@ void Engine::absorb_stats(EngineResult& out, const sat::Solver& solver,
   out.stats.sat_vivified += s.vivified - since.vivified;
   out.stats.sat_failed_literals += s.failed_literals - since.failed_literals;
   out.stats.sat_hyper_binaries += s.hyper_binaries - since.hyper_binaries;
+  out.stats.sat_model_extensions +=
+      s.model_extensions - since.model_extensions;
 }
 
 void Engine::absorb_session(EngineResult& out, const sat::Solver& solver,

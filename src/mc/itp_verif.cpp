@@ -39,9 +39,7 @@ void ItpVerifEngine::execute(EngineResult& out) {
     unsigned depth = k;
     for (unsigned t = 1; t <= k; ++t) {
       sat::Lit b = s.unroller().lookup(model_.output(prop_), t);
-      if (b != sat::kNoLit &&
-          sat::lbool_xor(s.solver().model()[sat::var(b)], sat::sign(b)) ==
-              sat::LBool::kTrue) {
+      if (b != sat::kNoLit && s.solver().model_value(b)) {
         depth = t;
         break;
       }

@@ -99,10 +99,7 @@ bool ItpSeqEngine::refine(ItpSession& s, unsigned k, EngineResult& out) {
     for (unsigned t = 0; t <= k; ++t) {
       sat::Lit sl = s.unroller().lookup(model_.latch(i), t);
       if (sl == sat::kNoLit) continue;
-      bool abs_val =
-          sat::lbool_xor(s.solver().model()[sat::var(sl)], sat::sign(sl)) ==
-          sat::LBool::kTrue;
-      if (abs_val != frames.latches[t][i]) ++score;
+      if (s.solver().model_value(sl) != frames.latches[t][i]) ++score;
     }
     return score;
   };

@@ -265,20 +265,16 @@ class PdrContext {
   /// that preserves the values of `roots` (and is made init-disjoint unless
   /// the concrete state itself is initial).
   void extract_state(const std::vector<aig::Lit>& roots, StateModel& p) {
-    auto model_true = [&](sat::Lit l) {
-      return sat::lbool_xor(solver_.model()[sat::var(l)], sat::sign(l)) ==
-             sat::LBool::kTrue;
-    };
     p.latches.assign(model_.num_latches(), false);
     p.in_init = true;
     for (std::size_t i = 0; i < model_.num_latches(); ++i) {
-      p.latches[i] = model_true(unr_.lookup(model_.latch(i), 0));
+      p.latches[i] = solver_.model_value(unr_.lookup(model_.latch(i), 0));
       if (reset_[i] >= 0 && (reset_[i] != 0) != p.latches[i]) p.in_init = false;
     }
     p.inputs.assign(model_.num_inputs(), false);
     for (std::size_t i = 0; i < model_.num_inputs(); ++i) {
       sat::Lit l = unr_.lookup(model_.input(i), 0);
-      if (l != sat::kNoLit) p.inputs[i] = model_true(l);
+      if (l != sat::kNoLit) p.inputs[i] = solver_.model_value(l);
     }
     // Syntactic lift: latches outside the combinational support of `roots`
     // cannot influence the successor values / bad / constraints, so drop

@@ -177,6 +177,11 @@ struct EngineStats {
   std::uint64_t sat_vivified = 0;          // clauses shortened by vivify
   std::uint64_t sat_failed_literals = 0;   // probe-derived units
   std::uint64_t sat_hyper_binaries = 0;    // probe-derived binaries
+  /// Lazy model extensions run over BVE-eliminated vars (at most one per
+  /// SAT answer; see sat::Solver::model()).  Exact for solvers absorbed once
+  /// per run (PDR, BMC, k-induction); a session query's reads after its
+  /// work was absorbed (a FAIL trace, a CBA refinement) are not counted.
+  std::uint64_t sat_model_extensions = 0;
   std::uint64_t proof_clauses = 0;     // total core clauses over all proofs
   std::size_t max_itp_nodes = 0;       // largest interpolant AIG cone
   std::size_t state_aig_nodes = 0;     // final state-set AIG size
@@ -204,6 +209,7 @@ struct EngineStats {
     sat_vivified += s.sat_vivified;
     sat_failed_literals += s.sat_failed_literals;
     sat_hyper_binaries += s.sat_hyper_binaries;
+    sat_model_extensions += s.sat_model_extensions;
     proof_clauses += s.proof_clauses;
     if (s.max_itp_nodes > max_itp_nodes) max_itp_nodes = s.max_itp_nodes;
     if (s.state_aig_nodes > state_aig_nodes) state_aig_nodes = s.state_aig_nodes;

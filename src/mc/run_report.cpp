@@ -137,6 +137,7 @@ std::string stats_json(const EngineResult& r, const obs::TraceSink* sink,
   kv_u64(out, "sat_vivified", s.sat_vivified);
   kv_u64(out, "sat_failed_literals", s.sat_failed_literals);
   kv_u64(out, "sat_hyper_binaries", s.sat_hyper_binaries);
+  kv_u64(out, "sat_model_extensions", s.sat_model_extensions);
   kv_u64(out, "proof_clauses", s.proof_clauses);
   kv_u64(out, "max_itp_nodes", s.max_itp_nodes);
   kv_u64(out, "state_aig_nodes", s.state_aig_nodes);

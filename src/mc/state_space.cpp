@@ -83,8 +83,7 @@ void StateSpace::add_witness() {
   for (std::size_t i = 0; i < sets_.num_inputs(); ++i) {
     // An input the checker never encoded is unconstrained: it counts as 0.
     const sat::Lit x = checker_->enc.lookup(sets_.input(i));
-    const bool one = x != sat::kNoLit &&
-                     checker_->solver.model_value(sat::var(x)) != sat::sign(x);
+    const bool one = x != sat::kNoLit && checker_->solver.model_value(x);
     std::uint64_t& w = sim_[aig::lit_var(sets_.input(i))];
     w = one ? w | bit : w & ~bit;
   }

@@ -1,20 +1,50 @@
 // ternary.cpp — see ternary.hpp.
 #include "mc/ternary.hpp"
 
+#include <algorithm>
+#include <functional>
+
 namespace itpseq::mc {
 
 TernarySim::TernarySim(const aig::Aig& model, const std::vector<aig::Lit>& roots)
     : model_(model),
       values_(model.num_vars(), TernVal::kX),
       pos_(model.num_vars(), 0),
-      watch_(model.num_vars(), 0),
-      stamp_(model.num_vars(), 0) {
+      watch_(model.num_vars(), 0) {
   topo_ = model.cone(roots);
   for (std::size_t i = 0; i < topo_.size(); ++i) {
     pos_[topo_[i]] = static_cast<std::uint32_t>(i + 1);
     if (model_.is_and(topo_[i])) ++cone_ands_;
   }
   values_[0] = TernVal::kFalse;  // the constant variable
+  // Fanout table: count each AND's distinct in-cone fanins, prefix-sum the
+  // counts, then fill in topological order so every row comes out sorted.
+  auto fanin_positions = [&](aig::Var u) {
+    const aig::Node& n = model_.node(u);
+    std::uint32_t a = pos_[aig::lit_var(n.fanin0)];
+    std::uint32_t b = pos_[aig::lit_var(n.fanin1)];
+    if (b == a) b = 0;
+    return std::pair{a, b};  // 1-based positions, 0 = none
+  };
+  fanout_begin_.assign(topo_.size() + 1, 0);
+  for (aig::Var u : topo_) {
+    if (!model_.is_and(u)) continue;
+    auto [a, b] = fanin_positions(u);
+    if (a != 0) ++fanout_begin_[a];
+    if (b != 0) ++fanout_begin_[b];
+  }
+  for (std::size_t p = 1; p < fanout_begin_.size(); ++p)
+    fanout_begin_[p] += fanout_begin_[p - 1];
+  fanout_.resize(fanout_begin_.back());
+  std::vector<std::uint32_t> fill(fanout_begin_.begin(),
+                                  fanout_begin_.end() - 1);
+  for (std::uint32_t p = 0; p < topo_.size(); ++p) {
+    if (!model_.is_and(topo_[p])) continue;
+    auto [a, b] = fanin_positions(topo_[p]);
+    if (a != 0) fanout_[fill[a - 1]++] = p;
+    if (b != 0) fanout_[fill[b - 1]++] = p;
+  }
+  queued_.assign(topo_.size(), 0);
 }
 
 void TernarySim::set_watches(const std::vector<aig::Lit>& roots) {
@@ -34,10 +64,7 @@ void TernarySim::set_watches(const std::vector<aig::Lit>& roots) {
 void TernarySim::set_value(aig::Var v, TernVal nv, bool trail) {
   TernVal ov = values_[v];
   if (ov == nv) return;
-  if (trail) {
-    trail_.emplace_back(v, ov);
-    stamp_[v] = gen_;
-  }
+  if (trail) trail_.emplace_back(v, ov);
   values_[v] = nv;
   if (watch_[v] != 0) {
     if (nv == TernVal::kX && ov != TernVal::kX) ++undef_watched_;
@@ -84,24 +111,41 @@ TernVal TernarySim::value(aig::Lit l) const {
   return aig::lit_sign(l) ? tern_not(v) : v;
 }
 
+void TernarySim::schedule_fanouts(std::uint32_t p) {
+  for (std::uint32_t k = fanout_begin_[p]; k < fanout_begin_[p + 1]; ++k) {
+    const std::uint32_t q = fanout_[k];
+    if (queued_[q] == gen_) continue;
+    queued_[q] = gen_;
+    heap_.push_back(q);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+  }
+}
+
 bool TernarySim::try_latch_x(std::size_t i) {
   aig::Var v = aig::lit_var(model_.latch(i));
   if (values_[v] == TernVal::kX) return true;  // nothing to do
-  ++gen_;
   trail_.clear();
   set_value(v, TernVal::kX, true);
   if (pos_[v] != 0) {
-    // Walk the topological order after the latch, re-evaluating exactly the
-    // AND nodes with a changed fanin.  Ternary AND is monotone under
-    // leaf-to-X moves, so one forward pass reaches the fixpoint.
-    for (std::size_t p = pos_[v]; p < topo_.size(); ++p) {
-      aig::Var u = topo_[p];
-      if (!model_.is_and(u)) continue;
+    if (++gen_ == 0) {  // the stamps wrapped: forget every old one
+      std::fill(queued_.begin(), queued_.end(), 0u);
+      gen_ = 1;
+    }
+    heap_.clear();
+    schedule_fanouts(pos_[v] - 1);
+    // Smallest position first: every fanin of the popped node is final.
+    // Ternary AND is monotone under leaf-to-X moves, so a node changes at
+    // most once, and a watched root that turns X stays X: stop there.
+    while (!heap_.empty() && undef_watched_ == 0) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+      const std::uint32_t p = heap_.back();
+      heap_.pop_back();
+      const aig::Var u = topo_[p];
       const aig::Node& n = model_.node(u);
-      aig::Var a = aig::lit_var(n.fanin0);
-      aig::Var b = aig::lit_var(n.fanin1);
-      if (stamp_[a] != gen_ && stamp_[b] != gen_) continue;
-      set_value(u, tern_and(value(n.fanin0), value(n.fanin1)), true);
+      const TernVal nv = tern_and(value(n.fanin0), value(n.fanin1));
+      if (nv == values_[u]) continue;
+      set_value(u, nv, true);
+      schedule_fanouts(p);
     }
   }
   if (undef_watched_ == 0) return true;  // commit

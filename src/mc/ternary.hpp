@@ -19,8 +19,14 @@
 //   assign(latches, ins) load a concrete model and evaluate the cone
 //   try_latch_x(i)       flip latch i to X with event-driven re-simulation;
 //                        commits if every watched root stays defined,
-//                        otherwise undoes itself — O(affected cone), not
-//                        O(cone), per attempt
+//                        otherwise undoes itself
+//
+// A try re-evaluates only the fanouts of nodes whose value changed, read
+// from a fanout table (compressed sparse rows) built once over the cone,
+// and pops them from a heap in topological order, so each node is evaluated
+// once, after all of its fanins.  It stops as soon as a watched root turns
+// X.  A try costs O(E log E) for the E fanout edges of the nodes it turns
+// to X, never a walk over the rest of the cone.
 //
 // The same class doubles as a general ternary evaluator for tests and
 // future engines (set_latch/set_input + simulate + value).
@@ -83,8 +89,8 @@ class TernarySim {
 
   /// Try to move latch `i` to X.  Re-simulates the latch's transitive
   /// fanout event-driven; if every watched root keeps a defined value the
-  /// change is committed and true is returned, otherwise every node is
-  /// restored and false is returned.
+  /// change is committed and true is returned, otherwise (as soon as one
+  /// watched root turns X) every node is restored and false is returned.
   bool try_latch_x(std::size_t i);
 
   /// Number of AND nodes in the simulated cone (diagnostics).
@@ -92,6 +98,8 @@ class TernarySim {
 
  private:
   void set_value(aig::Var v, TernVal nv, bool trail);
+  /// Queue the AND fanouts of the node at topological position p.
+  void schedule_fanouts(std::uint32_t p);
 
   const aig::Aig& model_;
   std::vector<TernVal> values_;       // per var; X outside the cone
@@ -100,8 +108,13 @@ class TernarySim {
   std::vector<std::uint32_t> watch_;  // var -> number of watched roots on it
   std::vector<aig::Var> watched_vars_;  // vars with watch_ > 0 (for reset)
   std::size_t undef_watched_ = 0;     // watched vars currently at X
-  std::uint32_t gen_ = 0;             // event generation stamp
-  std::vector<std::uint32_t> stamp_;  // var -> last generation it changed in
+  // Fanout table over topo_ positions: the AND fanouts of position p are
+  // fanout_[fanout_begin_[p] .. fanout_begin_[p + 1]), in increasing order.
+  std::vector<std::uint32_t> fanout_begin_;
+  std::vector<std::uint32_t> fanout_;
+  std::vector<std::uint32_t> heap_;    // min-heap of positions to evaluate
+  std::uint32_t gen_ = 0;              // try generation stamp
+  std::vector<std::uint32_t> queued_;  // position -> last generation queued
   std::vector<std::pair<aig::Var, TernVal>> trail_;  // undo log of one try
   std::size_t cone_ands_ = 0;
 };

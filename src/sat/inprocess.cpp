@@ -245,6 +245,7 @@ std::vector<Lit> Solver::resolve_with_reasons(CRef start, Lit keep,
 void Solver::restore_var(Var v) {
   assert(trail_lim_.empty());
   assert(eliminated_[v]);
+  extend_pending_model();  // it reads the records changed below
   for (std::size_t i = elim_trail_.size(); i-- > 0;) {
     ElimRecord& rec = elim_trail_[i];
     if (!rec.active || rec.v != v) continue;
@@ -336,6 +337,7 @@ bool Solver::maybe_inprocess(bool at_entry) {
 }
 
 bool Solver::inprocess() {
+  extend_pending_model();  // BVE below appends to the records it reads
   ITPSEQ_FAULT_POINT("sat.inprocess");
   assert(trail_lim_.empty());
   last_inprocess_conflicts_ = stats_.conflicts;

@@ -5,8 +5,11 @@
 
 namespace itpseq::sat {
 
-std::vector<ClauseId> Proof::core(ClauseId final) const {
-  std::vector<ClauseId> order;
+const std::vector<ClauseId>& Proof::core(ClauseId final) const {
+  if (final == core_final_ && final != kNoClauseId) return core_order_;
+  std::vector<ClauseId>& order = core_order_;
+  order.clear();
+  core_final_ = kNoClauseId;  // set once the walk below completes
   if (final == kNoClauseId) return order;
   // Grown to the log, never cleared: a fresh epoch makes every old mark
   // stale, so a walk costs O(core) plus the log's amortised growth.
@@ -42,6 +45,7 @@ std::vector<ClauseId> Proof::core(ClauseId final) const {
     for (ClauseId c : chain(id).chain)
       if (unseen(c)) stack.push_back(c);
   }
+  core_final_ = final;
   return order;
 }
 

@@ -95,13 +95,15 @@ class Proof {
   /// Ids of clauses transitively used by `final`'s chain (that query's
   /// *core*), in topological order (antecedents before users).  Costs
   /// O(core): the visit marks are epoch-stamped and reused across calls.
-  /// After the call, core_position(id) is id's index in the returned order
-  /// for every id in it, until the next core() call.  The marks make
-  /// concurrent calls on one Proof a data race, like any other use of a
-  /// solver from two threads.
-  std::vector<ClauseId> core(ClauseId final) const;
+  /// The latest walk is kept, so asking for the same final again (an engine
+  /// counts a refutation's core, then extracts from it) costs nothing.  The
+  /// returned order, and core_position(id) for every id in it, stay valid
+  /// until a core() call for another final.  The marks make concurrent calls
+  /// on one Proof a data race, like any other use of a solver from two
+  /// threads.
+  const std::vector<ClauseId>& core(ClauseId final) const;
   /// The latest query's core.
-  std::vector<ClauseId> core() const { return core(final_id_); }
+  const std::vector<ClauseId>& core() const { return core(final_id_); }
   std::uint32_t core_position(ClauseId id) const { return position_[id]; }
 
  private:
@@ -137,6 +139,9 @@ class Proof {
   mutable std::vector<std::uint32_t> stamp_;
   mutable std::vector<std::uint32_t> position_;
   mutable std::uint32_t epoch_ = 0;
+  // The latest walk: the log is append-only, so its order stays exact.
+  mutable ClauseId core_final_ = kNoClauseId;
+  mutable std::vector<ClauseId> core_order_;
 };
 
 }  // namespace itpseq::sat

@@ -556,21 +556,35 @@ void Solver::analyze_final(CRef conflict) {
 void Solver::analyze_assumption(Lit failed) {
   // Collect an inconsistent subset of the assumptions by walking the
   // implication graph from the falsified assumption backwards.  All
-  // decisions on the trail at this point are assumptions.
+  // decisions on the trail at this point are assumptions.  The walk starts
+  // at ~failed's trail position (nothing above it is reached) and never
+  // marks a level-0 var: those always have reasons, so they add no
+  // assumption.  It ends below the first assumption level, or as soon as
+  // no marked var is left.
   failed_.clear();
   failed_.push_back(failed);
-  seen_[var(failed)] = 1;
-  for (std::size_t i = trail_.size(); i-- > 0;) {
+  const Var fv = var(failed);
+  if (var_data_[fv].level == 0) return;
+  seen_[fv] = 1;
+  std::size_t marked = 1;
+  const std::size_t bottom = trail_lim_[0];
+  for (std::size_t i = var_data_[fv].trail_pos + 1;
+       marked > 0 && i-- > bottom;) {
     Var v = var(trail_[i]);
     if (!seen_[v]) continue;
+    seen_[v] = 0;
+    --marked;
     CRef r = var_data_[v].reason;
     if (r == kNoCRef) {
       if (trail_[i] != failed) failed_.push_back(trail_[i]);
     } else {
-      for (Lit q : cls(r))
-        if (var(q) != v) seen_[var(q)] = 1;
+      for (Lit q : cls(r)) {
+        Var qv = var(q);
+        if (qv == v || seen_[qv] || var_data_[qv].level == 0) continue;
+        seen_[qv] = 1;
+        ++marked;
+      }
     }
-    seen_[v] = 0;
   }
 }
 
@@ -1031,9 +1045,10 @@ Status Solver::solve_assuming(const std::vector<Lit>& assumptions,
       if (next == kNoLit) next = pick_branch();
       if (next == kNoLit) {
         model_.assign(assign_.begin(), assign_.end());
-        // BVE left eliminated vars unassigned; reconstruct their values so
-        // callers read a total model of the *original* formula.
-        extend_model_over_eliminated(model_);
+        // BVE left eliminated vars unassigned; their values are
+        // reconstructed when first read (extend_pending_model), so callers
+        // read a total model of the *original* formula.
+        model_pending_ = !elim_trail_.empty();
         backtrack(0);
         return Status::kSat;
       }
@@ -1049,6 +1064,7 @@ Status Solver::solve_assuming(const std::vector<Lit>& assumptions,
 }
 
 bool Solver::verify_model() const {
+  extend_pending_model();
   for (CRef cr = 0; cr < static_cast<CRef>(arena_.size());) {
     const Cls c = cls(cr);
     cr += kHeaderWords + c.size();

@@ -103,7 +103,12 @@
 // recorded clauses under their original ClauseIds, so no new proof steps
 // are needed).  add_clause() restores eliminated vars it mentions the same
 // way.  On kSat the model is extended over eliminated vars in reverse
-// elimination order, so callers read a total model regardless.
+// elimination order, so callers read a total model regardless.  The
+// extension is lazy (Eén & Biere, SAT 2005): kSat only copies the
+// assignment, and the first model() read, or model_value() read of an
+// eliminated var, completes it.  An engine that reads only frozen vars never
+// pays for it.  restore_var() and an inprocessing round complete a pending
+// extension before they change the elimination records it reads.
 #pragma once
 
 #include <array>
@@ -165,6 +170,9 @@ struct SolverStats {
   std::uint64_t probed = 0;            // failed-literal probes attempted
   std::uint64_t failed_literals = 0;   // probes that yielded a unit
   std::uint64_t hyper_binaries = 0;    // binaries from hyper-binary resolution
+  /// Lazy model extensions actually run (see model()); at most one per kSat
+  /// answer, and none for an answer whose eliminated vars nobody read.
+  std::uint64_t model_extensions = 0;
 
   /// Cross-solver aggregation for benchmark drivers: counters are summed,
   /// the arena high-water mark takes the maximum.  Keep this the single
@@ -197,11 +205,16 @@ struct SolverStats {
     probed += s.probed;
     failed_literals += s.failed_literals;
     hyper_binaries += s.hyper_binaries;
+    model_extensions += s.model_extensions;
     return *this;
   }
 };
 
 class Solver {
+  // tests/sat_test.cpp: replays the assumption loop on the live trail to
+  // check analyze_assumption against a full-trail walk.
+  friend struct SolverWhiteBox;
+
  public:
   Solver();
   ~Solver();
@@ -258,10 +271,20 @@ class Solver {
   /// refuted; further solves return kUnsat immediately.
   bool ok() const { return ok_; }
 
-  /// After kSat: value of a variable in the model.
-  bool model_value(Var v) const { return model_[v] == LBool::kTrue; }
-  /// After kSat: full model (indexed by var).
-  const std::vector<LBool>& model() const { return model_; }
+  /// After kSat: is literal l true in the model?  Reading a var the search
+  /// left unassigned (BVE eliminated it) first completes the model.
+  bool model_value(Lit l) const {
+    if (model_[var(l)] == LBool::kUndef) extend_pending_model();
+    return lbool_xor(model_[var(l)], sign(l)) == LBool::kTrue;
+  }
+  /// After kSat: full model (indexed by var), extended over eliminated vars.
+  /// The first read after a kSat answer may complete the model in place, so
+  /// concurrent readers of one solver race, like concurrent Proof::core
+  /// calls.
+  const std::vector<LBool>& model() const {
+    extend_pending_model();
+    return model_;
+  }
 
   /// With proof logging: the log, holding every refuted query's
   /// refutation; proof().final_id() is the latest one's.
@@ -501,6 +524,13 @@ class Solver {
                                         ResolutionChain& chain);
   void restore_var(Var v);  // undo BVE for v (freeze it permanently)
   void extend_model_over_eliminated(std::vector<LBool>& model) const;
+  /// Run the extension the latest kSat answer left pending, if any.
+  void extend_pending_model() const {
+    if (!model_pending_) return;
+    model_pending_ = false;
+    ++stats_.model_extensions;
+    extend_model_over_eliminated(model_);
+  }
 
   // clause storage ---------------------------------------------------------
   std::vector<std::uint32_t> arena_;         // flat clause arena (see header)
@@ -551,12 +581,16 @@ class Solver {
   CRef root_conflict_ = kNoCRef;             // clause falsified at level 0
   std::vector<Lit> assumptions_;             // active during solve_assuming
   std::vector<Lit> failed_;                  // assumption core after kUnsat
-  std::vector<LBool> model_;
+  // The latest kSat assignment; while model_pending_, the eliminated vars in
+  // it are still unassigned (see extend_pending_model).  Mutable with
+  // stats_, which counts the extension: const readers complete the model.
+  mutable std::vector<LBool> model_;
+  mutable bool model_pending_ = false;
   std::unique_ptr<Proof> proof_;
   ClauseId root_final_ = kNoClauseId;        // the level-0 refutation, once logged
   std::vector<ClauseId> assumption_units_;   // per literal, kNoClauseId until used
   std::vector<std::uint32_t> assumption_labels_;  // per var, default 0
-  SolverStats stats_;
+  mutable SolverStats stats_;
   double max_learned_ = 0;
   double reduce_base_ = 1000.0;
   bool reduce_base_forced_ = false;

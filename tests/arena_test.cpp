@@ -49,7 +49,7 @@ TEST(Arena, BinaryPropagationsCounted) {
   for (int i = 0; i + 1 < 10; ++i) s.add_clause({negl(v[i]), pos(v[i + 1])});
   s.add_clause({pos(v[0])});
   EXPECT_EQ(s.solve(), Status::kSat);
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(s.model_value(v[i]));
+  for (int i = 0; i < 10; ++i) EXPECT_TRUE(s.model_value(mk_lit(v[i])));
   EXPECT_EQ(s.stats().bin_propagations, s.stats().propagations);
   EXPECT_GE(s.stats().bin_propagations, 9u);
 }

@@ -35,7 +35,7 @@ TEST(Incremental, AssumptionsFlipOutcome) {
   sat::Var a = s.new_var(), b = s.new_var();
   s.add_clause({mk_lit(a), mk_lit(b)});
   EXPECT_EQ(s.solve_assuming({mk_lit(a, true)}), Status::kSat);
-  EXPECT_TRUE(s.model_value(b));
+  EXPECT_TRUE(s.model_value(mk_lit(b)));
   EXPECT_EQ(s.solve_assuming({mk_lit(a, true), mk_lit(b, true)}), Status::kUnsat);
   EXPECT_TRUE(s.ok());  // clause set itself is satisfiable
   EXPECT_EQ(s.solve(), Status::kSat);
@@ -65,7 +65,7 @@ TEST(Incremental, ClausesAddedBetweenSolves) {
   EXPECT_EQ(s.solve(), Status::kSat);
   s.add_clause({mk_lit(v[0], true)});
   EXPECT_EQ(s.solve(), Status::kSat);
-  EXPECT_TRUE(s.model_value(v[1]));
+  EXPECT_TRUE(s.model_value(mk_lit(v[1])));
   s.add_clause({mk_lit(v[1], true)});
   EXPECT_EQ(s.solve(), Status::kUnsat);
   EXPECT_FALSE(s.ok());

@@ -230,7 +230,7 @@ TEST(Inprocess, FailedLiteralProbeDerivesUnit) {
   EXPECT_EQ(s.solve(), Status::kSat);
   EXPECT_GE(s.stats().probed, 1u);
   EXPECT_GE(s.stats().failed_literals, 1u);
-  EXPECT_FALSE(s.model_value(x));
+  EXPECT_FALSE(s.model_value(pos(x)));
 }
 
 TEST(Inprocess, VivificationShortensClause) {
@@ -271,7 +271,7 @@ TEST(Inprocess, AssumingEliminatedVarRestoresIt) {
   EXPECT_TRUE(s.is_frozen(v));
   // And satisfiable again under the opposite polarity.
   EXPECT_EQ(s.solve_assuming({pos(v)}), Status::kSat);
-  EXPECT_TRUE(s.model_value(b));
+  EXPECT_TRUE(s.model_value(pos(b)));
 }
 
 TEST(Inprocess, AddClauseOverEliminatedVarRestoresIt) {
@@ -361,6 +361,89 @@ TEST(Inprocess, IncrementalAssumptionFuzz) {
       if (!inc.ok()) break;  // formula itself refuted: nothing left to ask
     }
   }
+}
+
+TEST(Inprocess, LazyModelMatchesEagerExtension) {
+  // Twin solvers answer the same queries.  `eager` reads its whole model
+  // right after each SAT answer, which extends it over the eliminated vars
+  // at once.  `lazy` reads nothing at first.  Then both either do nothing,
+  // or change what the extension reads: a clause over an eliminated var
+  // (restore via add_clause), an assumption on one (restore via
+  // solve_assuming), or a unit and then a query that fails but runs a
+  // forced round first.  Lazy's reads afterwards, eliminated vars first
+  // through model_value, must equal eager's model.
+  unsigned checked = 0, grown = 0;
+  for (int seed = 0; seed < 40; ++seed) {
+    std::mt19937 rng(9100 + seed);
+    const unsigned nvars = 30 + rng() % 20;
+    Solver eager, lazy;
+    for (Solver* s : {&eager, &lazy}) {
+      s->set_inprocess_interval(0);
+      for (unsigned i = 0; i < nvars; ++i) s->new_var();
+      s->freeze(0);  // the forced-round query assumes var 0: no restore
+    }
+    // No units: BVE gets room, and a later unit opens more of it.
+    for (unsigned c = 0; c < nvars * 2; ++c) {
+      std::vector<Lit> cl;
+      for (unsigned k = 0, len = c % 4 == 0 ? 2 : 3; k < len; ++k)
+        cl.push_back(mk_lit(rng() % nvars, rng() % 2));
+      eager.add_clause(cl);
+      lazy.add_clause(cl);
+    }
+    for (int q = 0; q < 10; ++q) {
+      std::vector<Lit> assume;
+      if (rng() % 2 == 0) assume.push_back(mk_lit(rng() % nvars, rng() % 2));
+      const Status st = eager.solve_assuming(assume);
+      ASSERT_EQ(lazy.solve_assuming(assume), st);
+      if (st != Status::kSat) continue;
+      const std::vector<LBool> want = eager.model();
+      ASSERT_EQ(std::count(want.begin(), want.end(), LBool::kUndef), 0)
+          << "a model read must be total";
+      std::vector<Var> elim;
+      for (Var v = 0; v < nvars; ++v)
+        if (lazy.is_eliminated(v)) elim.push_back(v);
+      auto both = [&](auto&& f) {
+        f(eager);
+        f(lazy);
+      };
+      const std::uint64_t eliminated = lazy.stats().vars_eliminated;
+      switch (q % 4) {
+        case 0:
+          if (!elim.empty()) {
+            const Lit other = mk_lit(rng() % nvars);
+            both([&](Solver& s) { s.add_clause({pos(elim[0]), other}); });
+          }
+          break;
+        case 1:
+          if (!elim.empty())
+            both([&](Solver& s) {
+              s.solve_assuming({pos(elim[0]), negl(elim[0])});
+            });
+          break;
+        case 2: {
+          // A new unit simplifies clauses, so the round may eliminate more.
+          const Lit unit = mk_lit(1 + rng() % (nvars - 1), rng() % 2);
+          both([&](Solver& s) {
+            if (!s.is_eliminated(var(unit))) s.add_clause({unit});
+            s.solve_assuming({pos(0), negl(0)});
+          });
+          break;
+        }
+        default:
+          break;
+      }
+      // The round eliminated more vars while lazy's extension was pending.
+      if (lazy.stats().vars_eliminated > eliminated && q % 4 == 2) ++grown;
+      for (Var v : elim)
+        EXPECT_EQ(lazy.model_value(pos(v)), want[v] == LBool::kTrue)
+            << "seed " << seed << ", query " << q << ", var " << v;
+      EXPECT_EQ(lazy.model(), want) << "seed " << seed << ", query " << q;
+      if (!elim.empty()) ++checked;
+    }
+    EXPECT_LE(lazy.stats().model_extensions, eager.stats().model_extensions);
+  }
+  EXPECT_GT(checked, 30u);
+  EXPECT_GT(grown, 0u);
 }
 
 TEST(Inprocess, RepeatedRoundsReachFixpointSafely) {

@@ -416,6 +416,8 @@ TEST(ObsTest, StatsJsonRoundTripsEngineStats) {
             r.stats.sat_propagations);
   EXPECT_EQ(static_cast<std::uint64_t>(s.at("proof_clauses").num),
             r.stats.proof_clauses);
+  EXPECT_EQ(static_cast<std::uint64_t>(s.at("sat_model_extensions").num),
+            r.stats.sat_model_extensions);
   ASSERT_EQ(s.at("sat_glue_hist").arr.size(), r.stats.sat_glue_hist.size());
   for (std::size_t i = 0; i < r.stats.sat_glue_hist.size(); ++i)
     EXPECT_EQ(static_cast<std::uint64_t>(s.at("sat_glue_hist").arr[i].num),
@@ -457,6 +459,25 @@ TEST(ObsTest, StatsJsonReportsFixpointChecks) {
             r.stats.fixpoint_checks);
   EXPECT_EQ(static_cast<std::uint64_t>(s.at("fixpoint_sat_calls").num),
             r.stats.fixpoint_sat_calls);
+}
+
+TEST(ObsTest, StatsJsonReportsModelExtensions) {
+  // PDR reads only frame-0 latches and inputs, so a SAT answer needs its
+  // model extended only when BVE eliminated an input it reads.
+  aig::Aig pass = bench::token_ring(6, false);
+  mc::EngineOptions eo;
+  eo.time_limit_sec = 30.0;
+  mc::EngineResult r = mc::check_pdr(pass, 0, eo);
+  ASSERT_EQ(r.verdict, mc::Verdict::kPass);
+  ASSERT_GT(r.stats.sat_calls, 10u);
+  EXPECT_LT(r.stats.sat_model_extensions, r.stats.sat_calls / 10);
+
+  Json j;
+  const std::string body = mc::stats_json(r, nullptr, "obs_test", "ring.aag");
+  ASSERT_TRUE(JsonParser(body).parse(j)) << body;
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                j.at("stats").at("sat_model_extensions").num),
+            r.stats.sat_model_extensions);
 }
 
 TEST(ObsTest, PortfolioProducesNoTornLines) {

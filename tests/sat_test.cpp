@@ -2,12 +2,62 @@
 // resolution proof logging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "sat/proof_check.hpp"
 #include "sat/solver.hpp"
 
 namespace itpseq::sat {
+
+/// White-box access for FailedAssumptionsMatchFullTrailWalk: builds the
+/// trail solve_assuming has when an assumption turns out false, so the
+/// solver's bounded walk and a full-trail reference walk read one trail.
+struct SolverWhiteBox {
+  /// Decide `as` in order, one level each, propagating before each, as
+  /// solve_assuming does before its first branch.  Returns the first
+  /// assumption found false, or kNoLit (none is, or propagation conflicts).
+  static Lit decide(Solver& s, const std::vector<Lit>& as) {
+    s.backtrack(0);
+    for (Lit a : as) {
+      if (s.propagate() != Solver::kNoCRef) return kNoLit;
+      if (s.value(a) == LBool::kFalse) return a;
+      s.trail_lim_.push_back(static_cast<std::uint32_t>(s.trail_.size()));
+      if (s.value(a) == LBool::kUndef) s.enqueue(a, Solver::kNoCRef);
+    }
+    return kNoLit;
+  }
+
+  /// The unbounded walk: every trail position from the top down to 0.
+  static std::vector<Lit> reference(Solver& s, Lit failed) {
+    std::vector<Lit> out{failed};
+    std::vector<char> seen(s.num_vars(), 0);
+    seen[var(failed)] = 1;
+    for (std::size_t i = s.trail_.size(); i-- > 0;) {
+      const Var v = var(s.trail_[i]);
+      if (!seen[v]) continue;
+      const Solver::CRef r = s.var_data_[v].reason;
+      if (r == Solver::kNoCRef) {
+        if (s.trail_[i] != failed) out.push_back(s.trail_[i]);
+      } else {
+        for (Lit q : s.cls(r))
+          if (var(q) != v) seen[var(q)] = 1;
+      }
+      seen[v] = 0;
+    }
+    return out;
+  }
+
+  /// The solver's own walk; also reports whether it left a mark behind.
+  static std::vector<Lit> analyze(Solver& s, Lit failed, bool& marks_left) {
+    s.analyze_assumption(failed);
+    marks_left = std::any_of(s.seen_.begin(), s.seen_.end(),
+                             [](std::uint8_t m) { return m != 0; });
+    s.backtrack(0);
+    return s.failed_assumptions();
+  }
+};
+
 namespace {
 
 Lit pos(Var v) { return mk_lit(v, false); }
@@ -18,7 +68,7 @@ TEST(Sat, TrivialSat) {
   Var a = s.new_var();
   s.add_clause({pos(a)});
   EXPECT_EQ(s.solve(), Status::kSat);
-  EXPECT_TRUE(s.model_value(a));
+  EXPECT_TRUE(s.model_value(pos(a)));
   EXPECT_TRUE(s.verify_model());
 }
 
@@ -227,6 +277,86 @@ TEST(Sat, ProofLabelsPreserved) {
   }
   EXPECT_TRUE(saw17);
   EXPECT_TRUE(saw42);
+}
+
+TEST(Sat, FailedAssumptionsMatchFullTrailWalk) {
+  // Random 3-CNF with some units (level-0 reasons), solved a few times
+  // first so that learned clauses serve as reasons too.  Then random
+  // assumption lists are decided until one is false, and the bounded walk
+  // must return exactly what the full-trail walk returns, in order.
+  unsigned compared = 0, deep = 0;
+  for (int seed = 0; seed < 40; ++seed) {
+    std::mt19937 rng(700 + seed);
+    const unsigned nvars = 30 + rng() % 20;
+    Solver s;
+    s.set_inprocess(false);
+    for (unsigned i = 0; i < nvars; ++i) s.new_var();
+    const unsigned ncls = nvars * 3;
+    for (unsigned c = 0; c < ncls; ++c) {
+      const unsigned len = c % 60 == 0 ? 1 : c % 5 == 0 ? 2 : 3;
+      std::vector<Lit> cl;
+      for (unsigned k = 0; k < len; ++k)
+        cl.push_back(mk_lit(rng() % nvars, rng() % 2));
+      s.add_clause(cl);
+    }
+    auto random_assumptions = [&] {
+      std::vector<Lit> as;
+      const unsigned n = 4 + rng() % 16;
+      for (unsigned k = 0; k < n; ++k)
+        as.push_back(mk_lit(rng() % nvars, rng() % 2));
+      return as;
+    };
+    for (int q = 0; q < 4 && s.ok(); ++q)
+      s.solve_assuming(random_assumptions());
+    for (int q = 0; q < 60 && s.ok(); ++q) {
+      const std::vector<Lit> as = random_assumptions();
+      const Lit failed = SolverWhiteBox::decide(s, as);
+      if (failed == kNoLit) continue;
+      const std::vector<Lit> want = SolverWhiteBox::reference(s, failed);
+      bool marks_left = false;
+      EXPECT_EQ(SolverWhiteBox::analyze(s, failed, marks_left), want)
+          << "seed " << seed << ", query " << q;
+      EXPECT_FALSE(marks_left) << "seed " << seed << ", query " << q;
+      ++compared;
+      if (want.size() > 2) ++deep;
+    }
+  }
+  // Not vacuous: many failures, some of them resting on several assumptions.
+  EXPECT_GT(compared, 200u);
+  EXPECT_GT(deep, 20u);
+}
+
+TEST(Sat, CoreFollowsTheFinalAskedFor) {
+  // Two queries refuted from disjoint clauses: asking for one core, then
+  // the other, then the first again must return each query's own core,
+  // with core_position matching the returned order.
+  Solver s;
+  s.enable_proof();
+  s.set_inprocess(false);
+  Var a = s.new_var(), b = s.new_var(), c = s.new_var(), d = s.new_var();
+  s.add_clause({pos(a), pos(b)}, 1);
+  s.add_clause({negl(a), pos(b)}, 1);
+  s.add_clause({negl(c), pos(d)}, 2);
+  s.add_clause({negl(c), negl(d)}, 2);
+  ASSERT_EQ(s.solve_assuming({negl(b)}), Status::kUnsat);
+  const ClauseId first = s.proof().final_id();
+  ASSERT_EQ(s.solve_assuming({pos(c)}), Status::kUnsat);
+  const ClauseId second = s.proof().final_id();
+  const Proof& p = s.proof();
+  auto labels = [&](ClauseId f) {
+    std::vector<std::uint32_t> out;
+    const std::vector<ClauseId>& order = p.core(f);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      EXPECT_EQ(p.core_position(order[i]), i);
+      if (p.is_original(order[i]) && p.literals(order[i]).size() > 1)
+        out.push_back(p.label(order[i]));
+    }
+    return out;
+  };
+  EXPECT_EQ(labels(first), (std::vector<std::uint32_t>{1, 1}));
+  EXPECT_EQ(labels(second), (std::vector<std::uint32_t>{2, 2}));
+  EXPECT_EQ(labels(first), (std::vector<std::uint32_t>{1, 1}));
+  EXPECT_EQ(p.core(second).back(), second);
 }
 
 TEST(Sat, EnableProofAfterClausesThrows) {
