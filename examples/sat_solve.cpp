@@ -1,38 +1,32 @@
 // sat_solve.cpp — standalone DIMACS SAT solver with optional interpolation.
 //
-// Usage: sat_solve <file.cnf> [cut|--drat FILE]
-//   cut         on UNSAT with "c part <n>" labels, extract + validate the
-//               Craig interpolant at that cut;
-//   --drat FILE on UNSAT, export a DRAT proof and re-verify it with the
-//               independent forward RUP checker.
+// Usage: sat_solve <file.cnf> [cut]
+//   On UNSAT the refutation is replayed and its leaves checked against the
+//   clauses read (sat::check_proof).  With a cut and "c part <n>" labels,
+//   the Craig interpolant at that cut is extracted and validated too.
 //
-// Exit code follows the SAT-competition convention: 10 = SAT, 20 = UNSAT.
+// Exit code follows the SAT-competition convention: 10 = SAT, 20 = UNSAT;
+// 1 when a check fails, 2 on a usage or input error.
 #include <cstdio>
-#include <cstring>
 
 #include "args.hpp"
 #include "itp/interpolate.hpp"
 #include "itp/validate.hpp"
-#include <fstream>
-#include <sstream>
-
 #include "sat/dimacs.hpp"
-#include "sat/drat.hpp"
 #include "sat/proof_check.hpp"
 #include "sat/solver.hpp"
 
 using namespace itpseq;
 
 int main(int argc, char** argv) {
-  constexpr const char* kUsage = "<file.cnf> [cut|--drat FILE]";
+  constexpr const char* kUsage = "<file.cnf> [cut]";
   if (argc < 2) {
     std::fprintf(stderr, "usage: %s %s\n", argv[0], kUsage);
     return 2;
   }
-  const bool drat = argc > 3 && std::strcmp(argv[2], "--drat") == 0;
   // 0 when no cut is asked for.
   const std::uint32_t cut =
-      drat ? 0 : bench::positive_arg(argc, argv, 2, std::uint32_t{0}, kUsage);
+      bench::positive_arg(argc, argv, 2, std::uint32_t{0}, kUsage);
   sat::DimacsProblem p;
   try {
     p = sat::read_dimacs_file(argv[1]);
@@ -61,20 +55,11 @@ int main(int argc, char** argv) {
     return 10;
   }
   std::printf("s UNSATISFIABLE\n");
-  auto pc = sat::check_proof(solver.proof());
+  auto pc = sat::check_proof(solver.proof(), solver.proof().final_id(),
+                             p.clauses);
   std::printf("c proof check: %s (core %zu clauses)\n",
               pc.ok ? "OK" : pc.error.c_str(), solver.proof().core().size());
-
-  if (drat) {
-    std::ofstream out(argv[3]);
-    sat::write_drat(solver.proof(), out);
-    out.close();
-    std::ifstream in(argv[3]);
-    auto dr = sat::check_drat(p.num_vars, p.clauses, in);
-    std::printf("c drat: %zu additions written to %s; independent check: %s\n",
-                dr.additions, argv[3], dr.ok ? "OK" : dr.error.c_str());
-    return 20;
-  }
+  bool ok = pc.ok;
 
   if (cut > 0) {
     aig::Aig g;
@@ -92,6 +77,7 @@ int main(int argc, char** argv) {
     auto vr = itp::validate_interpolant(f, cut, g, I, ids);
     std::printf("c interpolant validation: %s\n",
                 vr.ok ? "OK" : vr.error.c_str());
+    ok = ok && vr.ok;
   }
-  return 20;
+  return ok ? 20 : 1;
 }

@@ -127,9 +127,9 @@ struct EngineOptions {
   /// vivification / failed-literal probing inside every SAT solver the
   /// engine creates; see sat::Solver::set_inprocess).  Proof-logging safe:
   /// every rewrite is a logged resolution, so verdicts stay sound and
-  /// proofs, interpolants and tracecheck export stay valid.  A round does
-  /// change the search, though, so proofs, interpolants and the bound an
-  /// interpolation engine converges at can differ.  Rounds must be paid for
+  /// proofs and interpolants stay valid.  A round does change the search,
+  /// though, so proofs, interpolants and the bound an interpolation engine
+  /// converges at can differ.  Rounds must be paid for
   /// by reuse or by search (sat/solver.hpp), so one-shot solvers (a
   /// certificate check) run one only after a long search, and long-lived
   /// ones (every engine's session) run them routinely.

@@ -47,9 +47,6 @@ struct ChainView {
 /// chains, so logging a clause appends to them instead of allocating.
 class Proof {
  public:
-  /// Kind of each recorded clause.
-  enum class Kind : std::uint8_t { kOriginal, kLearned };
-
   /// Record an original clause; returns its id.
   ClauseId add_original(std::span<const Lit> lits, std::uint32_t label) {
     return append(Kind::kOriginal, lits, label, {});
@@ -70,7 +67,6 @@ class Proof {
   void reuse_final(ClauseId id) { final_id_ = id; }
 
   std::size_t size() const { return kinds_.size(); }
-  Kind kind(ClauseId id) const { return kinds_[id]; }
   bool is_original(ClauseId id) const { return kinds_[id] == Kind::kOriginal; }
   std::uint32_t label(ClauseId id) const { return labels_[id]; }
   /// The clause's literals; the view is invalidated by the next add_*.
@@ -107,6 +103,9 @@ class Proof {
   std::uint32_t core_position(ClauseId id) const { return position_[id]; }
 
  private:
+  /// Kind of each recorded clause.
+  enum class Kind : std::uint8_t { kOriginal, kLearned };
+
   ClauseId append(Kind k, std::span<const Lit> lits, std::uint32_t label,
                   const ResolutionChain& chain) {
     kinds_.push_back(k);

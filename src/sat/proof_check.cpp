@@ -21,9 +21,11 @@ std::string clause_str(const std::set<Lit>& c) {
   os << '}';
   return os.str();
 }
-}  // namespace
 
-ProofCheckResult check_proof(const Proof& proof, ClauseId final) {
+/// The shared replay; `formula`, if given, holds the clauses every original
+/// leaf must be one of.
+ProofCheckResult replay(const Proof& proof, ClauseId final,
+                        const std::set<std::set<Lit>>* formula) {
   ProofCheckResult res;
   if (final == kNoClauseId) {
     res.error = "proof incomplete (no final chain)";
@@ -36,6 +38,11 @@ ProofCheckResult check_proof(const Proof& proof, ClauseId final) {
     if (proof.is_original(id)) {
       std::span<const Lit> lits = proof.literals(id);
       derived[id] = {lits.begin(), lits.end()};
+      if (formula != nullptr && formula->count(derived[id]) == 0) {
+        res.error = "original clause " + clause_str(derived[id]) +
+                    " (id " + std::to_string(id) + ") is not in the formula";
+        return res;
+      }
       have[id] = true;
       continue;
     }
@@ -90,6 +97,19 @@ ProofCheckResult check_proof(const Proof& proof, ClauseId final) {
   }
   res.ok = true;
   return res;
+}
+
+}  // namespace
+
+ProofCheckResult check_proof(const Proof& proof, ClauseId final) {
+  return replay(proof, final, nullptr);
+}
+
+ProofCheckResult check_proof(const Proof& proof, ClauseId final,
+                             const std::vector<std::vector<Lit>>& formula) {
+  std::set<std::set<Lit>> clauses;
+  for (const auto& c : formula) clauses.emplace(c.begin(), c.end());
+  return replay(proof, final, &clauses);
 }
 
 }  // namespace itpseq::sat

@@ -60,11 +60,11 @@
 // gc_frac_ of it, rewriting every CRef holder (watches, binary watches,
 // trail reasons, learned_list_, root_conflict_) via forwarding pointers
 // left in the old arena.  GC remaps CRefs but NEVER renumbers ClauseIds —
-// proof chains, interpolation and DRAT/tracecheck output stay valid across
-// any number of collections.  This is what keeps one-solver-per-run engines
-// (PDR, BMC, the sessions) at a bounded footprint: clauses retired by
-// activation-literal units become satisfied at level 0, are physically
-// reclaimed, and their watcher entries disappear with them.
+// proof chains and interpolation stay valid across any number of
+// collections.  This is what keeps one-solver-per-run engines (PDR, BMC,
+// the sessions) at a bounded footprint: clauses retired by activation-
+// literal units become satisfied at level 0, are physically reclaimed, and
+// their watcher entries disappear with them.
 //
 // --- Inprocessing ----------------------------------------------------------
 //
@@ -83,7 +83,7 @@
 // and failed-literal probing with on-the-fly hyper-binary resolution (the
 // derived binaries feed the dedicated binary-watch path).  See inprocess.cpp.
 //
-// Proof-safety invariants (what keeps proofs/ITP/tracecheck valid):
+// Proof-safety invariants (what keeps proofs and ITP valid):
 //   * every rewrite is a logged resolution: a strengthened clause is a new
 //     proof clause with chain [old, subsumer] and the removed literal's var
 //     as pivot; each BVE resolvent is logged with chain [C+, C-] on the

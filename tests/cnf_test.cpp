@@ -13,6 +13,7 @@
 #include "cnf/tseitin.hpp"
 #include "cnf/unroller.hpp"
 #include "mc/sim.hpp"
+#include "sat/proof_check.hpp"
 #include "sat/solver.hpp"
 
 namespace itpseq {
@@ -182,6 +183,30 @@ TEST(Unroller, FrameOrderEnforced) {
   cnf::Unroller unr(g, s);
   EXPECT_THROW(unr.add_transition(1, 0), std::logic_error);
   EXPECT_THROW(unr.lit(g.latch(0), 3, 0), std::out_of_range);
+}
+
+TEST(Unroller, BmcRefutationChecksAgainstTheUnrolling) {
+  // End-to-end: a search-learned refutation of a BMC unrolling replays and
+  // rests only on the unrolling's clauses.  The circuit is input-driven,
+  // so unit propagation alone cannot refute it.
+  aig::Aig g = bench::queue(5, true);  // PASS property
+  sat::Solver s;
+  s.set_inprocess(false);  // the point is search-learned clauses
+  s.enable_proof();
+  cnf::Unroller unr(g, s);
+  unr.assert_init(1);
+  for (unsigned t = 0; t < 6; ++t) unr.add_transition(t, t + 1);
+  s.add_clause({unr.bad_lit(6, 7)}, 7);
+  // Before the search, the log holds exactly the unrolling's clauses.
+  std::vector<std::vector<sat::Lit>> formula;
+  for (sat::ClauseId id = 0; id < s.proof().size(); ++id) {
+    std::span<const sat::Lit> lits = s.proof().literals(id);
+    formula.emplace_back(lits.begin(), lits.end());
+  }
+  ASSERT_EQ(s.solve(), sat::Status::kUnsat);
+  ASSERT_GT(s.stats().conflicts, 0u) << "instance too easy for this test";
+  const auto pc = sat::check_proof(s.proof(), s.proof().final_id(), formula);
+  EXPECT_TRUE(pc.ok) << pc.error;
 }
 
 // --- Differential test: pruned cone walk vs. full Aig::cone() walk --------

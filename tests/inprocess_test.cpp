@@ -1,7 +1,7 @@
 // inprocess_test.cpp — in-solver simplification (subsumption, BVE,
 // vivification, probing) under proof logging: verdict crosschecks against
 // untouched solvers, model extension over eliminated variables, proof
-// replay + DRAT/tracecheck export on UNSAT, the freeze/restore contract for
+// replay against the input clauses on UNSAT, the freeze/restore contract for
 // assumptions and late add_clause, and the rule that schedules rounds (paid
 // for by reuse or by search).
 #include <gtest/gtest.h>
@@ -9,13 +9,10 @@
 #include <algorithm>
 #include <atomic>
 #include <random>
-#include <sstream>
 #include <thread>
 
-#include "sat/drat.hpp"
 #include "sat/proof_check.hpp"
 #include "sat/solver.hpp"
-#include "sat/tracecheck.hpp"
 
 namespace itpseq::sat {
 namespace {
@@ -54,8 +51,8 @@ bool model_satisfies(const std::vector<LBool>& model,
 /// Crosscheck harness: solve `cls` with inprocessing forced on every entry
 /// and with it disabled; verdicts must agree, SAT models (extended over
 /// eliminated vars) must satisfy the ORIGINAL clauses, and UNSAT proofs
-/// must replay, DRAT-check and export to tracecheck.  `on_stats`, if given,
-/// receives the inprocessing solver's counters.
+/// must replay and rest only on the ORIGINAL clauses.  `on_stats`, if
+/// given, receives the inprocessing solver's counters.
 void crosscheck(const std::vector<std::vector<Lit>>& cls, unsigned nvars,
                 SolverStats* on_stats = nullptr) {
   Solver on, off;
@@ -80,17 +77,8 @@ void crosscheck(const std::vector<std::vector<Lit>>& cls, unsigned nvars,
         << "extended model violates an original clause";
     EXPECT_TRUE(on.verify_model());
   } else {
-    auto pc = check_proof(on.proof());
+    auto pc = check_proof(on.proof(), on.proof().final_id(), cls);
     EXPECT_TRUE(pc.ok) << pc.error;
-    // Independent RUP check of the exported DRAT against the originals.
-    std::ostringstream drat;
-    write_drat(on.proof(), drat);
-    std::istringstream in(drat.str());
-    auto dc = check_drat(nvars, cls, in);
-    EXPECT_TRUE(dc.ok) << dc.error;
-    std::ostringstream tc;
-    write_tracecheck(on.proof(), tc);
-    EXPECT_FALSE(tc.str().empty());
   }
 }
 
@@ -114,16 +102,14 @@ TEST(Inprocess, UnsatDerivedDuringElimination) {
   s.set_inprocess_interval(0);
   s.enable_proof();
   Var x = s.new_var(), y = s.new_var();
-  s.add_clause({pos(x), pos(y)});
-  s.add_clause({pos(x), negl(y)});
-  s.add_clause({negl(x), pos(y)});
-  s.add_clause({negl(x), negl(y)});
+  const std::vector<std::vector<Lit>> cls{{pos(x), pos(y)},
+                                          {pos(x), negl(y)},
+                                          {negl(x), pos(y)},
+                                          {negl(x), negl(y)}};
+  for (const auto& cl : cls) s.add_clause(cl);
   EXPECT_EQ(s.solve(), Status::kUnsat);
-  auto pc = check_proof(s.proof());
+  auto pc = check_proof(s.proof(), s.proof().final_id(), cls);
   EXPECT_TRUE(pc.ok) << pc.error;
-  std::ostringstream tc;
-  write_tracecheck(s.proof(), tc);
-  EXPECT_FALSE(tc.str().empty());
 }
 
 TEST(Inprocess, XorChainRefutedByElimination) {

@@ -1,8 +1,5 @@
-// kind_tracemin_test.cpp — k-induction engine, trace minimization and
-// TRACECHECK proof export.
+// kind_tracemin_test.cpp — k-induction engine and trace minimization.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "bench_circuits/generators.hpp"
 #include "bench_circuits/suite.hpp"
@@ -10,8 +7,6 @@
 #include "mc/portfolio.hpp"
 #include "mc/sim.hpp"
 #include "mc/trace_min.hpp"
-#include "sat/solver.hpp"
-#include "sat/tracecheck.hpp"
 
 namespace itpseq {
 namespace {
@@ -111,55 +106,6 @@ TEST(TraceMin, EngineCexMinimizes) {
   EXPECT_TRUE(mc::trace_is_cex(g, m, 0));
   // The clr input must be all-zero after minimization.
   for (const auto& f : m.inputs) EXPECT_FALSE(f[2]);
-}
-
-// --- TRACECHECK export --------------------------------------------------------
-
-TEST(TraceCheck, WellFormedOutput) {
-  sat::Solver s;
-  s.enable_proof();
-  sat::Var a = s.new_var(), b = s.new_var();
-  s.add_clause({sat::mk_lit(a)}, 1);
-  s.add_clause({sat::mk_lit(a, true), sat::mk_lit(b)}, 1);
-  s.add_clause({sat::mk_lit(b, true)}, 2);
-  ASSERT_EQ(s.solve(), sat::Status::kUnsat);
-  std::stringstream ss;
-  sat::write_tracecheck(s.proof(), ss);
-  // Every line: id, literals, 0, antecedents, 0; last line derives nothing
-  // (empty clause) with antecedents.
-  std::string line;
-  unsigned lines = 0;
-  bool saw_empty = false;
-  while (std::getline(ss, line)) {
-    ++lines;
-    std::istringstream ls(line);
-    long long id;
-    ASSERT_TRUE(static_cast<bool>(ls >> id));
-    EXPECT_GT(id, 0);
-    std::vector<long long> nums;
-    long long x;
-    while (ls >> x) nums.push_back(x);
-    // Two zero-terminated sections.
-    int zeros = 0;
-    for (long long n : nums)
-      if (n == 0) ++zeros;
-    EXPECT_EQ(zeros, 2) << line;
-    ASSERT_FALSE(nums.empty());
-    EXPECT_EQ(nums.back(), 0);
-    if (nums.front() == 0 && nums.size() > 2) saw_empty = true;
-  }
-  EXPECT_GE(lines, 4u);
-  EXPECT_TRUE(saw_empty) << "no empty clause derivation found";
-}
-
-TEST(TraceCheck, RejectsIncompleteProof) {
-  sat::Solver s;
-  s.enable_proof();
-  sat::Var a = s.new_var();
-  s.add_clause({sat::mk_lit(a)});
-  ASSERT_EQ(s.solve(), sat::Status::kSat);
-  std::stringstream ss;
-  EXPECT_THROW(sat::write_tracecheck(s.proof(), ss), std::invalid_argument);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 
 #include "sat/proof_check.hpp"
 #include "sat/solver.hpp"
@@ -79,7 +80,8 @@ TEST(Sat, TrivialUnsat) {
   s.add_clause({pos(a)});
   s.add_clause({negl(a)});
   EXPECT_EQ(s.solve(), Status::kUnsat);
-  auto res = check_proof(s.proof());
+  auto res =
+      check_proof(s.proof(), s.proof().final_id(), {{pos(a)}, {negl(a)}});
   EXPECT_TRUE(res.ok) << res.error;
 }
 
@@ -115,14 +117,19 @@ TEST(Sat, PigeonHole3) {
   Var p[4][3];
   for (auto& row : p)
     for (auto& v : row) v = s.new_var();
-  for (int i = 0; i < 4; ++i)
-    s.add_clause({pos(p[i][0]), pos(p[i][1]), pos(p[i][2])}, i);
+  std::vector<std::vector<Lit>> cls;
+  for (int i = 0; i < 4; ++i) {
+    cls.push_back({pos(p[i][0]), pos(p[i][1]), pos(p[i][2])});
+    s.add_clause(cls.back(), i);
+  }
   for (int h = 0; h < 3; ++h)
     for (int i = 0; i < 4; ++i)
-      for (int j = i + 1; j < 4; ++j)
-        s.add_clause({negl(p[i][h]), negl(p[j][h])}, 7);
+      for (int j = i + 1; j < 4; ++j) {
+        cls.push_back({negl(p[i][h]), negl(p[j][h])});
+        s.add_clause(cls.back(), 7);
+      }
   EXPECT_EQ(s.solve(), Status::kUnsat);
-  auto res = check_proof(s.proof());
+  auto res = check_proof(s.proof(), s.proof().final_id(), cls);
   EXPECT_TRUE(res.ok) << res.error;
   EXPECT_GT(s.proof().core().size(), 5u);
 }
@@ -192,7 +199,7 @@ TEST_P(SatRandomTest, MatchesBruteForceAndProofsCheck) {
   if (st == Status::kSat) {
     EXPECT_TRUE(s.verify_model());
   } else {
-    auto res = check_proof(s.proof());
+    auto res = check_proof(s.proof(), s.proof().final_id(), cls);
     EXPECT_TRUE(res.ok) << res.error;
   }
 }
@@ -230,7 +237,7 @@ TEST_P(SatHardRandomTest, Random3SatNearThreshold) {
   if (st == Status::kSat) {
     EXPECT_TRUE(s.verify_model());
   } else {
-    auto res = check_proof(s.proof());
+    auto res = check_proof(s.proof(), s.proof().final_id(), cls);
     EXPECT_TRUE(res.ok) << res.error;
   }
 }
@@ -357,6 +364,91 @@ TEST(Sat, CoreFollowsTheFinalAskedFor) {
   EXPECT_EQ(labels(second), (std::vector<std::uint32_t>{2, 2}));
   EXPECT_EQ(labels(first), (std::vector<std::uint32_t>{1, 1}));
   EXPECT_EQ(p.core(second).back(), second);
+}
+
+// --- the proof oracle rejects bad logs ---------------------------------------
+//
+// Hand-built logs over x0, x1 from the originals A = (x0 | x1),
+// B = (~x0 | x1) and C = (~x1): A and B resolve on x0 to (x1), which
+// resolves with C on x1 to the empty clause.
+
+struct SmallLog {
+  Proof proof;
+  ClauseId a, b, c;
+  std::vector<std::vector<Lit>> formula{
+      {pos(0), pos(1)}, {negl(0), pos(1)}, {negl(1)}};
+  SmallLog()
+      : a(proof.add_original(std::vector<Lit>{pos(0), pos(1)}, 0)),
+        b(proof.add_original(std::vector<Lit>{negl(0), pos(1)}, 0)),
+        c(proof.add_original(std::vector<Lit>{negl(1)}, 1)) {}
+};
+
+void expect_rejected(const ProofCheckResult& r, const std::string& why) {
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find(why), std::string::npos) << r.error;
+}
+
+TEST(ProofCheck, AcceptsAValidRefutation) {
+  SmallLog log;
+  const ClauseId x1 = log.proof.add_learned(std::vector<Lit>{pos(1)},
+                                            {{log.a, log.b}, {0}});
+  const ClauseId final = log.proof.set_final({{x1, log.c}, {1}});
+  auto r = check_proof(log.proof, final);
+  EXPECT_TRUE(r.ok) << r.error;
+  // Leaves match as literal sets: order and duplicates do not matter.
+  log.formula[0] = {pos(1), pos(0), pos(1)};
+  r = check_proof(log.proof, final, log.formula);
+  EXPECT_TRUE(r.ok) << r.error;
+}
+
+TEST(ProofCheck, RejectsForeignLeaf) {
+  // The log's A lost a literal the formula has: the chains still replay,
+  // but they refute a different formula.
+  SmallLog log;
+  log.formula[0].push_back(pos(2));
+  const ClauseId final = log.proof.set_final({{log.a, log.b, log.c}, {0, 1}});
+  EXPECT_TRUE(check_proof(log.proof, final).ok);
+  expect_rejected(check_proof(log.proof, final, log.formula),
+                  "is not in the formula");
+  // A leaf the formula lacks altogether.
+  log.formula.erase(log.formula.begin() + 1);
+  expect_rejected(check_proof(log.proof, final, log.formula),
+                  "is not in the formula");
+}
+
+TEST(ProofCheck, RejectsPivotThatDoesNotClash) {
+  SmallLog log;
+  // A and C do not clash on x0.
+  const ClauseId final = log.proof.set_final({{log.a, log.c}, {0}});
+  expect_rejected(check_proof(log.proof, final), "invalid resolution on var 0");
+}
+
+TEST(ProofCheck, RejectsChainDerivingAnotherClause) {
+  SmallLog log;
+  // A and B resolve to (x1), not to the recorded (x0).
+  const ClauseId x0 = log.proof.add_learned(std::vector<Lit>{pos(0)},
+                                            {{log.a, log.b}, {0}});
+  const ClauseId final = log.proof.set_final({{x0, log.c}, {1}});
+  expect_rejected(check_proof(log.proof, final), "but recorded");
+}
+
+TEST(ProofCheck, RejectsFinalThatIsNotEmpty) {
+  SmallLog log;
+  // A final chain that stops at (x1).
+  const ClauseId short_final = log.proof.set_final({{log.a, log.b}, {0}});
+  expect_rejected(check_proof(log.proof, short_final), "but recorded {}");
+  // A learned clause asked for as the final.
+  const ClauseId x1 = log.proof.add_learned(std::vector<Lit>{pos(1)},
+                                            {{log.a, log.b}, {0}});
+  expect_rejected(check_proof(log.proof, x1),
+                  "final chain does not derive the empty clause");
+}
+
+TEST(ProofCheck, RejectsNoFinal) {
+  SmallLog log;
+  expect_rejected(check_proof(log.proof), "no final chain");
+  expect_rejected(check_proof(log.proof, kNoClauseId, log.formula),
+                  "no final chain");
 }
 
 TEST(Sat, EnableProofAfterClausesThrows) {
