@@ -3,7 +3,8 @@
 // with BMC and PDR columns flanking the interpolation family and the
 // threaded portfolio (all engines racing) as the closer.
 // A SAT-core footer totals the solver-side work per engine: propagations
-// (and the share served by the inline binary watchers), conflicts, arena
+// (the share served by the inline binary watchers, and those made at the
+// assumption levels of solve_assuming with the levels opened), conflicts, arena
 // GC runs and bytes reclaimed, inprocessing, and the lazy model extensions
 // run over eliminated vars (mext).  Every run's verdict is checked
 // (bench/verdict_check.hpp): a wrong one stops the shootout.
@@ -97,8 +98,10 @@ int main(int argc, char** argv) {
 
   std::printf("\nSAT core totals (per engine, over the suite):\n");
   std::printf(
-      "%-10s %10s %14s %6s %12s %6s %12s %10s %20s %6s %8s %6s %6s %6s %8s\n",
-      "engine", "calls", "props", "bin%", "conflicts", "gc", "reclaimKB",
+      "%-10s %10s %14s %6s %14s %10s %12s %6s %12s %10s %20s %6s %8s %6s %6s "
+      "%6s %8s\n",
+      "engine", "calls", "props", "bin%", "asm props", "asm levels",
+      "conflicts", "gc", "reclaimKB",
       "peakKB", "learned c/m/l", "inpr", "subsume", "elim", "vivif", "probe",
       "mext");
   for (int i = 0; i < 6; ++i) {
@@ -110,7 +113,7 @@ int main(int argc, char** argv) {
     std::uint64_t mid = h[2] + h[3] + h[4] + h[5];
     std::uint64_t local = h[6] + h[7];
     std::printf(
-        "%-10s %10llu %14llu %5.1f%% %12llu %6llu %12llu %10zu "
+        "%-10s %10llu %14llu %5.1f%% %14llu %10llu %12llu %6llu %12llu %10zu "
         "%7llu/%5llu/%5llu %6llu %8llu %6llu %6llu %6llu %8llu\n",
         names[i], static_cast<unsigned long long>(t.sat_calls),
         static_cast<unsigned long long>(t.sat_propagations),
@@ -118,6 +121,8 @@ int main(int argc, char** argv) {
             ? 100.0 * static_cast<double>(t.sat_bin_propagations) /
                   static_cast<double>(t.sat_propagations)
             : 0.0,
+        static_cast<unsigned long long>(t.sat_assumption_propagations),
+        static_cast<unsigned long long>(t.sat_assumption_levels),
         static_cast<unsigned long long>(t.sat_conflicts),
         static_cast<unsigned long long>(t.sat_gc_runs),
         static_cast<unsigned long long>(t.sat_arena_reclaimed / 1024),

@@ -126,6 +126,104 @@ sat::Lit Unroller::bad_lit(unsigned t, std::uint32_t label, std::size_t prop) {
   return lit(model_.output(prop), t, label);
 }
 
+void Unroller::collect_tree(aig::Lit root, bool neg, unsigned t,
+                            bool stop_shared, std::vector<aig::Lit>& out) {
+  const std::vector<sat::Lit>& map = frames_[t].map;
+  ++stamp_;
+  walk_.assign(1, root);
+  while (!walk_.empty()) {
+    const aig::Lit l = walk_.back();
+    walk_.pop_back();
+    if (visited_[l] == stamp_) continue;
+    visited_[l] = stamp_;
+    const aig::Var v = aig::lit_var(l);
+    if (aig::lit_sign(l) != neg || !model_.is_and(v) ||
+        map[v] != sat::kNoLit || (stop_shared && l != root && fanouts_[v] > 1)) {
+      out.push_back(l);
+      continue;
+    }
+    // fanin1 below fanin0 on the stack: leaves come out in fanin order.
+    const aig::Node& n = model_.node(v);
+    walk_.push_back(aig::lit_xor(n.fanin1, neg));
+    walk_.push_back(aig::lit_xor(n.fanin0, neg));
+  }
+}
+
+void Unroller::bad_dnf(unsigned t, std::size_t prop, std::vector<aig::Lit>& dnf,
+                       std::vector<std::size_t>& ends) {
+  if (prop >= model_.num_outputs())
+    throw std::out_of_range("bad_dnf: no such output");
+  if (t >= frames_.size()) throw std::out_of_range("bad_dnf: frame");
+  if (fanouts_.empty()) {
+    fanouts_.assign(model_.num_vars(), 0);
+    visited_.assign(2 * model_.num_vars(), 0);
+    auto ref = [&](aig::Lit l) { ++fanouts_[aig::lit_var(l)]; };
+    for (aig::Var v = 1; v < model_.num_vars(); ++v)
+      if (model_.is_and(v)) {
+        ref(model_.node(v).fanin0);
+        ref(model_.node(v).fanin1);
+      }
+    for (std::size_t i = 0; i < model_.num_latches(); ++i)
+      ref(model_.latch_next(i));
+    for (std::size_t i = 0; i < model_.num_constraints(); ++i)
+      ref(model_.constraint(i));
+  }
+  dnf.clear();
+  ends.clear();
+  std::vector<aig::Lit> disjuncts;
+  collect_tree(model_.output(prop), /*neg=*/true, t, false, disjuncts);
+  if (disjuncts.size() == 1) {  // one cube: bad itself, i.e. bad_lit
+    dnf.push_back(model_.output(prop));
+    ends.push_back(1);
+    return;
+  }
+  for (aig::Lit d : disjuncts) {
+    collect_tree(d, /*neg=*/false, t, true, dnf);
+    ends.push_back(dnf.size());
+  }
+}
+
+void Unroller::assert_good(unsigned t, std::uint32_t label, sat::Lit guard,
+                           std::size_t prop) {
+  std::vector<aig::Lit> dnf;
+  std::vector<std::size_t> ends;
+  bad_dnf(t, prop, dnf, ends);
+  std::vector<sat::Lit> clause;
+  std::size_t begin = 0;
+  for (std::size_t end : ends) {
+    clause.clear();
+    if (guard != sat::kNoLit) clause.push_back(sat::neg(guard));
+    for (std::size_t i = begin; i < end; ++i)
+      clause.push_back(sat::neg(lit(dnf[i], t, label)));
+    solver_.add_clause(clause, label);
+    begin = end;
+  }
+}
+
+void Unroller::assert_bad(unsigned first, unsigned last, std::uint32_t label,
+                          sat::Lit act, std::size_t prop) {
+  std::vector<aig::Lit> dnf;
+  std::vector<std::size_t> ends;
+  std::vector<sat::Lit> top{sat::neg(act)};
+  for (unsigned t = first; t <= last; ++t) {
+    bad_dnf(t, prop, dnf, ends);
+    std::size_t begin = 0;
+    for (std::size_t end : ends) {
+      if (end - begin == 1) {
+        top.push_back(lit(dnf[begin], t, label));
+      } else {
+        const sat::Lit d = fresh();
+        for (std::size_t i = begin; i < end; ++i)
+          solver_.add_clause({sat::neg(act), sat::neg(d), lit(dnf[i], t, label)},
+                             label);
+        top.push_back(d);
+      }
+      begin = end;
+    }
+  }
+  solver_.add_clause(top, label);
+}
+
 sat::Lit Unroller::encode_state_pred(const aig::Aig& sets, aig::Lit root,
                                      unsigned t, std::uint32_t label) {
   return encode_state_pred(sets, root, t, label, sat::kNoLit);

@@ -31,6 +31,30 @@
 // have, also when a frame is partly encoded before its transition (BMC and
 // k-induction ask for bad_lit(t) before add_transition(t)).  Variables,
 // clause order and labels are those of a full-cone walk.
+//
+// Per-use property encodings.  bad_lit(t)'s gate definitions are unguarded,
+// so once frame t's leaves are assigned, unit propagation evaluates its
+// whole cone in every query, whether or not the query uses the property
+// at t.  Two encoders encode one use each, with no gate variables of their
+// own (one-polarity encoding, Plaisted & Greenbaum 1986):
+//   assert_good  ¬bad(t): one clause ¬y_1 ∨ ... ∨ ¬y_m per disjunct
+//                y_1 ∧ ... ∧ y_m of bad(t), behind the caller's guard;
+//   assert_bad   bad at some frame of a range: one clause over a fresh
+//                variable per disjunct, which implies the disjunct's
+//                conjuncts.  Every clause carries ~act, so a target the
+//                query does not assume propagates nothing.
+// The disjuncts are the leaves of bad's OR tree (AND nodes under negated
+// edges), the conjuncts those of each disjunct's AND tree (AND nodes under
+// positive edges).  Both walks stop at a node with a literal in the frame's
+// map: by the pruning invariant its cone is encoded, so it is a leaf like
+// a latch.  The AND walks also stop at nodes with more than one fanout,
+// which keeps the DNF linear in bad's cone.  Leaves get their literals from
+// lit(), which keeps the invariant; the encoders map no node themselves.
+// When bad is one cube (its OR tree is a single leaf), its DNF is bad
+// itself, so both encoders use bad_lit(t): the cone is one AND tree, so
+// there is little to save, and flattening it changes which conjunct
+// explains a refuted target (SITPSEQ then stopped converging on the
+// suite's cnt6pass and lfsr10z by bound 32).
 #pragma once
 
 #include <cstdint>
@@ -102,6 +126,18 @@ class Unroller {
   /// SAT literal of the bad signal (output `prop`) at frame t.
   sat::Lit bad_lit(unsigned t, std::uint32_t label, std::size_t prop = 0);
 
+  /// ¬bad(t) as clauses over leaf literals, each with ~guard unless guard
+  /// is kNoLit: ¬y_1 ∨ ... ∨ ¬y_m for each disjunct y_1 ∧ ... ∧ y_m of
+  /// bad(t) (see above).
+  void assert_good(unsigned t, std::uint32_t label, sat::Lit guard,
+                   std::size_t prop = 0);
+  /// bad at some frame of [first, last], behind `act`: ~act ∨ d_1 ∨ ... ∨
+  /// d_k over the disjuncts of those frames, where d is the conjunct of a
+  /// one-conjunct disjunct, else a fresh variable with ~act ∨ ~d ∨ y for
+  /// each conjunct y.
+  void assert_bad(unsigned first, unsigned last, std::uint32_t label,
+                  sat::Lit act, std::size_t prop = 0);
+
   /// Assert every invariant constraint of the model at frame t (AIGER 1.9
   /// "C" section semantics: constraints hold in every frame of a trace).
   /// `guard` as for assert_init.
@@ -126,6 +162,17 @@ class Unroller {
 
   sat::Lit fresh() { return sat::mk_lit(solver_.new_var()); }
   sat::Lit true_lit(std::uint32_t label);
+  /// bad(t) as a DNF over AIG literals: each disjunct's conjuncts go to
+  /// `dnf`, the disjunct's end in `dnf` to `ends` (both cleared first).
+  /// One cube is the one conjunct bad, which lit() encodes as bad_lit.
+  void bad_dnf(unsigned t, std::size_t prop, std::vector<aig::Lit>& dnf,
+               std::vector<std::size_t>& ends);
+  /// Appends to `out` the leaves of `root`'s tree through the AND nodes
+  /// reached by edges of sign `neg` (true: an OR tree) that have no literal
+  /// at frame t; below the root, with `stop_shared`, it also stops at nodes
+  /// with more than one fanout.  Each leaf once.
+  void collect_tree(aig::Lit root, bool neg, unsigned t, bool stop_shared,
+                    std::vector<aig::Lit>& out);
 
   const aig::Aig& model_;
   sat::Solver& solver_;
@@ -133,6 +180,12 @@ class Unroller {
   std::vector<Frame> frames_;
   std::vector<aig::Var> stack_;  // encode_cone's work stack
   sat::Lit true_ = sat::kNoLit;
+  // collect_tree's work stack and per-literal visit stamps, and each AIG
+  // node's fanout count (computed on first use).
+  std::vector<aig::Lit> walk_;
+  std::vector<std::uint32_t> visited_;
+  std::uint32_t stamp_ = 0;
+  std::vector<std::uint32_t> fanouts_;
 };
 
 }  // namespace itpseq::cnf

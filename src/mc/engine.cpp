@@ -177,6 +177,10 @@ void Engine::absorb_stats(EngineResult& out, const sat::Solver& solver,
   out.stats.sat_conflicts += s.conflicts - since.conflicts;
   out.stats.sat_propagations += s.propagations - since.propagations;
   out.stats.sat_bin_propagations += s.bin_propagations - since.bin_propagations;
+  out.stats.sat_assumption_propagations +=
+      s.assumption_propagations - since.assumption_propagations;
+  out.stats.sat_assumption_levels +=
+      s.assumption_levels - since.assumption_levels;
   out.stats.sat_gc_runs += s.gc_runs - since.gc_runs;
   out.stats.sat_arena_reclaimed +=
       s.wasted_bytes_reclaimed - since.wasted_bytes_reclaimed;

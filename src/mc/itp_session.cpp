@@ -135,8 +135,14 @@ void ItpSession::encode(unsigned n) {
   }
   if (shape_.assume_k)
     for (; good_ < n; ++good_) {
-      clause_.push_back(sat::neg(unr_.bad_lit(good_, frame_label(good_), prop_)));
-      add_guarded(frame_guard(good_act_, good_), frame_label(good_));
+      const std::uint32_t label = frame_label(good_);
+      const sat::Lit guard = frame_guard(good_act_, good_);
+      if (shape_.shorter_queries) {
+        unr_.assert_good(good_, label, guard, prop_);
+      } else {
+        clause_.push_back(sat::neg(unr_.bad_lit(good_, label, prop_)));
+        add_guarded(guard, label);
+      }
     }
 }
 
@@ -144,12 +150,14 @@ sat::Lit ItpSession::target(unsigned n) {
   if (target_act_.size() <= n) target_act_.resize(n + 1, sat::kNoLit);
   if (target_act_[n] != sat::kNoLit) return target_act_[n];
   const std::uint32_t label = target_label(n);
-  if (shape_.layout == Layout::kSequence) {
-    clause_.push_back(unr_.bad_lit(n, label, prop_));
-  } else {
-    for (unsigned t = 1; t <= n; ++t)
-      clause_.push_back(unr_.bad_lit(t, label, prop_));
+  const unsigned first = shape_.layout == Layout::kSequence ? n : 1;
+  if (shape_.shorter_queries) {
+    target_act_[n] = activation(label);
+    unr_.assert_bad(first, n, label, target_act_[n], prop_);
+    return target_act_[n];
   }
+  for (unsigned t = first; t <= n; ++t)
+    clause_.push_back(unr_.bad_lit(t, label, prop_));
   target_act_[n] = activation(label);
   add_guarded(target_act_[n], label);
   return target_act_[n];

@@ -54,6 +54,26 @@
 // query's target; every target is guarded.  So every SAT/UNSAT answer is
 // the one-shot answer; only the proofs differ.
 //
+// How the property is encoded follows the shape.  Sessions whose queries
+// never get shorter (ITP, ITPSEQ, CBA, PBA) use Unroller::bad_lit: one
+// Tseitin cone per frame, shared by the good clause and the target.  Its
+// definitions are unguarded, so a session with shorter queries would
+// evaluate every frame's cone in every query, at frames the query never
+// assumes.  Such sessions (SITPSEQ) encode each use on its own, with no
+// unguarded gate of the property: Unroller::assert_good flattens a good
+// clause into clauses over the frame's leaves, and Unroller::assert_bad
+// builds a target whose every clause carries its activation, so a target
+// the query does not assume propagates nothing (see unroller.hpp; a
+// property that is one cube keeps bad_lit).  The answers do not change: a
+// frame's good clauses hold exactly when ¬bad does, and an assumed target
+// is satisfiable exactly when bad is, so each partition has the models of
+// the one-shot build over its latches.  The new variables (fresh disjuncts,
+// leaves of the frame) are local to the partition of their use, so the
+// cuts are still the frame latches.  Certificates are checked by
+// certify.cpp over the full model with bad_lit's Tseitin cone: one query
+// per check leaves nothing to save, and the checker stays independent of
+// the session's encodings.
+//
 // Used activations are retired with a permanent negative unit, so level-0
 // simplification reclaims their clauses: a start that is an interpolant or
 // a term after its query, and, when queries never get shorter, a target
@@ -61,8 +81,8 @@
 // carry its activation too (cnf::encode_cone's guard), so its retirement
 // satisfies its whole encoding and the next sweep frees it, where it would
 // otherwise be propagated by every later query (activation literals as in
-// Eén & Sörensson, BMC 2003).  Frame logic, the initial states and targets
-// are never guarded that way.  Activation variables and frame latch
+// Eén & Sörensson, BMC 2003).  Frame logic and the initial states are
+// never guarded that way, nor are targets except by the per-use encoding.  Activation variables and frame latch
 // variables are frozen: they are assumed, they are the interpolation
 // leaves, and they are the inputs of the next frame and of start encodings.
 #pragma once

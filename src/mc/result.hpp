@@ -164,6 +164,10 @@ struct EngineStats {
   std::uint64_t sat_conflicts = 0;
   std::uint64_t sat_propagations = 0;      // all implications derived
   std::uint64_t sat_bin_propagations = 0;  // share from inline binary watchers
+  /// Search at assumption levels (sat::SolverStats counterparts): the
+  /// implications made there and the levels opened.
+  std::uint64_t sat_assumption_propagations = 0;
+  std::uint64_t sat_assumption_levels = 0;
   std::uint64_t sat_gc_runs = 0;           // clause-arena compactions
   std::uint64_t sat_arena_reclaimed = 0;   // bytes GC gave back
   std::size_t sat_arena_peak = 0;          // largest clause arena seen
@@ -198,6 +202,8 @@ struct EngineStats {
     sat_conflicts += s.sat_conflicts;
     sat_propagations += s.sat_propagations;
     sat_bin_propagations += s.sat_bin_propagations;
+    sat_assumption_propagations += s.sat_assumption_propagations;
+    sat_assumption_levels += s.sat_assumption_levels;
     sat_gc_runs += s.sat_gc_runs;
     sat_arena_reclaimed += s.sat_arena_reclaimed;
     if (s.sat_arena_peak > sat_arena_peak) sat_arena_peak = s.sat_arena_peak;

@@ -120,6 +120,8 @@ std::string stats_json(const EngineResult& r, const obs::TraceSink* sink,
   kv_u64(out, "sat_conflicts", s.sat_conflicts);
   kv_u64(out, "sat_propagations", s.sat_propagations);
   kv_u64(out, "sat_bin_propagations", s.sat_bin_propagations);
+  kv_u64(out, "sat_assumption_propagations", s.sat_assumption_propagations);
+  kv_u64(out, "sat_assumption_levels", s.sat_assumption_levels);
   kv_u64(out, "sat_gc_runs", s.sat_gc_runs);
   kv_u64(out, "sat_arena_reclaimed", s.sat_arena_reclaimed);
   kv_u64(out, "sat_arena_peak", s.sat_arena_peak);

@@ -928,7 +928,10 @@ Status Solver::solve_assuming(const std::vector<Lit>& assumptions,
   if (!maybe_inprocess(/*at_entry=*/true)) return Status::kUnsat;
 
   while (true) {
+    const std::uint64_t props_before = stats_.propagations;
     CRef conflict = propagate();
+    if (!trail_lim_.empty() && trail_lim_.size() <= assumptions_.size())
+      stats_.assumption_propagations += stats_.propagations - props_before;
     if (conflict != kNoCRef) {
       ++stats_.conflicts;
       ++conflicts_this_restart;
@@ -1030,6 +1033,7 @@ Status Solver::solve_assuming(const std::vector<Lit>& assumptions,
         Lit a = assumptions_[trail_lim_.size()];
         if (value(a) == LBool::kTrue) {
           // Already implied: open a dummy level to keep positions aligned.
+          ++stats_.assumption_levels;
           trail_lim_.push_back(static_cast<std::uint32_t>(trail_.size()));
           continue;
         }
@@ -1040,6 +1044,7 @@ Status Solver::solve_assuming(const std::vector<Lit>& assumptions,
           return Status::kUnsat;  // unsat under assumptions; ok() stays true
         }
         next = a;
+        ++stats_.assumption_levels;
         break;
       }
       if (next == kNoLit) next = pick_branch();

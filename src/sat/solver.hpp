@@ -143,6 +143,10 @@ struct SolverStats {
   std::uint64_t decisions = 0;
   std::uint64_t propagations = 0;      // all implications (incl. binary)
   std::uint64_t bin_propagations = 0;  // implications from binary watchers
+  /// Search at the assumption levels of solve_assuming: implications made
+  /// there, and the levels opened (one per assumption, dummy ones included).
+  std::uint64_t assumption_propagations = 0;
+  std::uint64_t assumption_levels = 0;
   std::uint64_t conflicts = 0;
   std::uint64_t restarts = 0;
   std::uint64_t learned_literals = 0;
@@ -181,6 +185,8 @@ struct SolverStats {
     decisions += s.decisions;
     propagations += s.propagations;
     bin_propagations += s.bin_propagations;
+    assumption_propagations += s.assumption_propagations;
+    assumption_levels += s.assumption_levels;
     conflicts += s.conflicts;
     restarts += s.restarts;
     learned_literals += s.learned_literals;

@@ -536,5 +536,192 @@ TEST(EncodeCone, TseitinMatchesFullConeWalkOnGrowingGraph) {
   }
 }
 
+// The per-use property encodings (Unroller::assert_good, assert_bad) against
+// bad_lit's Tseitin literal, built by a separate encoder over the same leaf
+// variables.  Both encodings are checked at frame 0, whose next-state cones
+// are encoded first (so the flattening stops at nodes the frame has), and
+// at frame 1, where no gate is encoded.  Latches are untied, so every leaf
+// assignment is possible at both frames.
+class PerUseChecker {
+ public:
+  PerUseChecker(const aig::Aig& g, unsigned t) : g_(g), t_(t), unr_(g, s_) {
+    s_.enable_proof();
+    unr_.set_tie_policy(
+        [](std::size_t, unsigned) { return cnf::Unroller::kUntied; });
+    unr_.add_transition(0, 0);
+    for (std::size_t i = 0; i < g.num_latches(); ++i)
+      (void)unr_.lit(g.latch_next(i), 0, 0);
+    support_ = g.support(g.output(0));
+    for (aig::Var v : support_) leaf_.push_back(unr_.lit(aig::var_lit(v), t, 0));
+    cnf::TseitinEncoder ref(g, s_, [&](aig::Var v) {
+      return unr_.lookup(aig::var_lit(v), t);
+    });
+    bad_ = ref.encode(g.output(0), 0);
+    good_act_ = sat::mk_lit(s_.new_var());
+    bad_act_ = sat::mk_lit(s_.new_var());
+    s_.freeze(sat::var(good_act_));
+    s_.freeze(sat::var(bad_act_));
+    // The good clauses are the guarded ones; the others define the gates
+    // of conjuncts that are not leaves of the model.
+    const std::size_t before = s_.proof().size();
+    unr_.assert_good(t, 0, good_act_);
+    for (std::size_t id = before; id < s_.proof().size(); ++id) {
+      std::vector<sat::Lit> c(s_.proof().literals(id).begin(),
+                              s_.proof().literals(id).end());
+      const auto guard = std::find(c.begin(), c.end(), sat::neg(good_act_));
+      if (guard == c.end()) continue;
+      c.erase(guard);
+      good_.push_back(std::move(c));
+    }
+    // Those gates are now encoded, so every clause the target adds is its
+    // own, and each carries ~act: unassumed, the target constrains nothing,
+    // and no clause of it becomes unit on leaf values alone.
+    const std::size_t mid = s_.proof().size();
+    unr_.assert_bad(t, t, 0, bad_act_);
+    for (std::size_t id = mid; id < s_.proof().size(); ++id) {
+      const auto c = s_.proof().literals(id);
+      EXPECT_NE(std::find(c.begin(), c.end(), sat::neg(bad_act_)), c.end())
+          << "a target clause without ~act";
+    }
+  }
+
+  std::size_t support_size() const { return support_.size(); }
+
+  /// Every good clause is implied by ¬bad, and together they refute bad;
+  /// the target under its activation refutes ¬bad.
+  void check_symbolic() {
+    EXPECT_EQ(s_.solve_assuming({good_act_, bad_}), sat::Status::kUnsat);
+    for (const std::vector<sat::Lit>& c : good_) {
+      std::vector<sat::Lit> a{sat::neg(bad_)};
+      for (sat::Lit l : c) a.push_back(sat::neg(l));
+      EXPECT_EQ(s_.solve_assuming(a), sat::Status::kUnsat);
+    }
+    EXPECT_EQ(s_.solve_assuming({bad_act_, sat::neg(bad_)}),
+              sat::Status::kUnsat);
+  }
+
+  /// Under the leaf assignment `bits` (bit j: support var j): the good
+  /// clauses are satisfiable exactly when bad is false, the target under
+  /// its activation exactly when bad is true, and with neither activation
+  /// assumed the assignment always is.
+  void check_assignment(const std::vector<bool>& bits) {
+    std::vector<bool> vals(g_.num_vars(), false);
+    std::vector<sat::Lit> a;
+    for (std::size_t j = 0; j < support_.size(); ++j) {
+      vals[support_[j]] = bits[j];
+      a.push_back(bits[j] ? leaf_[j] : sat::neg(leaf_[j]));
+    }
+    const bool bad = g_.evaluate(g_.output(0), vals);
+    const auto solve_with = [&](sat::Lit act) {
+      std::vector<sat::Lit> as = a;
+      if (act != sat::kNoLit) as.push_back(act);
+      return s_.solve_assuming(as);
+    };
+    EXPECT_EQ(solve_with(good_act_),
+              bad ? sat::Status::kUnsat : sat::Status::kSat);
+    EXPECT_EQ(solve_with(bad_act_),
+              bad ? sat::Status::kSat : sat::Status::kUnsat);
+    EXPECT_EQ(solve_with(sat::kNoLit), sat::Status::kSat);
+  }
+
+  /// All assignments of a support of up to 12 variables, else `samples`
+  /// random ones plus `samples` models of bad.
+  void check_assignments(std::mt19937& rng, unsigned samples) {
+    const std::size_t n = support_.size();
+    std::vector<bool> bits(n);
+    if (n <= 12) {
+      for (std::uint32_t m = 0; m < (1u << n); ++m) {
+        for (std::size_t j = 0; j < n; ++j) bits[j] = (m >> j) & 1;
+        check_assignment(bits);
+      }
+      return;
+    }
+    for (unsigned r = 0; r < samples; ++r) {
+      for (std::size_t j = 0; j < n; ++j) bits[j] = rng() & 1;
+      check_assignment(bits);
+    }
+    for (unsigned r = 0; r < samples; ++r) {
+      // A model of bad near a random assignment: assume a random prefix of
+      // it, shortened until bad is satisfiable.
+      std::vector<sat::Lit> a{bad_};
+      for (std::size_t j = 0; j < n; ++j)
+        a.push_back((rng() & 1) ? leaf_[j] : sat::neg(leaf_[j]));
+      while (s_.solve_assuming(a) != sat::Status::kSat) {
+        ASSERT_GT(a.size(), 1u) << "bad is unsatisfiable";
+        a.pop_back();
+      }
+      for (std::size_t j = 0; j < n; ++j)
+        bits[j] = s_.model_value(leaf_[j]);
+      check_assignment(bits);
+    }
+  }
+
+ private:
+  const aig::Aig& g_;
+  unsigned t_;
+  sat::Solver s_;
+  cnf::Unroller unr_;
+  std::vector<aig::Var> support_;
+  std::vector<sat::Lit> leaf_;  // leaf_[j]: support_[j] at frame t_
+  sat::Lit bad_ = sat::kNoLit;  // the reference Tseitin literal
+  sat::Lit good_act_ = sat::kNoLit, bad_act_ = sat::kNoLit;
+  std::vector<std::vector<sat::Lit>> good_;  // without the guard
+};
+
+/// A random model whose bad output mixes OR trees, AND trees, shared nodes
+/// and constants, over a few latches and inputs whose next-state functions
+/// share its nodes.
+aig::Aig random_property_model(std::mt19937& rng) {
+  aig::Aig g;
+  std::vector<aig::Lit> pool;
+  for (unsigned i = 0, n = 1 + rng() % 3; i < n; ++i)
+    pool.push_back(g.add_input());
+  for (unsigned i = 0, n = 2 + rng() % 5; i < n; ++i)
+    pool.push_back(g.add_latch(aig::LatchInit::kZero));
+  const std::size_t latches = pool.size() - g.num_inputs();
+  auto pick = [&] { return pool[rng() % pool.size()] ^ (rng() % 2); };
+  for (unsigned i = 0, n = 4 + rng() % 12; i < n; ++i)
+    pool.push_back(rng() % 3 ? g.make_and(pick(), pick())
+                             : g.make_or(pick(), pick()));
+  if (rng() % 8 == 0) pool.push_back(rng() % 2 ? aig::kTrue : aig::kFalse);
+  std::vector<aig::Lit> disjuncts;
+  for (unsigned d = 0, n = 1 + rng() % 4; d < n; ++d) {
+    std::vector<aig::Lit> conj;
+    for (unsigned c = 0, m = 1 + rng() % 3; c < m; ++c) conj.push_back(pick());
+    disjuncts.push_back(g.make_and_many(conj));
+  }
+  g.add_output(g.make_or_many(disjuncts));
+  for (std::size_t i = 0; i < latches; ++i)
+    g.set_latch_next(g.latch(i), pick());
+  return g;
+}
+
+TEST(Unroller, PerUsePropertyEncodingsMatchBadLit) {
+  std::mt19937 rng(28);
+  unsigned exhaustive = 0;
+  for (const bench::Instance& inst : bench::make_suite()) {
+    SCOPED_TRACE(inst.name);
+    for (unsigned t : {0u, 1u}) {
+      PerUseChecker chk(inst.model, t);
+      chk.check_symbolic();
+      chk.check_assignments(rng, 8);
+      if (chk.support_size() <= 12) ++exhaustive;
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  // 90 of the 102 designs have a property over at most 12 leaves.
+  EXPECT_GE(exhaustive, 160u);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("random model " + std::to_string(trial));
+    const aig::Aig g = random_property_model(rng);
+    for (unsigned t : {0u, 1u}) {
+      PerUseChecker chk(g, t);
+      chk.check_symbolic();
+      chk.check_assignments(rng, 8);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace itpseq

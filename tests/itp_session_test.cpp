@@ -20,6 +20,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bench_circuits/generators.hpp"
 #include "bench_circuits/suite.hpp"
 #include "cnf/unroller.hpp"
 #include "itp/interpolate.hpp"
@@ -333,10 +334,11 @@ void run_standard(const aig::Aig& model, unsigned max_bound, bool validate) {
 /// Every bound after the first opens with a one-use start (the previous
 /// bound's first term), which therefore encodes the new frame, and then
 /// asks the bound's query from the initial states: the frame must outlive
-/// the start, and only the start's definitions retire.
-void run_start_first(const aig::Aig& model, unsigned max_bound,
+/// the start, and only the start's definitions retire.  `serial`: the
+/// session encodes the property per use (SITPSEQ's shape).
+void run_start_first(const aig::Aig& model, bool serial, unsigned max_bound,
                      bool validate) {
-  SessionChecker chk(model, sequence_shape(/*serial=*/false), validate);
+  SessionChecker chk(model, sequence_shape(serial), validate);
   aig::Lit term = aig::kTrue;
   for (unsigned k = 1; k <= max_bound; ++k) {
     SCOPED_TRACE("k = " + std::to_string(k));
@@ -366,7 +368,8 @@ TEST(ItpSession, SuiteQueriesMatchOneShot) {
     run_sequence(inst.model, /*serial=*/false, 4, validate);
     run_sequence(inst.model, /*serial=*/true, 4, validate);
     run_standard(inst.model, 3, validate);
-    run_start_first(inst.model, 4, validate);
+    run_start_first(inst.model, /*serial=*/false, 4, validate);
+    run_start_first(inst.model, /*serial=*/true, 4, validate);
   }
   // lock{4,8,24}safe and the seven industrial FAIL designs.
   EXPECT_GE(partial, 10u);
@@ -420,6 +423,30 @@ TEST(ItpSession, RetiredStartDefinitionsAreReclaimed) {
        q < 8 && session.solver().stats().removed_satisfied == before; ++q)
     ASSERT_NE(session.query(sets, aig::kNullLit, 2, {}), sat::Status::kUnknown);
   EXPECT_GE(session.solver().stats().removed_satisfied - before, gate_clauses);
+}
+
+/// A serial-shape session encodes the property per use, so a query
+/// propagates no property cone of a frame it does not assume.  The ring's
+/// property (two tokens at once) is an OR of 496 pairwise ANDs.  After a
+/// length-8 query, a length-2 query from the initial states makes 785
+/// implications at its assumption levels: the latches of frames 0..8 and
+/// the query's own target.  With the property's Tseitin cones unguarded
+/// at every frame, as the other shapes have them, it makes 8,218: the
+/// initial states evaluate the cones of frames 1..8 as well.  Inprocessing
+/// is off, since its elimination rewrites those cones.
+TEST(ItpSession, ShorterQueryPropagatesNoUnassumedPropertyCone) {
+  const aig::Aig ring = bench::token_ring(32, false);
+  StateSpace space(ring);
+  EngineOptions opts;
+  opts.sat_inprocess = false;
+  ItpSession session(ring, 0, opts, sequence_shape(/*serial=*/true));
+  ASSERT_EQ(session.query(space.graph(), aig::kNullLit, 8, {}),
+            sat::Status::kUnsat);
+  const std::uint64_t before =
+      session.solver().stats().assumption_propagations;
+  ASSERT_EQ(session.query(space.graph(), aig::kNullLit, 2, {}),
+            sat::Status::kUnsat);
+  EXPECT_LE(session.solver().stats().assumption_propagations - before, 2000u);
 }
 
 /// x' = x OR in, y' = x, bad = x, constraint NOT y; x and y reset to 0.

@@ -414,6 +414,10 @@ TEST(ObsTest, StatsJsonRoundTripsEngineStats) {
             r.stats.sat_conflicts);
   EXPECT_EQ(static_cast<std::uint64_t>(s.at("sat_propagations").num),
             r.stats.sat_propagations);
+  EXPECT_EQ(static_cast<std::uint64_t>(s.at("sat_assumption_propagations").num),
+            r.stats.sat_assumption_propagations);
+  EXPECT_EQ(static_cast<std::uint64_t>(s.at("sat_assumption_levels").num),
+            r.stats.sat_assumption_levels);
   EXPECT_EQ(static_cast<std::uint64_t>(s.at("proof_clauses").num),
             r.stats.proof_clauses);
   EXPECT_EQ(static_cast<std::uint64_t>(s.at("sat_model_extensions").num),
