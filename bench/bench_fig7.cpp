@@ -23,10 +23,10 @@ int main(int argc, char** argv) {
 
   mc::EngineOptions exact;
   exact.time_limit_sec = limit;
-  exact.scheme = cnf::TargetScheme::kExact;
+  exact.scheme = mc::TargetScheme::kExact;
   mc::EngineOptions assume;
   assume.time_limit_sec = limit;
-  assume.scheme = cnf::TargetScheme::kExactAssume;
+  assume.scheme = mc::TargetScheme::kExactAssume;
 
   std::printf("# Figure 7 reproduction: ITPSEQ run time, exact-k vs assume-k\n");
   std::printf("%-18s %12s %12s %8s\n", "# instance", "exact[s]", "assume[s]",

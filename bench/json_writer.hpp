@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <string>
 
+#include "obs/trace.hpp"
+
 namespace itpseq::bench {
 
 class JsonWriter {
@@ -95,10 +97,7 @@ class JsonWriter {
   /// reports a spurious -Wrestrict on `"\"" + escape(s) + ...`.
   static std::string quoted(const std::string& s) {
     std::string r = "\"";
-    for (char c : s) {
-      if (c == '"' || c == '\\') r += '\\';
-      r += c;
-    }
+    obs::append_json_escaped(r, s);
     r += '"';
     return r;
   }

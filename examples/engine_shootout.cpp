@@ -6,7 +6,11 @@
 // (the share served by the inline binary watchers, and those made at the
 // assumption levels of solve_assuming with the levels opened), conflicts, arena
 // GC runs and bytes reclaimed, inprocessing, and the lazy model extensions
-// run over eliminated vars (mext).  Every run's verdict is checked
+// run over eliminated vars (mext).  Propagations count only implications
+// found by the solver's propagate() (sat::SolverStats), not the units
+// add_clause enqueues at level 0: BMC on an input-free design (the ring
+// family) adds every frame already fixed by the reset, so its row can read
+// 0 props over thousands of calls.  Every run's verdict is checked
 // (bench/verdict_check.hpp): a wrong one stops the shootout.
 //
 // Usage: engine_shootout [per_instance_seconds] [family_filter]

@@ -51,7 +51,6 @@ class BddManager {
   BddRef apply_or(BddRef f, BddRef g) { return ite(f, kBddTrue, g); }
   BddRef apply_xor(BddRef f, BddRef g) { return ite(f, apply_not(g), g); }
   BddRef apply_equiv(BddRef f, BddRef g) { return ite(f, g, apply_not(g)); }
-  BddRef apply_imp(BddRef f, BddRef g) { return ite(f, g, kBddTrue); }
   BddRef ite(BddRef f, BddRef g, BddRef h);
 
   /// Existentially quantify the variables flagged in `mask` (size num_vars).
@@ -63,9 +62,6 @@ class BddManager {
   /// current/next encodings used by the reachability engine.
   BddRef rename(BddRef f, const std::vector<unsigned>& map);
 
-  unsigned node_level(BddRef f) const { return nodes_[f].level; }
-  BddRef node_low(BddRef f) const { return nodes_[f].low; }
-  BddRef node_high(BddRef f) const { return nodes_[f].high; }
   bool is_const(BddRef f) const { return f <= 1; }
 
   /// Number of internal nodes reachable from f (DAG size).

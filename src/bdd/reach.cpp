@@ -82,10 +82,10 @@ SymbolicModel::SymbolicModel(const aig::Aig& model, std::size_t node_limit,
   // Bad states (quantify inputs out of the raw bad function, under the
   // frame constraint).
   if (model.num_outputs() > prop) {
-    bad_raw_ = mgr_.apply_and(build(model.output(prop)), constraint_);
+    const BddRef bad_raw = mgr_.apply_and(build(model.output(prop)), constraint_);
     std::vector<bool> mask(mgr_.num_vars(), false);
     for (std::size_t j = 0; j < model.num_inputs(); ++j) mask[input_var(j)] = true;
-    bad_states_ = mgr_.exists(bad_raw_, mask);
+    bad_states_ = mgr_.exists(bad_raw, mask);
   }
 
   // Initial states must admit the constraint for some input.

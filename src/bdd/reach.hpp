@@ -69,8 +69,6 @@ class SymbolicModel {
   BddRef init() const { return init_; }
   /// States with some input making the bad output true (over current vars).
   BddRef bad_states() const { return bad_states_; }
-  /// Raw bad function over current + input vars.
-  BddRef bad_raw() const { return bad_raw_; }
 
   /// Image of `states` (over current vars) -> set over current vars.
   BddRef image(BddRef states);
@@ -90,7 +88,6 @@ class SymbolicModel {
   std::vector<int> bwd_last_use_;      // same for preimage quantification
   BddRef init_ = kBddFalse;
   BddRef bad_states_ = kBddFalse;
-  BddRef bad_raw_ = kBddFalse;
   std::vector<unsigned> next_to_cur_;
   std::vector<unsigned> cur_to_next_;
 };

@@ -12,8 +12,9 @@
 //   A_1     = S0(V^0) ∧ T(V^0,V^1)        -> label 1
 //   A_i     = T(V^{i-1},V^i), 2 <= i <= k  -> label i
 //   A_{k+1} = ¬p(V^k)                      -> label k+1
-// Callers are free to use any other monotone labeling (e.g. a two-label
-// A/B split for standard interpolation).
+// Every mc::ItpSession uses these labels, standard interpolation too (its
+// interpolant is the one at cut 1); BMC and k-induction, which extract
+// nothing, label every clause 0.
 //
 // Which ties exist is up to the caller: a tie may sit behind a guard
 // literal (it holds only while the guard is assumed), and an untied latch
@@ -67,14 +68,6 @@
 #include "sat/solver.hpp"
 
 namespace itpseq::cnf {
-
-/// Target formulations of the sequence engines' BMC checks (Section III).
-/// Standard interpolation's bound-k target (bad at any frame 1..k) is
-/// built by its session (mc/itp_session.hpp).
-enum class TargetScheme : std::uint8_t {
-  kExact,        ///< bad at frame k exactly (violations earlier allowed)
-  kExactAssume,  ///< bad at frame k, good at frames 1..k-1
-};
 
 class Unroller {
  public:

@@ -88,9 +88,6 @@ class InterpolantExtractor {
                                          const CutLeafFn& leaf,
                                          System sys = System::kMcMillan) const;
 
-  /// Number of clauses in the trimmed refutation (proof core).
-  std::size_t core_size() const { return core_.size(); }
-
  private:
   /// Labels of the core originals a variable occurs in; min == kUnset when
   /// it occurs in none.

@@ -30,12 +30,7 @@ void BmcEngine::execute(EngineResult& out) {
   Bmc bmc(model_, prop_, opts_);
   out.verdict = Verdict::kUnknown;
   for (unsigned k = 1; k <= opts_.max_bound; ++k) {
-    out.k_fp = k;
-    if (out_of_time()) break;
-    if (obs::enabled()) {
-      obs::counters().bounds.fetch_add(1, std::memory_order_relaxed);
-      obs::emit("bound_start", {{"k", k}});
-    }
+    if (!begin_bound(out, k)) break;
     obs::Span obs_bound("bound", {{"k", k}});
     const sat::Status status = bmc.check(k, sat_budget());
     if (status == sat::Status::kSat) {

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <ios>
 #include <new>
+#include <unordered_map>
 
 #include "aig/compact.hpp"
+#include "itp/interpolate.hpp"
 #include "obs/trace.hpp"
 #include "util/mem_budget.hpp"
 
@@ -107,6 +109,19 @@ sat::Budget Engine::sat_budget() const {
   return b;
 }
 
+bool Engine::begin_bound(EngineResult& out, unsigned k) {
+  out.k_fp = k;
+  if (out_of_time()) {
+    out.verdict = Verdict::kUnknown;
+    return false;
+  }
+  if (obs::enabled()) {
+    obs::counters().bounds.fetch_add(1, std::memory_order_relaxed);
+    obs::emit("bound_start", {{"k", k}});
+  }
+  return true;
+}
+
 bool Engine::preliminary_checks(EngineResult& out) {
   if (prop_ >= model_.num_outputs()) {
     out.verdict = Verdict::kPass;  // no bad output: vacuously safe
@@ -168,6 +183,65 @@ Trace Engine::extract_trace(const sat::Solver& solver,
 Certificate Engine::make_certificate(aig::Lit r) const {
   aig::CompactResult c = aig::compact(space_.graph(), {r});
   return Certificate{std::move(c.graph), c.roots[0]};
+}
+
+bool Engine::renew_session(std::unique_ptr<ItpSession>& s,
+                           const ItpSession::Shape& shape,
+                           std::span<aig::Lit> live) {
+  if (opts_.compact_threshold > 0 &&
+      space_.graph().num_ands() > opts_.compact_threshold) {
+    std::vector<aig::Lit*> roots;
+    for (aig::Lit& l : live) roots.push_back(&l);
+    space_.compact(std::move(roots));
+  }
+  if (s && s->proof().size() <= ItpSession::kProofCap) return false;
+  s = std::make_unique<ItpSession>(model_, prop_, opts_, shape);
+  return true;
+}
+
+std::vector<aig::Lit> Engine::extract_cuts(const ItpSession& s,
+                                           sat::ClauseId final, unsigned last,
+                                           EngineResult& out) {
+  aig::Aig& G = space_.graph();
+  // leaf[c]: frame-c latch variable -> latch input of the state space.
+  std::vector<std::unordered_map<sat::Var, aig::Lit>> leaf(last + 1);
+  for (unsigned c = 1; c <= last; ++c)
+    for (std::size_t i = 0; i < model_.num_latches(); ++i) {
+      const sat::Lit sl = s.unroller().lookup(model_.latch(i), c);
+      if (sl != sat::kNoLit)
+        leaf[c][sat::var(sl)] =
+            aig::lit_xor(space_.latch_input(i), sat::sign(sl));
+    }
+  std::vector<aig::Lit> terms =
+      itp::InterpolantExtractor(s.proof(), final)
+          .extract_sequence(
+              G, 1, last,
+              [&](std::uint32_t cut, sat::Var v) {
+                auto it = leaf[cut].find(v);
+                return it == leaf[cut].end() ? aig::kNullLit : it->second;
+              },
+              opts_.itp_system);
+  for (aig::Lit t : terms)
+    out.stats.max_itp_nodes = std::max(out.stats.max_itp_nodes, G.cone_size(t));
+  return terms;
+}
+
+bool Engine::fixpoint_step(aig::Lit I, aig::Lit& R, unsigned j,
+                           EngineResult& out) {
+  switch (space_.implies(I, R, remaining(), opts_.cancel)) {
+    case Implication::kHolds:
+      out.verdict = Verdict::kPass;
+      out.j_fp = j;
+      out.certificate = make_certificate(R);
+      return true;
+    case Implication::kUnknown:
+      out.verdict = Verdict::kUnknown;
+      return true;
+    case Implication::kFails:
+      break;
+  }
+  R = space_.graph().make_or(R, I);
+  return false;
 }
 
 void Engine::absorb_stats(EngineResult& out, const sat::Solver& solver,

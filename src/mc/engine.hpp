@@ -2,8 +2,10 @@
 //
 // Concrete engines (Figs. 1, 2, 4 and 5 of the paper) share: the model and
 // property under check, the wall-clock budget, the symbolic state space for
-// interpolants, the depth-0 property check, and counterexample extraction
-// from a satisfiable BMC instance.
+// interpolants, the depth-0 property check, the head of the bound loop,
+// and counterexample extraction from a satisfiable BMC instance.  The
+// interpolation engines (ITP and the sequence engine) also share their
+// session upkeep between bounds, interpolant extraction and fixpoint step.
 //
 // Cancellation contract (EngineOptions::cancel): engines are cooperative.
 // Every engine polls the token at the head of its main loop (out_of_time()
@@ -15,6 +17,8 @@
 
 #include <chrono>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "aig/aig.hpp"
 #include "cnf/unroller.hpp"
@@ -60,6 +64,10 @@ class Engine {
   }
   /// SAT budget covering the remaining engine time (and cancellation).
   sat::Budget sat_budget() const;
+  /// Head of an engine's bound loop: k becomes out.k_fp; false, with
+  /// verdict kUnknown, when out_of_time(); else the bound is counted and
+  /// bound_start emitted.
+  bool begin_bound(EngineResult& out, unsigned k);
 
   /// Handles trivial properties and the depth-0 check (S0 AND bad(V^0)).
   /// Returns true when the verdict is already decided (out is filled).
@@ -89,6 +97,22 @@ class Engine {
   /// Build a PASS certificate from a state-set literal of space_.graph()
   /// (see mc/certify.hpp for the conditions the caller guarantees).
   Certificate make_certificate(aig::Lit r) const;
+
+  /// Interpolation engines, between bounds: compact the state-set AIG
+  /// once it exceeds compact_threshold, keeping `live`, and start a new
+  /// session of `shape` when there is none or its proof exceeds
+  /// ItpSession::kProofCap.  Returns whether `s` is new.
+  bool renew_session(std::unique_ptr<ItpSession>& s,
+                     const ItpSession::Shape& shape, std::span<aig::Lit> live);
+  /// The interpolants at cuts 1..last of the refutation of `s` ending in
+  /// `final`, over space_'s latch inputs (cut c's shared variables are the
+  /// frame-c latch variables); the largest goes into max_itp_nodes.
+  std::vector<aig::Lit> extract_cuts(const ItpSession& s, sat::ClauseId final,
+                                     unsigned last, EngineResult& out);
+  /// A fixpoint check: when I implies R, PASS at (out.k_fp, j) with R as
+  /// the certificate; kUnknown when the check runs out of budget; else R
+  /// becomes R ∨ I.  Returns whether the verdict is decided.
+  bool fixpoint_step(aig::Lit I, aig::Lit& R, unsigned j, EngineResult& out);
 
   const aig::Aig& model_;
   std::size_t prop_;

@@ -133,7 +133,7 @@ void ItpSession::encode(unsigned n) {
         t, frame_label(t),
         model_.num_constraints() > 0 ? frame_guard(frame_act_, t) : sat::kNoLit);
   }
-  if (shape_.assume_k)
+  if (shape_.target == Target::kAssumeK)
     for (; good_ < n; ++good_) {
       const std::uint32_t label = frame_label(good_);
       const sat::Lit guard = frame_guard(good_act_, good_);
@@ -150,7 +150,7 @@ sat::Lit ItpSession::target(unsigned n) {
   if (target_act_.size() <= n) target_act_.resize(n + 1, sat::kNoLit);
   if (target_act_[n] != sat::kNoLit) return target_act_[n];
   const std::uint32_t label = target_label(n);
-  const unsigned first = shape_.layout == Layout::kSequence ? n : 1;
+  const unsigned first = shape_.target == Target::kBoundK ? 1 : n;
   if (shape_.shorter_queries) {
     target_act_[n] = activation(label);
     unr_.assert_bad(first, n, label, target_act_[n], prop_);

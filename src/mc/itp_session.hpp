@@ -9,16 +9,23 @@
 // the one proof log (sat/proof.hpp), ending at final(); interpolants are
 // extracted from that refutation.
 //
-// Partition labels are fixed per frame, so they never depend on the query:
-//   kSequence  frame t's logic (transition t -> t+1, constraints, the
-//              assume-k "good" clause) is partition t+1; the
-//              start is partition 1 and the target bad(V^n) of a length-n
-//              query partition n+1;
-//   kStandard  frame 0's logic and the start are partition 1; every later
-//              frame and the bound-n target (bad at some frame 1..n) are
-//              partition 2.
-// Each activation literal carries the label of the clauses it guards, so it
-// is local to one partition and never shared across a cut.
+// Every session uses the interpolation-sequence labels (Vizel & Grumberg,
+// FMCAD 2009), fixed per frame, so they never depend on the query: frame
+// t's logic (transition t -> t+1, constraints, the assume-k "good" clause)
+// is partition t+1, the start is partition 1, and the target of a length-n
+// query is partition n+1.  The target is one of three (Shape::target):
+//   kExact    bad at frame n;
+//   kAssumeK  bad at frame n, and good at frames 1..n-1;
+//   kBoundK   bad at some frame 1..n, the target standard interpolation
+//             (Fig. 1) needs for soundness.
+// The interpolant at cut 1 puts labels <= 1 on the A-side and every other
+// label on the B-side, so it is McMillan's A = start ∧ T(V^0,V^1),
+// B = T^{n-1} ∧ target interpolant: ITP's interpolant is the first term of
+// the sequence.  A bound-k target mentions frames 1..n under label n+1, so
+// only its cut 1 is an interpolant; the exact and assume-k targets give a
+// sequence at every cut 1..n.  Each activation literal carries the label of
+// the clauses it guards, so it is local to one partition and never shared
+// across a cut.
 //
 // Every session ties only the latches in the sequential cone of influence
 // of the bad output and the constraints (aig::Aig::latch_coi): no other
@@ -108,14 +115,13 @@ const char* to_string(AbstractionMode m);
 
 class ItpSession {
  public:
-  enum class Layout : std::uint8_t { kSequence, kStandard };
+  /// A length-n query's target (see above).
+  enum class Target : std::uint8_t { kExact, kAssumeK, kBoundK };
 
   struct Shape {
-    Layout layout = Layout::kSequence;
+    Target target = Target::kExact;
     /// Which latch ties exist and how they are switched (see above).
     AbstractionMode abstraction = AbstractionMode::kNone;
-    /// kSequence: not bad at frames 1..n-1 (the assume-k target).
-    bool assume_k = false;
     /// A query may be shorter than an earlier one (SITPSEQ serial steps).
     bool shorter_queries = false;
   };
@@ -132,7 +138,7 @@ class ItpSession {
   ItpSession(const ItpSession&) = delete;
   ItpSession& operator=(const ItpSession&) = delete;
 
-  /// Solve start(V^0) ∧ (unrolling of length n) ∧ target (see the layouts
+  /// Solve start(V^0) ∧ (unrolling of length n) ∧ target (see the labels
   /// above).  `start`: aig::kNullLit for the initial states, aig::kTrue for
   /// none, otherwise a predicate of `sets`, whose input i is model latch i.
   sat::Status query(const aig::Aig& sets, aig::Lit start, unsigned n,
@@ -150,9 +156,6 @@ class ItpSession {
   /// among the failed assumptions (all false after a refutation that
   /// needed no assumption).
   std::vector<bool> failed_latches() const;
-  /// Whether latch i is in the cone of influence, which the session's ties
-  /// never leave.
-  bool in_cone(std::size_t i) const { return coi_[i]; }
   /// The latches whose ties and reset units the next query asserts: those
   /// in the cone that are visible.
   std::vector<bool> tied_latches() const;
@@ -162,12 +165,8 @@ class ItpSession {
   const sat::Proof& proof() const { return solver_.proof(); }
 
  private:
-  std::uint32_t frame_label(unsigned t) const {
-    return shape_.layout == Layout::kSequence ? t + 1 : (t == 0 ? 1 : 2);
-  }
-  std::uint32_t target_label(unsigned n) const {
-    return shape_.layout == Layout::kSequence ? n + 1 : 2;
-  }
+  static std::uint32_t frame_label(unsigned t) { return t + 1; }
+  static std::uint32_t target_label(unsigned n) { return n + 1; }
   /// A fresh frozen activation literal for clauses of partition `label`.
   sat::Lit activation(std::uint32_t label);
   bool visible(std::size_t i) const { return visible_.empty() || visible_[i]; }

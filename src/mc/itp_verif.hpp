@@ -4,7 +4,7 @@
 // interpolants I_1, I_2, ... where I_{j+1} = ITP(I_j AND T, B) and
 // B = T^{k-1} AND (bad at some frame 1..k)  — the *bound-k* target that
 // standard interpolation requires for soundness (Section III), whatever
-// EngineOptions::scheme says (that knob is for BMC and the sequences).
+// EngineOptions::scheme says (that knob is the sequence engines').
 // The inner loop terminates with PASS when I_j implies the union R_{j-1}
 // of all previous state sets (fixpoint), or restarts with k+1 when the
 // over-approximate instance becomes satisfiable.  FAIL is only reported
@@ -12,9 +12,10 @@
 // set.
 //
 // Every instance of a run is a query on one long-lived proof-logging
-// session (mc/itp_session.hpp, layout kStandard): the unrolling grows by a
+// session (mc/itp_session.hpp, target kBoundK): the unrolling grows by a
 // frame per bound, the front and the bound-k target sit behind activation
-// literals, and each interpolant comes from its own query's refutation.
+// literals, and each interpolant is the cut-1 term of its own query's
+// refutation, on the sequence labels every session uses.
 #pragma once
 
 #include "mc/engine.hpp"

@@ -4,9 +4,8 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
+#include <span>
 
-#include "itp/interpolate.hpp"
 #include "mc/sim.hpp"
 #include "obs/trace.hpp"
 
@@ -41,29 +40,6 @@ const char* ItpSeqEngine::name() const {
     case AbstractionMode::kNone: break;
   }
   return opts_.serial_alpha > 0.0 ? "SITPSEQ" : "ITPSEQ";
-}
-
-std::vector<aig::Lit> ItpSeqEngine::extract_terms(const ItpSession& s,
-                                                  sat::ClauseId final,
-                                                  unsigned last_cut) {
-  aig::Aig& G = space_.graph();
-  itp::InterpolantExtractor ex(s.proof(), final);
-  // Leaf maps: for cut c the shared variables are the frame-c latch vars.
-  std::vector<std::unordered_map<sat::Var, aig::Lit>> leaf(last_cut + 1);
-  for (unsigned c = 1; c <= last_cut; ++c)
-    for (std::size_t i = 0; i < model_.num_latches(); ++i) {
-      sat::Lit sl = s.unroller().lookup(model_.latch(i), c);
-      if (sl != sat::kNoLit)
-        leaf[c][sat::var(sl)] =
-            aig::lit_xor(space_.latch_input(i), sat::sign(sl));
-    }
-  return ex.extract_sequence(
-      G, 1, last_cut,
-      [&](std::uint32_t cut, sat::Var v) {
-        auto it = leaf[cut].find(v);
-        return it == leaf[cut].end() ? aig::kNullLit : it->second;
-      },
-      opts_.itp_system);
 }
 
 bool ItpSeqEngine::refine(ItpSession& s, unsigned k, EngineResult& out) {
@@ -128,38 +104,24 @@ void ItpSeqEngine::execute(EngineResult& out) {
   // proof outgrows ItpSession::kProofCap.  Target: CBA follows Fig. 5 and
   // uses exact-k; otherwise the configured scheme decides whether
   // intermediate "good" constraints are added (assume-k) or not (exact-k).
-  // bound-k is not meaningful for sequences.
+  // A bound-k target has an interpolant at cut 1 only, so it is ITP's.
   const ItpSession::Shape shape{
-      ItpSession::Layout::kSequence, mode_,
-      mode_ != AbstractionMode::kCba &&
-          opts_.scheme == cnf::TargetScheme::kExactAssume,
-      opts_.serial_alpha > 0.0};
+      mode_ != AbstractionMode::kCba && opts_.scheme == TargetScheme::kExactAssume
+          ? ItpSession::Target::kAssumeK
+          : ItpSession::Target::kExact,
+      mode_, opts_.serial_alpha > 0.0};
   std::unique_ptr<ItpSession> run;
 
   for (unsigned k = 1; k <= opts_.max_bound; ++k) {
-    out.k_fp = k;
-    if (out_of_time()) {
-      out.verdict = Verdict::kUnknown;
-      return;
-    }
-    if (obs::enabled()) {
-      obs::counters().bounds.fetch_add(1, std::memory_order_relaxed);
-      obs::emit("bound_start", {{"k", k}});
-    }
+    if (!begin_bound(out, k)) return;
     obs::Span obs_bound("bound", {{"k", k}});
 
     // Bound the growth of the interpolant store: rebuild the state-set AIG
-    // keeping only the live matrix columns.
-    if (opts_.compact_threshold > 0 &&
-        G.num_ands() > opts_.compact_threshold) {
-      std::vector<aig::Lit*> roots;
-      for (unsigned j = 1; j < calI_.size(); ++j) roots.push_back(&calI_[j]);
-      space_.compact(std::move(roots));
-    }
-    if (!run || run->proof().size() > ItpSession::kProofCap) {
-      run = std::make_unique<ItpSession>(model_, prop_, opts_, shape);
-      if (mode_ == AbstractionMode::kCba) run->set_visible(visible_);
-    }
+    // keeping only the live matrix columns.  CBA's abstraction carries over
+    // to a new session.
+    if (renew_session(run, shape, std::span(calI_).subspan(1)) &&
+        mode_ == AbstractionMode::kCba)
+      run->set_visible(visible_);
     ItpSession& s = *run;
 
     // --- BMC check at bound k (with abstraction handling) ---------------
@@ -199,7 +161,6 @@ void ItpSeqEngine::execute(EngineResult& out) {
     }
     if (status == sat::Status::kSat) {
       out.verdict = Verdict::kFail;
-      out.k_fp = k;
       out.j_fp = 0;
       out.cex = extract_trace(s.solver(), s.unroller(), k);
       return;
@@ -207,58 +168,38 @@ void ItpSeqEngine::execute(EngineResult& out) {
     const sat::ClauseId first_final = s.final();
 
     // --- sequence construction (Fig. 4) ----------------------------------
-    std::vector<aig::Lit> terms(k + 1, aig::kNullLit);  // terms[j], j=1..k
-    unsigned ns = std::min(
+    // terms[j - 1] is I^k_j.  Serial prefix (Eq. 3): the first term's
+    // defining problem is the bound's BMC check, so its proof is reused;
+    // each later term comes from a query starting at the one before, and
+    // the parallel suffix from one more such query (Fig. 4, last line).
+    // Pure parallel (Eq. 2), or when a serial query turns SAT (the
+    // over-approximation made the target reachable): the whole sequence
+    // from the bound's proof.
+    const unsigned ns = std::min(
         k, static_cast<unsigned>(
                std::floor(opts_.serial_alpha * static_cast<double>(k + 1))));
+    std::vector<aig::Lit> terms;
     bool fallback = false;
-
-    if (ns == 0) {
-      // Pure parallel: the whole sequence from the one proof (Eq. 2).
-      std::vector<aig::Lit> seq = extract_terms(s, first_final, k);
-      for (unsigned j = 1; j <= k; ++j) terms[j] = seq[j - 1];
-    } else {
-      // Serial prefix (Eq. 3).  The first term's defining problem is
-      // exactly the original BMC check, so its proof is reused.
-      terms[1] = extract_terms(s, first_final, 1)[0];
-      for (unsigned j = 2; j <= ns && !fallback; ++j) {
-        status = solve_query(s, terms[j - 1], k - (j - 1), out);
-        if (status == sat::Status::kUnknown) {
-          out.verdict = Verdict::kUnknown;
-          return;
-        }
-        if (status == sat::Status::kSat) {
-          fallback = true;  // over-approximation made the target reachable
-          break;
-        }
-        terms[j] = extract_terms(s, s.final(), 1)[0];
+    if (ns > 0) terms = extract_cuts(s, first_final, 1, out);
+    while (ns > 0 && !fallback && terms.size() < k) {
+      const auto j = static_cast<unsigned>(terms.size());
+      status = solve_query(s, terms.back(), k - j, out);
+      if (status == sat::Status::kUnknown) {
+        out.verdict = Verdict::kUnknown;
+        return;
       }
-      if (!fallback && ns < k) {
-        // Parallel suffix from one more proof (Fig. 4, last line).
-        status = solve_query(s, terms[ns], k - ns, out);
-        if (status == sat::Status::kUnknown) {
-          out.verdict = Verdict::kUnknown;
-          return;
-        }
-        if (status == sat::Status::kSat) {
-          fallback = true;
-        } else {
-          std::vector<aig::Lit> seq = extract_terms(s, s.final(), k - ns);
-          for (unsigned c = 1; c <= k - ns; ++c) terms[ns + c] = seq[c - 1];
-        }
-      }
-      if (fallback) {
-        std::vector<aig::Lit> seq = extract_terms(s, first_final, k);
-        for (unsigned j = 1; j <= k; ++j) terms[j] = seq[j - 1];
+      fallback = status == sat::Status::kSat;
+      if (!fallback) {
+        const std::vector<aig::Lit> next =
+            extract_cuts(s, s.final(), j < ns ? 1 : k - j, out);
+        terms.insert(terms.end(), next.begin(), next.end());
       }
     }
+    if (ns == 0 || fallback) terms = extract_cuts(s, first_final, k, out);
 
-    for (unsigned j = 1; j <= k; ++j)
-      out.stats.max_itp_nodes =
-          std::max(out.stats.max_itp_nodes, G.cone_size(terms[j]));
     if (obs::enabled()) {
       std::uint64_t total_nodes = 0;
-      for (unsigned j = 1; j <= k; ++j) total_nodes += G.cone_size(terms[j]);
+      for (aig::Lit t : terms) total_nodes += G.cone_size(t);
       obs::emit("itpseq_extract", {{"k", k},
                                    {"serial_prefix", ns},
                                    {"fallback", fallback ? 1u : 0u},
@@ -267,26 +208,12 @@ void ItpSeqEngine::execute(EngineResult& out) {
 
     // --- matrix update and fixpoint checks (Fig. 2) ----------------------
     calI_.resize(k + 1, aig::kTrue);
-    for (unsigned j = 1; j < k; ++j) calI_[j] = G.make_and(calI_[j], terms[j]);
-    calI_[k] = terms[k];
+    for (unsigned j = 1; j < k; ++j) calI_[j] = G.make_and(calI_[j], terms[j - 1]);
+    calI_[k] = terms[k - 1];
 
     aig::Lit R = space_.init_pred(s.tied_latches());
-    for (unsigned j = 1; j <= k; ++j) {
-      Implication imp =
-          space_.implies(calI_[j], R, remaining(), opts_.cancel);
-      if (imp == Implication::kHolds) {
-        out.verdict = Verdict::kPass;
-        out.k_fp = k;
-        out.j_fp = j;
-        out.certificate = make_certificate(R);
-        return;
-      }
-      if (imp == Implication::kUnknown) {
-        out.verdict = Verdict::kUnknown;
-        return;
-      }
-      R = G.make_or(R, calI_[j]);
-    }
+    for (unsigned j = 1; j <= k; ++j)
+      if (fixpoint_step(calI_[j], R, j, out)) return;
   }
   out.verdict = Verdict::kUnknown;
 }

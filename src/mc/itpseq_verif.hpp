@@ -53,12 +53,6 @@ class ItpSeqEngine : public Engine {
   void execute(EngineResult& out) override;
 
  private:
-  /// Extract sequence terms for local cuts [1, last_cut] from the
-  /// refutation ending in `final`; returns AIG literals over the state
-  /// space.
-  std::vector<aig::Lit> extract_terms(const ItpSession& s, sat::ClauseId final,
-                                      unsigned last_cut);
-
   /// CBA, after an abstract counterexample of length k: false if it
   /// replays on the concrete model (EXTEND) or no latch is left invisible,
   /// else makes one more latch visible, on the session too (REFINE).

@@ -35,12 +35,7 @@ void KInductionEngine::execute(EngineResult& out) {
 
   out.verdict = Verdict::kUnknown;
   for (unsigned k = 1; k <= opts_.max_bound; ++k) {
-    out.k_fp = k;
-    if (out_of_time()) break;
-    if (obs::enabled()) {
-      obs::counters().bounds.fetch_add(1, std::memory_order_relaxed);
-      obs::emit("bound_start", {{"k", k}});
-    }
+    if (!begin_bound(out, k)) break;
     obs::Span obs_bound("bound", {{"k", k}});
 
     // --- base(k): counterexample whose first failure is at depth k -------

@@ -9,8 +9,8 @@
 #include <string>
 #include <vector>
 
-#include "cnf/unroller.hpp"
 #include "itp/interpolate.hpp"
+#include "sat/solver.hpp"
 
 namespace itpseq::mc {
 
@@ -95,6 +95,14 @@ struct Trace {
   }
 };
 
+/// Target formulations of the sequence engines' BMC checks (Section III).
+/// Standard interpolation's bound-k target (bad at any frame 1..k) is
+/// ItpSession::Target::kBoundK (mc/itp_session.hpp).
+enum class TargetScheme : std::uint8_t {
+  kExact,        ///< bad at frame k exactly (violations earlier allowed)
+  kExactAssume,  ///< bad at frame k, good at frames 1..k-1
+};
+
 /// Knobs shared by all engines.
 struct EngineOptions {
   double time_limit_sec = 60.0;   ///< total wall-clock budget
@@ -102,7 +110,7 @@ struct EngineOptions {
   /// Target of the sequence engines' BMC checks (Section III); CBA always
   /// uses exact-k (Fig. 5), standard ITP the bound-k target its soundness
   /// needs, and BMC and k-induction the assume-k one (mc/bmc.hpp).
-  cnf::TargetScheme scheme = cnf::TargetScheme::kExactAssume;
+  TargetScheme scheme = TargetScheme::kExactAssume;
   /// Labeled interpolation system used to extract interpolants.  McMillan
   /// is the paper's system; Pudlak / inverse McMillan give progressively
   /// weaker (larger) state sets from the same proofs.

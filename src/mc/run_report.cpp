@@ -4,39 +4,19 @@
 #include <cmath>
 #include <cstdio>
 
+#include "obs/trace.hpp"
 #include "util/atomic_write.hpp"
 
 namespace itpseq::mc {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (char ch : s) {
-    unsigned char c = static_cast<unsigned char>(ch);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-}
-
 void kv_str(std::string& out, const char* key, const std::string& v,
             bool comma = true) {
   out += '"';
   out += key;
   out += "\":\"";
-  append_escaped(out, v);
+  obs::append_json_escaped(out, v);
   out += '"';
   if (comma) out += ',';
 }

@@ -12,10 +12,8 @@ TernarySim::TernarySim(const aig::Aig& model, const std::vector<aig::Lit>& roots
       pos_(model.num_vars(), 0),
       watch_(model.num_vars(), 0) {
   topo_ = model.cone(roots);
-  for (std::size_t i = 0; i < topo_.size(); ++i) {
+  for (std::size_t i = 0; i < topo_.size(); ++i)
     pos_[topo_[i]] = static_cast<std::uint32_t>(i + 1);
-    if (model_.is_and(topo_[i])) ++cone_ands_;
-  }
   values_[0] = TernVal::kFalse;  // the constant variable
   // Fanout table: count each AND's distinct in-cone fanins, prefix-sum the
   // counts, then fill in topological order so every row comes out sorted.

@@ -93,9 +93,6 @@ class TernarySim {
   /// watched root turns X) every node is restored and false is returned.
   bool try_latch_x(std::size_t i);
 
-  /// Number of AND nodes in the simulated cone (diagnostics).
-  std::size_t cone_ands() const { return cone_ands_; }
-
  private:
   void set_value(aig::Var v, TernVal nv, bool trail);
   /// Queue the AND fanouts of the node at topological position p.
@@ -116,7 +113,6 @@ class TernarySim {
   std::uint32_t gen_ = 0;              // try generation stamp
   std::vector<std::uint32_t> queued_;  // position -> last generation queued
   std::vector<std::pair<aig::Var, TernVal>> trail_;  // undo log of one try
-  std::size_t cone_ands_ = 0;
 };
 
 }  // namespace itpseq::mc

@@ -18,6 +18,27 @@
 
 namespace itpseq::obs {
 
+void append_json_escaped(std::string& out, std::string_view s) {
+  for (char ch : s) {
+    const auto c = static_cast<unsigned char>(ch);
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += ch;
+        }
+    }
+  }
+}
+
 namespace detail {
 
 std::atomic<TraceSink*> g_sink{nullptr};
@@ -77,27 +98,6 @@ struct TlsCache {
 thread_local TlsCache t_cache;
 std::atomic<std::uint64_t> g_generation{0};
 
-void append_escaped(std::string& out, const char* s) {
-  for (; *s; ++s) {
-    unsigned char c = static_cast<unsigned char>(*s);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-}
-
 void append_arg_value(std::string& out, const Arg& a) {
   char buf[40];
   switch (a.type) {
@@ -115,7 +115,7 @@ void append_arg_value(std::string& out, const Arg& a) {
       break;
     case Arg::Type::kStr:
       out += '"';
-      append_escaped(out, a.s != nullptr ? a.s : "");
+      append_json_escaped(out, a.s != nullptr ? a.s : "");
       out += '"';
       break;
   }
@@ -126,7 +126,7 @@ void append_args(std::string& out, const Event& e, bool* first) {
     if (!*first) out += ',';
     *first = false;
     out += '"';
-    append_escaped(out, e.args[i].key != nullptr ? e.args[i].key : "?");
+    append_json_escaped(out, e.args[i].key != nullptr ? e.args[i].key : "?");
     out += "\":";
     append_arg_value(out, e.args[i]);
   }
@@ -139,14 +139,14 @@ void format_jsonl(std::string& out, const Event& e) {
   out += buf;
   std::snprintf(buf, sizeof buf, ",\"tid\":%u,\"engine\":\"", e.tid);
   out += buf;
-  append_escaped(out, e.engine);
+  append_json_escaped(out, e.engine);
   out += "\",\"kind\":\"";
-  append_escaped(out, e.kind);
+  append_json_escaped(out, e.kind);
   out += "\",\"payload\":{";
   bool first = true;
   if (e.span) {
     out += "\"name\":\"";
-    append_escaped(out, e.name != nullptr ? e.name : "?");
+    append_json_escaped(out, e.name != nullptr ? e.name : "?");
     std::snprintf(buf, sizeof buf, "\",\"dur_us\":%" PRIu64, e.dur_us);
     out += buf;
     first = false;
@@ -158,9 +158,9 @@ void format_jsonl(std::string& out, const Event& e) {
 void format_chrome(std::string& out, const Event& e) {
   char buf[96];
   out += "{\"name\":\"";
-  append_escaped(out, e.span ? (e.name != nullptr ? e.name : "?") : e.kind);
+  append_json_escaped(out, e.span ? (e.name != nullptr ? e.name : "?") : e.kind);
   out += "\",\"cat\":\"";
-  append_escaped(out, e.engine);
+  append_json_escaped(out, e.engine);
   if (e.span)
     std::snprintf(buf, sizeof buf,
                   "\",\"ph\":\"X\",\"pid\":1,\"tid\":%u,\"ts\":%" PRIu64

@@ -42,11 +42,17 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 namespace itpseq::obs {
 
 class TraceSink;
+
+/// Append `s` to `out` as the body of a JSON string literal: `"` and `\`
+/// escaped, control characters as \n, \r, \t or \u00XX.  The one escaper
+/// of the trace sink, the run report and the bench trajectory writer.
+void append_json_escaped(std::string& out, std::string_view s);
 
 namespace detail {
 extern std::atomic<TraceSink*> g_sink;

@@ -31,7 +31,7 @@
 namespace itpseq::mc {
 namespace {
 
-using Layout = ItpSession::Layout;
+using Target = ItpSession::Target;
 
 /// A test-local Tseitin unrolling into a plain labelled clause list.  It
 /// shares no code with cnf::Unroller, and no solver drops a clause that is
@@ -76,23 +76,20 @@ class Encoder {
 
 /// The one-shot build of a query (what each engine built per query before
 /// the session), partitioned as the paper does: start(V^0) ∧ T^n ∧
-/// constraints at frames 0..n ∧ target, with the layout's labels.  Every
-/// `visible` latch (empty: all) is tied and reset, whatever the cone of
-/// influence; the others are free.
+/// constraints at frames 0..n ∧ target, frame t's logic labelled t+1 and
+/// the target n+1.  Every `visible` latch (empty: all) is tied and reset,
+/// whatever the cone of influence; the others are free.
 struct OneShot {
   sat::Status status;
   itp::LabeledCnf cnf;
   std::vector<std::vector<sat::Lit>> latch;  // latch[t][i]: latch i at frame t
 };
 
-OneShot one_shot(const aig::Aig& model, const aig::Aig& sets, Layout layout,
-                 aig::Lit start, unsigned n, bool assume_k,
+OneShot one_shot(const aig::Aig& model, const aig::Aig& sets, Target target,
+                 aig::Lit start, unsigned n,
                  const std::vector<bool>& visible = {}) {
   auto tied = [&](std::size_t i) { return visible.empty() || visible[i]; };
-  const bool seq = layout == Layout::kSequence;
-  auto label = [&](unsigned t) -> std::uint32_t {
-    return seq ? t + 1 : (t == 0 ? 1 : 2);
-  };
+  auto label = [](unsigned t) -> std::uint32_t { return t + 1; };
   Encoder e;
   std::vector<Encoder::Map> frame(n + 1);
   OneShot r;
@@ -128,15 +125,12 @@ OneShot one_shot(const aig::Aig& model, const aig::Aig& sets, Layout layout,
   auto bad = [&](unsigned t, std::uint32_t l) {
     return e.encode(model, model.output(0), frame[t], l);
   };
-  std::vector<sat::Lit> target;
-  if (seq) {
-    if (assume_k)
-      for (unsigned t = 1; t < n; ++t) e.add({sat::neg(bad(t, label(t)))}, label(t));
-    target.push_back(bad(n, n + 1));
-  } else {
-    for (unsigned t = 1; t <= n; ++t) target.push_back(bad(t, 2));
-  }
-  e.add(target, seq ? n + 1 : 2);
+  if (target == Target::kAssumeK)
+    for (unsigned t = 1; t < n; ++t) e.add({sat::neg(bad(t, label(t)))}, label(t));
+  std::vector<sat::Lit> bad_at;
+  for (unsigned t = target == Target::kBoundK ? 1 : n; t <= n; ++t)
+    bad_at.push_back(bad(t, n + 1));
+  e.add(bad_at, n + 1);
 
   sat::Solver s;
   for (unsigned v = 0; v < e.cnf.num_vars; ++v) s.new_var();
@@ -166,8 +160,8 @@ class SessionChecker {
     ++queries_;
     const sat::Status got =
         session_.query(space_.graph(), start, n, sat::Budget{});
-    const OneShot want = one_shot(model_, space_.graph(), shape_.layout, start,
-                                  n, shape_.assume_k, visible_);
+    const OneShot want =
+        one_shot(model_, space_.graph(), shape_.target, start, n, visible_);
     EXPECT_NE(got, sat::Status::kUnknown);
     EXPECT_EQ(got, want.status);
     if (got != sat::Status::kUnsat || want.status != sat::Status::kUnsat)
@@ -235,8 +229,7 @@ class SessionChecker {
 
 ItpSession::Shape sequence_shape(bool serial) {
   ItpSession::Shape sh;
-  sh.layout = Layout::kSequence;
-  sh.assume_k = true;
+  sh.target = Target::kAssumeK;
   sh.shorter_queries = serial;
   return sh;
 }
@@ -283,7 +276,7 @@ void run_abstraction(const aig::Aig& model, AbstractionMode mode, bool serial,
                      unsigned max_bound, unsigned& abstract) {
   ItpSession::Shape sh = sequence_shape(serial);
   sh.abstraction = mode;
-  sh.assume_k = mode == AbstractionMode::kPba;
+  sh.target = mode == AbstractionMode::kPba ? Target::kAssumeK : Target::kExact;
   SessionChecker chk(model, sh, /*validate=*/true);
   std::vector<bool> visible(model.num_latches(), false);
   if (mode == AbstractionMode::kCba) chk.set_visible(visible);
@@ -315,11 +308,10 @@ void run_abstraction(const aig::Aig& model, AbstractionMode mode, bool serial,
   }
 }
 
-/// ITP: every bound's inner iterations (at most four).
+/// ITP: every bound's inner iterations (at most four), each interpolant
+/// the refutation's cut 1 against the bound-k one-shot build.
 void run_standard(const aig::Aig& model, unsigned max_bound, bool validate) {
-  ItpSession::Shape sh;
-  sh.layout = Layout::kStandard;
-  SessionChecker chk(model, sh, validate);
+  SessionChecker chk(model, {Target::kBoundK}, validate);
   for (unsigned k = 1; k <= max_bound; ++k) {
     SCOPED_TRACE("k = " + std::to_string(k));
     aig::Lit front = aig::kNullLit;
@@ -412,9 +404,7 @@ TEST(ItpSession, RetiredStartDefinitionsAreReclaimed) {
   const std::size_t gate_clauses = 3 * sets.cone_size(start);
   ASSERT_GE(gate_clauses, 900u);
 
-  ItpSession::Shape sh;
-  sh.layout = Layout::kStandard;
-  ItpSession session(model, 0, EngineOptions{}, sh);
+  ItpSession session(model, 0, EngineOptions{}, {Target::kBoundK});
   ASSERT_NE(session.query(sets, start, 2, {}), sat::Status::kUnknown);
   // The next queries start from the initial states; the first one that
   // sweeps level 0 must free the retired start's whole encoding.
@@ -469,9 +459,7 @@ TEST(ItpSession, ShorterQueryIgnoresConstraintsPastItsTarget) {
   StateSpace space(g);
   // A length-1 query is SAT; asserting the constraint at frame 2 as well
   // would refute it.
-  ASSERT_EQ(one_shot(g, space.graph(), Layout::kSequence, aig::kNullLit, 1,
-                     /*assume_k=*/true)
-                .status,
+  ASSERT_EQ(one_shot(g, space.graph(), Target::kAssumeK, aig::kNullLit, 1).status,
             sat::Status::kSat);
   {
     sat::Solver s;

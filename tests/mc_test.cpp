@@ -208,7 +208,7 @@ TEST(Engines, SerialAlphaOneIsFullySerial) {
 
 TEST(Engines, ExactSchemeAlsoSound) {
   EngineOptions opts = quick_opts();
-  opts.scheme = cnf::TargetScheme::kExact;
+  opts.scheme = TargetScheme::kExact;
   for (bool fail : {false, true}) {
     aig::Aig g = bench::token_ring(6, fail);
     EngineResult r = check_itpseq(g, 0, opts);

@@ -11,6 +11,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "bench_circuits/generators.hpp"
+#include "json_writer.hpp"
 #include "mc/bmc.hpp"
 #include "mc/kinduction.hpp"
 #include "mc/pdr.hpp"
@@ -387,6 +389,25 @@ TEST(ObsTest, ChromeExportIsValidJsonWithThreeEnginesOnDistinctTids) {
   for (const auto& [engine, tids] : span_tids)
     all_tids.insert(tids.begin(), tids.end());
   EXPECT_GE(all_tids.size(), 3u) << "engines must sit on distinct threads";
+}
+
+/// The trace sink, the run report and the bench trajectory writer share one
+/// string escaper; a quote, a backslash and control characters must all
+/// come out as valid JSON.
+TEST(ObsTest, JsonStringsEscapeQuotesBackslashesAndControlCharacters) {
+  const std::string raw = "a\"b\\c\n\x01";
+  const std::string want = R"("a\"b\\c\n\u0001")";
+  std::string got = "\"";
+  obs::append_json_escaped(got, raw);
+  got += '"';
+  EXPECT_EQ(got, want);
+
+  const std::string path = temp_path("json_writer.json");
+  bench::JsonWriter w(path);
+  w.begin_object().field("s", raw).end_object();
+  ASSERT_TRUE(w.write());
+  EXPECT_EQ(slurp(path), "{\"s\":" + want + "}\n");
+  std::remove(path.c_str());
 }
 
 TEST(ObsTest, StatsJsonRoundTripsEngineStats) {

@@ -245,9 +245,9 @@ bool parse_args(int argc, char** argv, Args& a) {
     } else if (s == "--scheme") {
       if (!(v = need(i))) return false;
       if (!std::strcmp(v, "exact"))
-        a.opts.scheme = cnf::TargetScheme::kExact;
+        a.opts.scheme = mc::TargetScheme::kExact;
       else if (!std::strcmp(v, "assume"))
-        a.opts.scheme = cnf::TargetScheme::kExactAssume;
+        a.opts.scheme = mc::TargetScheme::kExactAssume;
       else {
         std::fprintf(stderr, "unknown scheme '%s'\n", v);
         return false;
